@@ -1,19 +1,12 @@
-"""Benchmarks for the adversary pipeline: serial vs parallel wall-clock.
+"""Benchmarks for the adversary pipeline: one shard vs four, wall-clock.
 
 Times a 3-home x 2-firewall-mode susceptibility sweep plus worm outbreak at
-``--jobs 1`` and ``--jobs 4`` and asserts both modes render byte-identical
-time-to-compromise tables (phase 1 parallelizes; the epidemic loop is a
-serial deterministic fold over the sorted summaries).
+``--shards 1`` and ``--shards 4`` (``--jobs`` is an alias) and asserts both
+render byte-identical time-to-compromise tables (phase 1 shards; the
+epidemic loop is a serial deterministic fold over the sorted summaries).
 """
 
-import pytest
-
-from repro.adversary import (
-    WormParams,
-    aggregate_adversary,
-    generate_adversary_specs,
-    run_adversary_fleet,
-)
+from repro.adversary import WormParams, run_adversary_stream
 from repro.reports import render_adversary
 
 HOMES = 3
@@ -22,30 +15,23 @@ FIREWALLS = ("open", "stateful")
 PARAMS = WormParams(strategy="eui64-sweep", scan_rate=2000.0, dt=30.0, horizon=1800.0)
 
 
-@pytest.fixture(scope="module")
-def adversary_specs():
-    return generate_adversary_specs(HOMES, seed=SEED, firewalls=FIREWALLS)
+def _render(shards: int) -> str:
+    return render_adversary(
+        run_adversary_stream(HOMES, seed=SEED, params=PARAMS, firewalls=FIREWALLS, shards=shards)
+    )
 
 
-def _render(fleet):
-    return render_adversary(aggregate_adversary(fleet, PARAMS, seed=SEED, scenario_name="baseline"))
-
-
-def test_bench_adversary_serial(benchmark, adversary_specs, record):
-    result = benchmark.pedantic(lambda: run_adversary_fleet(adversary_specs, jobs=1), rounds=3, iterations=1)
-    text = _render(result)
+def test_bench_adversary_serial(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(1), rounds=3, iterations=1)
     record("adversary_serial", text)
     assert f"{HOMES * len(FIREWALLS)}/{HOMES * len(FIREWALLS)} cells" in text
 
 
-def test_bench_adversary_parallel(benchmark, adversary_specs, record):
-    result = benchmark.pedantic(lambda: run_adversary_fleet(adversary_specs, jobs=4), rounds=3, iterations=1)
-    text = _render(result)
+def test_bench_adversary_parallel(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(4), rounds=3, iterations=1)
     record("adversary_parallel", text)
     assert f"{HOMES * len(FIREWALLS)}/{HOMES * len(FIREWALLS)} cells" in text
 
 
-def test_adversary_parallel_matches_serial_byte_for_byte(adversary_specs):
-    serial = _render(run_adversary_fleet(adversary_specs, jobs=1))
-    parallel = _render(run_adversary_fleet(adversary_specs, jobs=4))
-    assert serial == parallel
+def test_adversary_parallel_matches_serial_byte_for_byte():
+    assert _render(1) == _render(4)

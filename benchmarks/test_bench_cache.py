@@ -10,8 +10,9 @@ Three gates, one artifact (``BENCH_cache.json``):
   store performs zero simulations (misses == 0) and finishes at least 3x
   faster than the cold run that filled it;
 - **byte-identity** — the cached run renders the same bytes as the
-  uncached one at ``--jobs 1`` vs ``--jobs 4`` and ``--shards 1`` vs
-  ``--shards 4`` (the determinism contract caching must not bend).
+  uncached one at ``--shards 1`` vs ``--shards 4``, for the split sweep
+  and for the stock grid (the determinism contract caching must not bend;
+  ``--jobs`` is an alias of ``--shards``).
 
 The dedup arithmetic for the sweep workload: uncached, each of the 8
 single-schedule specs per home runs baseline + arm = 16 studies/home;
@@ -20,6 +21,7 @@ an expected ~1.78x. The 1.5x floor leaves room for lookup overhead.
 """
 
 import dataclasses
+import functools
 import json
 import time
 from pathlib import Path
@@ -27,19 +29,14 @@ from pathlib import Path
 import pytest
 
 from repro.cache import CacheSettings, cache_for, reset_process_caches
-from repro.faults.population import (
-    aggregate_faults,
-    generate_fault_specs,
-    run_fault_fleet,
-    run_faults_stream,
-)
+from repro.faults.population import FaultFold, _faults_unit, run_faults_stream, run_home_faults
+from repro.fleet.shard import run_sharded
 from repro.reports import render_faults
 
 BENCH_PATH = Path(__file__).parent / "BENCH_cache.json"
 
 HOMES = 2
 SEED = 31
-JOBS = 4
 SHARDS = 4
 # Every non-"none" preset: the 8-schedule sweep the dedup gate times.
 SCHEDULES = (
@@ -61,17 +58,26 @@ CACHE_BENCH: dict = {
 }
 
 
-def _sweep_specs():
-    """The 8-schedule sweep, split one arm per spec (worst case for PR-9:
-    every spec re-simulates the clean baseline the cache can share)."""
-    classic = generate_fault_specs(
-        HOMES, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, fidelity="flow"
+def _sweep_unit(index: int):
+    """Home ``index`` of the 8-schedule sweep, split one arm per spec (worst
+    case without the cache: every spec re-simulates the clean baseline the
+    cache can share). The unit is still the whole home, so its arms run
+    back to back in one process."""
+    (classic,) = _faults_unit(
+        index, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, checkins=2, fidelity="flow"
     )
-    return [
-        dataclasses.replace(spec, fault_names=(name,))
-        for spec in classic
-        for name in spec.fault_names
-    ]
+    return tuple(dataclasses.replace(classic, fault_names=(name,)) for name in SCHEDULES)
+
+
+def _sweep(cache=None, shards: int = 1):
+    return run_sharded(
+        HOMES, _sweep_unit, fold=FaultFold(), worker=run_home_faults, shards=shards, cache=cache
+    )
+
+
+_grid = functools.partial(
+    run_faults_stream, HOMES, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, fidelity="flow"
+)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -101,17 +107,15 @@ def _best_of_interleaved(repeats, runs):
 
 
 def test_bench_in_run_dedup_simulates_each_baseline_once(record):
-    specs = _sweep_specs()
     settings = CacheSettings(scope="bench-dedup")
 
     (uncached_seconds, cached_seconds), (uncached, cached) = _best_of_interleaved(
-        5,
-        (lambda: run_fault_fleet(specs), lambda: run_fault_fleet(specs, cache=settings)),
+        5, (_sweep, lambda: _sweep(cache=settings))
     )
 
-    text = render_faults(aggregate_faults(cached))
+    text = render_faults(cached)
     record("faults_cached_sweep", text)
-    assert text == render_faults(aggregate_faults(uncached))
+    assert text == render_faults(uncached)
 
     # The counters are the ground truth that the dedup actually happened:
     # per home, the baseline missed once and memory-hit on the other 7 arms.
@@ -128,22 +132,19 @@ def test_bench_in_run_dedup_simulates_each_baseline_once(record):
 
 
 def test_bench_warm_cache_rerun_skips_every_simulation(tmp_path):
-    specs = generate_fault_specs(
-        HOMES, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, fidelity="flow"
-    )
     settings = CacheSettings(directory=str(tmp_path / "store"), scope="bench-disk")
 
     reset_process_caches()
     started = time.perf_counter()
-    cold = run_fault_fleet(specs, cache=settings)
+    cold = _grid(cache=settings)
     cold_seconds = time.perf_counter() - started
 
     reset_process_caches()  # a fresh run: memory tier gone, disk remains
     started = time.perf_counter()
-    warm = run_fault_fleet(specs, cache=settings)
+    warm = _grid(cache=settings)
     warm_seconds = time.perf_counter() - started
 
-    assert render_faults(aggregate_faults(warm)) == render_faults(aggregate_faults(cold))
+    assert render_faults(warm) == render_faults(cold)
     counters = cache_for(settings).counters
     assert counters.misses == 0, "a warm rerun must not simulate anything"
     assert counters.disk_hits == (1 + len(SCHEDULES)) * HOMES
@@ -156,14 +157,13 @@ def test_bench_warm_cache_rerun_skips_every_simulation(tmp_path):
 
 
 def test_bench_cached_bytes_identical_across_jobs(tmp_path):
-    specs = _sweep_specs()
-    baseline = render_faults(aggregate_faults(run_fault_fleet(specs)))
+    baseline = render_faults(_sweep())
 
     settings = CacheSettings(directory=str(tmp_path / "store"), scope="bench-jobs")
     reset_process_caches()
-    serial = render_faults(aggregate_faults(run_fault_fleet(specs, jobs=1, cache=settings)))
+    serial = render_faults(_sweep(cache=settings, shards=1))
     reset_process_caches()
-    parallel = render_faults(aggregate_faults(run_fault_fleet(specs, jobs=JOBS, cache=settings)))
+    parallel = render_faults(_sweep(cache=settings, shards=SHARDS))
 
     CACHE_BENCH["jobs_bytes_identical"] = serial == baseline and parallel == baseline
     assert serial == baseline

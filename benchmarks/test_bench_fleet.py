@@ -1,39 +1,35 @@
-"""Benchmarks for the fleet runner: serial vs parallel wall-clock.
+"""Benchmarks for the fleet engine: one shard vs four, wall-clock.
 
-Times an 8-home fleet at ``--jobs 1`` and ``--jobs 4`` so the parallel
-speedup stays visible in the perf trajectory, and asserts the two modes
-render byte-identical fleet summaries (the determinism contract).
+Times an 8-home fleet at ``--shards 1`` and ``--shards 4`` (``--jobs`` is an
+alias) so the parallel speedup stays visible in the perf trajectory, and
+asserts the two render byte-identical fleet summaries (the determinism
+contract).
 """
 
-import pytest
-
-from repro.fleet import aggregate_fleet, generate_fleet, get_scenario, run_fleet
+from repro.fleet import get_scenario, run_fleet_stream
 from repro.reports import render_fleet_summary
 
 HOMES = 8
 SEED = 1
 
 
-@pytest.fixture(scope="module")
-def fleet_specs():
-    return generate_fleet(HOMES, seed=SEED, scenario=get_scenario("flip50"))
+def _render(shards: int) -> str:
+    return render_fleet_summary(
+        run_fleet_stream(HOMES, seed=SEED, scenario=get_scenario("flip50"), shards=shards)
+    )
 
 
-def test_bench_fleet_serial(benchmark, fleet_specs, record):
-    result = benchmark.pedantic(lambda: run_fleet(fleet_specs, jobs=1), rounds=3, iterations=1)
-    text = render_fleet_summary(aggregate_fleet(result))
+def test_bench_fleet_serial(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(1), rounds=3, iterations=1)
     record("fleet_serial", text)
     assert f"{HOMES}/{HOMES} homes simulated" in text
 
 
-def test_bench_fleet_parallel(benchmark, fleet_specs, record):
-    result = benchmark.pedantic(lambda: run_fleet(fleet_specs, jobs=4), rounds=3, iterations=1)
-    text = render_fleet_summary(aggregate_fleet(result))
+def test_bench_fleet_parallel(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(4), rounds=3, iterations=1)
     record("fleet_parallel", text)
     assert f"{HOMES}/{HOMES} homes simulated" in text
 
 
-def test_fleet_parallel_matches_serial_byte_for_byte(fleet_specs):
-    serial = render_fleet_summary(aggregate_fleet(run_fleet(fleet_specs, jobs=1)))
-    parallel = render_fleet_summary(aggregate_fleet(run_fleet(fleet_specs, jobs=4)))
-    assert serial == parallel
+def test_fleet_parallel_matches_serial_byte_for_byte():
+    assert _render(1) == _render(4)

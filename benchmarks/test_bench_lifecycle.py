@@ -1,21 +1,13 @@
 """Benchmarks for the lifecycle engine: a small fleet across epochs.
 
 Every (home, epoch) cell is one full home study, so even a 2-home,
-3-epoch timeline is six simulations plus the timeline planner. Times the
-serial and 4-worker paths and asserts they render byte-identical
-trajectory tables (the determinism contract the CI smoke also checks
-end-to-end through the CLI).
+3-epoch timeline is six simulations plus the timeline planner. Times one
+shard and four (``--jobs`` is an alias) and asserts they render
+byte-identical trajectory tables (the determinism contract the CI smoke
+also checks end-to-end through the CLI).
 """
 
-import pytest
-
-from repro.lifecycle import (
-    LifecycleParams,
-    aggregate_lifecycle,
-    build_timelines,
-    run_lifecycle_fleet,
-    timeline_specs,
-)
+from repro.lifecycle import LifecycleParams, run_lifecycle_stream
 from repro.reports import render_lifecycle
 
 HOMES = 2
@@ -23,28 +15,21 @@ SEED = 1
 PARAMS = LifecycleParams(epochs=3, wave="flash-cut")
 
 
-@pytest.fixture(scope="module")
-def lifecycle_specs():
-    return timeline_specs(build_timelines(HOMES, seed=SEED, params=PARAMS))
+def _render(shards: int) -> str:
+    return render_lifecycle(run_lifecycle_stream(HOMES, seed=SEED, params=PARAMS, shards=shards))
 
 
-def test_bench_lifecycle_serial(benchmark, lifecycle_specs, record):
-    result = benchmark.pedantic(lambda: run_lifecycle_fleet(lifecycle_specs, jobs=1), rounds=3, iterations=1)
-    text = render_lifecycle(aggregate_lifecycle(result, wave_name=PARAMS.wave))
+def test_bench_lifecycle_serial(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(1), rounds=3, iterations=1)
     record("lifecycle_serial", text)
     assert f"Lifecycle (flash-cut, {HOMES} homes x {PARAMS.epochs} epochs)" in text
 
 
-def test_bench_lifecycle_parallel(benchmark, lifecycle_specs, record):
-    result = benchmark.pedantic(lambda: run_lifecycle_fleet(lifecycle_specs, jobs=4), rounds=3, iterations=1)
-    text = render_lifecycle(aggregate_lifecycle(result, wave_name=PARAMS.wave))
+def test_bench_lifecycle_parallel(benchmark, record):
+    text = benchmark.pedantic(lambda: _render(4), rounds=3, iterations=1)
     record("lifecycle_parallel", text)
     assert f"Lifecycle (flash-cut, {HOMES} homes x {PARAMS.epochs} epochs)" in text
 
 
-def test_lifecycle_parallel_matches_serial_byte_for_byte(lifecycle_specs):
-    def run(jobs: int) -> str:
-        fleet = run_lifecycle_fleet(lifecycle_specs, jobs=jobs)
-        return render_lifecycle(aggregate_lifecycle(fleet, wave_name=PARAMS.wave))
-
-    assert run(1) == run(4)
+def test_lifecycle_parallel_matches_serial_byte_for_byte():
+    assert _render(1) == _render(4)

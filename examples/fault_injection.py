@@ -14,15 +14,7 @@ Run:  python examples/fault_injection.py [--homes 4] [--jobs 4]
 import argparse
 import time
 
-from repro.faults import (
-    FaultSchedule,
-    FaultWindow,
-    aggregate_faults,
-    generate_fault_specs,
-    run_fault_fleet,
-    run_home_faults,
-)
-from repro.faults.population import FaultSpec
+from repro.faults import FaultSchedule, FaultSpec, FaultWindow, run_faults_stream, run_home_faults
 from repro.reports import render_faults
 
 FAULTS = ("dns-blackout", "uplink-flap", "flaky-lan")
@@ -36,16 +28,16 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"fault grid: {args.homes} homes x (dual-stack, ipv6-only) x {FAULTS}\n")
-    specs = generate_fault_specs(
+    start = time.time()
+    aggregate = run_faults_stream(
         args.homes,
         seed=args.seed,
         config_names=("dual-stack", "ipv6-only"),
         fault_names=FAULTS,
+        shards=args.jobs,
     )
-    start = time.time()
-    fleet = run_fault_fleet(specs, jobs=args.jobs)
-    print(render_faults(aggregate_faults(fleet)))
-    print(f"\n{len(specs)} cells in {time.time() - start:.1f}s (jobs={args.jobs})")
+    print(render_faults(aggregate))
+    print(f"\n{aggregate.total_runs} cells in {time.time() - start:.1f}s (jobs={args.jobs})")
 
     # Schedules compose: a morning of misery — flaky LAN while the upstream
     # resolver is also down — built from windows, not presets.

@@ -18,7 +18,7 @@ import argparse
 import sys
 import time
 
-from repro.fleet import aggregate_fleet, generate_fleet, ipv6_only_flip, run_fleet
+from repro.fleet import ipv6_only_flip, run_fleet_stream
 
 
 def main() -> None:
@@ -34,11 +34,10 @@ def main() -> None:
     print("-" * len(header))
 
     for percent in (0, 25, 50, 75, 100):
-        scenario = ipv6_only_flip(percent / 100.0)
-        specs = generate_fleet(args.homes, seed=args.seed, scenario=scenario)
         start = time.time()
-        fleet = run_fleet(specs, jobs=args.jobs)
-        aggregate = aggregate_fleet(fleet)
+        aggregate = run_fleet_stream(
+            args.homes, seed=args.seed, scenario=ipv6_only_flip(percent / 100.0), shards=args.jobs
+        )
         elapsed = time.time() - start
         print(
             f"{percent:>5}%  "

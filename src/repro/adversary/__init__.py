@@ -9,7 +9,7 @@ compromised homes start scanning on the attacker's behalf (Mirai over v6).
 - :mod:`repro.adversary.campaign`   — strategy targeting math + bootstrap
 - :mod:`repro.adversary.state`      — SIR compartments and timelines
 - :mod:`repro.adversary.worm`       — the epidemic loop
-- :mod:`repro.adversary.population` — specs, fan-out, aggregation
+- :mod:`repro.adversary.population` — specs, sharded measurement, epidemic fold
 """
 
 from repro.adversary.analysis import (
@@ -31,9 +31,6 @@ from repro.adversary.population import (
     AdversaryFold,
     AdversarySpec,
     FirewallOutcome,
-    aggregate_adversary,
-    generate_adversary_specs,
-    run_adversary_fleet,
     run_adversary_stream,
 )
 from repro.adversary.state import EXTERNAL_SOURCE, EpidemicState, HomeState, TimelinePoint
@@ -54,9 +51,6 @@ __all__ = [
     "AdversaryFold",
     "AdversarySpec",
     "FirewallOutcome",
-    "aggregate_adversary",
-    "generate_adversary_specs",
-    "run_adversary_fleet",
     "run_adversary_stream",
     "EXTERNAL_SOURCE",
     "EpidemicState",

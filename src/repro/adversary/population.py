@@ -1,18 +1,19 @@
-"""Population-scale adversary analytics: specs, fleet fan-out, aggregation.
+"""Population-scale adversary analytics: specs, sharded measurement, epidemic.
 
-Two-phase architecture, chosen for the jobs-invariance contract:
+Two-phase architecture, chosen for the shard-invariance contract:
 
-1. **Susceptibility phase (parallel).** Every (home, firewall) cell is an
+1. **Susceptibility phase (sharded).** Every (home, firewall) cell is an
    :class:`AdversarySpec` — a picklable, seeded simulator input — and
-   :func:`run_adversary_fleet` fans the cells out over the standard fleet
-   runner. Each worker runs the full packet-level measurement (autoconfigure,
-   optional fault schedule, WAN probes through the firewall) and returns a
-   flat :class:`~repro.adversary.analysis.HomeSusceptibility`.
-2. **Epidemic phase (serial).** :func:`aggregate_adversary` re-sorts the
-   results (the runner already guarantees ``sort_key`` order), then runs the
-   deterministic campaign/worm loop per firewall column. Because the loop is
-   pure arithmetic over sorted summaries with its own seeded stream, the
-   rendered output is byte-identical whatever ``--jobs`` was.
+   :func:`run_adversary_stream` fans the homes out over
+   :func:`~repro.fleet.shard.run_sharded`. Each worker runs the full
+   packet-level measurement (autoconfigure, optional fault schedule, WAN
+   probes through the firewall) and returns a flat
+   :class:`~repro.adversary.analysis.HomeSusceptibility`.
+2. **Epidemic phase (serial).** :class:`AdversaryFold` sorts the merged
+   susceptibilities by home, then runs the deterministic campaign/worm loop
+   per firewall column. Because the loop is pure arithmetic over sorted
+   summaries with its own seeded stream, the rendered output is
+   byte-identical whatever ``--shards`` was.
 
 Homes are drawn through the fleet generator's scenario machinery, so the
 *fleet mix* axis (dual-stack vs IPv6-only vs stateful rollouts) composes
@@ -24,15 +25,14 @@ column attacks the **same** home population.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.adversary.analysis import HomeSusceptibility, run_home_susceptibility
 from repro.adversary.worm import InfectionTimeline, WormParams, run_worm
+from repro.cache import CacheSettings
 from repro.faults.schedule import NO_FAULTS, get_fault
-from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
-from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home, get_scenario
+from repro.fleet.scenario import RolloutScenario, generate_home, get_scenario
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
@@ -55,74 +55,8 @@ class AdversarySpec:
     fidelity: str = "packet"
 
     @property
-    def sort_key(self) -> tuple:
-        return (self.home_id, self.firewall)
-
-    @property
     def size(self) -> int:
         return len(self.device_names)
-
-
-def generate_adversary_specs(
-    homes: int,
-    *,
-    seed: int,
-    scenario: RolloutScenario | str = "baseline",
-    firewalls: Sequence[str] = FIREWALL_MODES,
-    fault_name: str = NO_FAULTS.name,
-    settle: float = DEFAULT_SETTLE,
-    fidelity: str = "packet",
-) -> list[AdversarySpec]:
-    """Sample ``homes`` synthetic homes and cross them with firewall modes.
-
-    Unlike exposure, configs come from a rollout scenario's mix (the fleet
-    axis), and IPv4-only draws are kept: they are immune population members,
-    which the epidemic accounting must see. ``fault_name`` must resolve to a
-    preset schedule; it rides into every worker unchanged so faulted and
-    clean populations stay paired.
-    """
-    if isinstance(scenario, str):
-        scenario = get_scenario(scenario)
-    for firewall in firewalls:
-        if firewall not in FIREWALL_MODES:
-            raise ValueError(f"unknown firewall mode {firewall!r} (known: {', '.join(FIREWALL_MODES)})")
-    if not firewalls:
-        raise ValueError("need at least one firewall mode")
-    get_fault(fault_name)   # fail fast on unknown presets, before any worker
-    return [
-        AdversarySpec(
-            home_id=home.home_id,
-            sim_seed=home.sim_seed,
-            config_name=home.config_name,
-            firewall=firewall,
-            fault_name=fault_name,
-            device_names=home.device_names,
-            settle=settle,
-            fidelity=fidelity,
-        )
-        for home in generate_fleet(homes, seed=seed, scenario=scenario)
-        for firewall in firewalls
-    ]
-
-
-def run_adversary_fleet(
-    specs: Sequence[AdversarySpec],
-    *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    cache: Optional[CacheSettings] = None,
-) -> FleetResult:
-    """Measure every (home, firewall) cell; results ordered by ``sort_key``."""
-    return run_fleet(
-        specs,
-        jobs=jobs,
-        timeout=timeout,
-        progress=progress,
-        worker=run_home_susceptibility,
-        cache=cache,
-        group=operator.attrgetter("home_id") if cache is not None else None,
-    )
 
 
 # ------------------------------------------------------------- aggregation
@@ -243,46 +177,6 @@ def _outcome_for(firewall: str, population: list[HomeSusceptibility], params: Wo
     )
 
 
-def aggregate_adversary(
-    fleet: FleetResult,
-    params: WormParams,
-    *,
-    seed: int,
-    scenario_name: str = "",
-) -> AdversaryAggregate:
-    """Phase 2: run one deterministic outbreak per firewall column.
-
-    ``seed`` drives the epidemic draws only (the susceptibility phase burned
-    its own per-home simulator seeds); the same (fleet, params, seed) triple
-    always yields the same timelines regardless of how the fleet was run.
-    """
-    by_firewall: dict[str, list[HomeSusceptibility]] = {}
-    failed: list[tuple[int, str, str]] = []
-    fault_name = NO_FAULTS.name
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.firewall, first_line))
-            continue
-        fault_name = result.summary.fault
-        by_firewall.setdefault(spec.firewall, []).append(result.summary)
-
-    per_firewall = tuple(
-        _outcome_for(firewall, population, params, seed)
-        for firewall, population in sorted(by_firewall.items(), key=lambda item: _firewall_order(item[0]))
-    )
-    return AdversaryAggregate(
-        scenario_name=scenario_name,
-        fault_name=fault_name,
-        params=params,
-        seed=seed,
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        per_firewall=per_firewall,
-    )
-
-
 # --------------------------------------------------------- streaming fold
 
 
@@ -393,11 +287,14 @@ def run_adversary_stream(
     progress: Optional[ShardProgressFn] = None,
     cache: Optional[CacheSettings] = None,
 ) -> AdversaryAggregate:
-    """Sharded streaming equivalent of generate + run + aggregate.
+    """Measure ``homes`` homes under every firewall mode, then run one outbreak per mode.
 
-    Byte-identical to the retained path at any shard count. ``seed`` plays
+    Configs come from the rollout scenario's mix (the fleet axis), and
+    IPv4-only draws are kept: they are immune population members, which the
+    epidemic accounting must see. ``fault_name`` rides into every worker
+    unchanged so faulted and clean populations stay paired. ``seed`` plays
     the same double role as in the CLI: it draws the home population and
-    seeds the epidemic phase.
+    seeds the epidemic phase. Byte-identical at any shard count.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

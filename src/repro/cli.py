@@ -8,7 +8,7 @@ Commands:
 - ``devices``  print the curated 93-device inventory summary
 - ``fleet``    simulate N synthetic homes under a rollout scenario and print
   population-level analytics (bricked homes, IPv6 traffic share, EUI-64
-  exposure); ``--jobs`` fans homes out over a process pool
+  exposure)
 - ``exposure`` scan N synthetic homes from the WAN under one or more router
   firewall modes and print the population attack surface (discoverable /
   reachable devices by address type)
@@ -23,6 +23,11 @@ Commands:
   firmware updates, RFC 8981 address rotation and a staged ISP rollout
   wave, printing brick-rate / readiness / exposure trajectories per epoch
 
+The five population commands share one engine (DESIGN.md §14):
+``--shards N`` (alias ``--jobs N``) folds homes across N worker processes in
+O(shards) memory, and the report is byte-identical at any N. ``--journal``
+makes a run resumable and ``--cache`` reuses studies across runs.
+
 ``faults --list-presets`` and ``lifecycle --list-waves`` print the known
 preset/wave names one per line and exit 0 without running anything.
 
@@ -31,17 +36,20 @@ advances steady-state data flows as aggregate records (DESIGN.md §13) and
 produces byte-identical analysis output several times faster; ``pcap``
 exports then contain control-plane frames only.
 
-Fleet-style commands exit 2 when no work was generated (e.g. ``--homes 0``)
-or the arguments are invalid (negative seed, duplicate spec names, unknown
-scenario/preset), and 1 when any home worker failed, after printing
-whatever completed.
+Population commands exit 2 when no work was generated (e.g. ``--homes 0``)
+or the arguments are invalid (negative seed, non-positive timeout, duplicate
+spec names, unknown scenario/preset), and 1 when any home worker failed,
+after printing whatever completed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 import time
+from typing import Callable, NamedTuple
 
 TABLE_CHOICES = ["2", "3", "4", "5", "6", "7", "8", "9", "10", "12", "13"]
 FIGURE_CHOICES = ["2", "3", "4", "5"]
@@ -54,6 +62,12 @@ _DEFAULT_FAULT_NAMES = ("dns-blackout", "uplink-flap")
 # Mirrors repro.stack.config.FIDELITY_MODES (same literal-import rule).
 _FIDELITY_MODES = ("packet", "flow")
 
+# Mirrors repro.stack.firewall.FIREWALL_MODES (same literal-import rule).
+_FIREWALL_MODES = ("open", "stateful", "pinhole")
+
+# The Table-2 configurations with a routed IPv6 prefix (same literal-import rule).
+_IPV6_CONFIGS = ("ipv6-only", "ipv6-only-rdnss", "ipv6-only-stateful", "dual-stack", "dual-stack-stateful")
+
 
 def _add_fidelity(subparser: argparse.ArgumentParser) -> None:
     subparser.add_argument(
@@ -64,68 +78,50 @@ def _add_fidelity(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sharding(subparser: argparse.ArgumentParser) -> None:
-    """Sharded streaming flags, shared by every fleet-style command.
-
-    Any of them switches the command onto the O(shards)-memory streaming
-    path (DESIGN.md §14); output stays byte-identical to the retained path
-    at any shard count.
-    """
-    subparser.add_argument(
+def _add_population(sub, name: str, help: str, *, homes: int, budget: str) -> argparse.ArgumentParser:
+    """A population subcommand with the arguments all five share."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--homes", type=_non_negative_int, default=homes, help="number of synthetic homes")
+    parser.add_argument("--seed", type=_non_negative_int, default=42)
+    parser.add_argument(
         "--shards",
+        "--jobs",
+        dest="shards",
         type=_positive_int,
-        default=None,
-        help="long-lived worker shards; streams aggregates in O(shards) memory",
+        default=1,
+        help="worker processes, each folding a contiguous slice of the homes (1 = in-process)",
     )
-    subparser.add_argument(
+    parser.add_argument(
+        "--timeout", type=_positive_float, default=None, help=f"per-{budget} wall-clock budget in seconds"
+    )
+    _add_fidelity(parser)
+    parser.add_argument(
         "--journal",
         metavar="DIR",
         default=None,
         help="checkpoint shard aggregates here; re-running the same spec resumes",
     )
-    subparser.add_argument(
+    parser.add_argument(
         "--checkpoint-every",
         type=_positive_int,
         default=25,
         metavar="N",
         help="journal a shard's running aggregate every N completed homes",
     )
-
-
-def _add_cache(subparser: argparse.ArgumentParser) -> None:
-    subparser.add_argument(
+    parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
         help="content-addressed study cache; re-runs reuse extracted artifacts",
     )
+    return parser
 
 
-def _cache_settings(args):
-    """Build the optional CacheSettings without importing eagerly."""
-    if args.cache is None:
-        return None
-    from repro.cache import CacheSettings
-
-    return CacheSettings(directory=args.cache)
-
-
-def _cache_before(cache):
-    """Snapshot the store's event log so the run's delta can be reported."""
-    if cache is None:
-        return None
-    from repro.cache import read_disk_stats
-
-    return read_disk_stats(cache.directory)
-
-
-def _report_cache(cache, before) -> None:
+def _report_cache(directory: str, before: dict) -> None:
     """Print this run's cache hit/miss delta to stderr (stdout untouched)."""
-    if cache is None:
-        return
     from repro.cache import read_disk_stats
 
-    after = read_disk_stats(cache.directory)
+    after = read_disk_stats(directory)
     delta = {event: after[event] - before.get(event, 0) for event in after}
     hits = delta.get("hit-memory", 0) + delta.get("hit-disk", 0)
     print(
@@ -149,28 +145,22 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _duplicates(values) -> list[str]:
-    """The values that appear more than once, in first-appearance order."""
-    seen: set = set()
-    dups: list[str] = []
-    for value in values:
-        if value in seen and value not in dups:
-            dups.append(value)
-        seen.add(value)
-    return dups
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
 
 
-def _reject_duplicates(what: str, values) -> int | None:
-    """Exit code 2 when a name list repeats itself (None = fine).
+def _reject_duplicates(what: str, values) -> None:
+    """Raise ValueError when a name list repeats itself.
 
     Repeated scenario/spec names silently double-count cells in every
     aggregate, so they are an input error, not a request.
     """
-    dups = _duplicates(values)
-    if not dups:
-        return None
-    print(f"error: duplicate {what}: {', '.join(str(d) for d in dups)}", file=sys.stderr)
-    return 2
+    dups = list(dict.fromkeys(value for i, value in enumerate(values) if value in values[:i]))
+    if dups:
+        raise ValueError(f"duplicate {what}: {', '.join(str(d) for d in dups)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -194,58 +184,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("devices", help="print the 93-device inventory")
 
-    fleet = sub.add_parser("fleet", help="simulate a fleet of homes, print population analytics")
-    fleet.add_argument("--homes", type=_non_negative_int, default=20, help="number of synthetic homes")
-    fleet.add_argument("--seed", type=_non_negative_int, default=42)
-    fleet.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
+    fleet = _add_population(
+        sub, "fleet", "simulate a fleet of homes, print population analytics", homes=20, budget="home"
+    )
     fleet.add_argument(
         "--scenario",
         default="flip50",
         help="rollout scenario name (e.g. baseline, flip25, flip50, ipv6-only, legacy, flipNN)",
     )
-    fleet.add_argument("--timeout", type=float, default=None, help="per-home wall-clock budget in seconds")
-    _add_fidelity(fleet)
-    _add_sharding(fleet)
-    _add_cache(fleet)
 
-    exposure = sub.add_parser("exposure", help="WAN-scan a fleet of homes, print the population attack surface")
-    exposure.add_argument("--homes", type=_non_negative_int, default=8, help="number of synthetic homes")
-    exposure.add_argument("--seed", type=_non_negative_int, default=42)
-    exposure.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
+    exposure = _add_population(
+        sub, "exposure", "WAN-scan a fleet of homes, print the population attack surface", homes=8, budget="scan"
+    )
     exposure.add_argument(
         "--config",
         default="dual-stack",
-        choices=["ipv6-only", "ipv6-only-rdnss", "ipv6-only-stateful", "dual-stack", "dual-stack-stateful"],
+        choices=list(_IPV6_CONFIGS),
         help="network configuration every home runs (must have IPv6)",
     )
     exposure.add_argument(
         "--firewall",
         nargs="+",
-        default=["open", "stateful", "pinhole"],
-        choices=["open", "stateful", "pinhole"],
+        default=list(_FIREWALL_MODES),
+        choices=list(_FIREWALL_MODES),
         help="router firewall mode(s) to scan each home under",
     )
-    exposure.add_argument("--timeout", type=float, default=None, help="per-scan wall-clock budget in seconds")
-    _add_fidelity(exposure)
-    _add_sharding(exposure)
-    _add_cache(exposure)
 
-    faults = sub.add_parser("faults", help="inject network impairments into a fleet, print the degradation grid")
-    faults.add_argument("--homes", type=_non_negative_int, default=4, help="number of synthetic homes")
-    faults.add_argument("--seed", type=_non_negative_int, default=42)
-    faults.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
+    faults = _add_population(
+        sub, "faults", "inject network impairments into a fleet, print the degradation grid", homes=4, budget="home"
+    )
     faults.add_argument(
         "--configs",
         nargs="+",
         default=list(_DEFAULT_FAULT_CONFIGS),
-        choices=[
-            "ipv4-only",
-            "ipv6-only",
-            "ipv6-only-rdnss",
-            "ipv6-only-stateful",
-            "dual-stack",
-            "dual-stack-stateful",
-        ],
+        choices=["ipv4-only", *_IPV6_CONFIGS],
         help="network configuration(s) every home runs under",
     )
     faults.add_argument(
@@ -255,21 +227,18 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PRESET",
         help="fault preset(s) to inject (e.g. dns-blackout, uplink-flap, v6-brownout, flaky-lan)",
     )
-    faults.add_argument("--timeout", type=float, default=None, help="per-home wall-clock budget in seconds")
     faults.add_argument(
         "--list-presets", action="store_true", help="print the known fault preset names and exit"
     )
-    _add_fidelity(faults)
-    _add_sharding(faults)
-    _add_cache(faults)
 
-    lifecycle = sub.add_parser(
-        "lifecycle", help="advance a fleet through simulated months, print per-epoch trajectories"
+    lifecycle = _add_population(
+        sub,
+        "lifecycle",
+        "advance a fleet through simulated months, print per-epoch trajectories",
+        homes=4,
+        budget="epoch",
     )
-    lifecycle.add_argument("--homes", type=_non_negative_int, default=4, help="number of synthetic homes")
     lifecycle.add_argument("--epochs", type=_positive_int, default=6, help="simulated months per home")
-    lifecycle.add_argument("--seed", type=_non_negative_int, default=42)
-    lifecycle.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
     lifecycle.add_argument(
         "--wave",
         default="staged-v6only",
@@ -294,20 +263,17 @@ def _build_parser() -> argparse.ArgumentParser:
     lifecycle.add_argument(
         "--update-rate", type=float, default=0.18, help="per-device firmware-update probability per epoch"
     )
-    lifecycle.add_argument("--timeout", type=float, default=None, help="per-epoch wall-clock budget in seconds")
     lifecycle.add_argument(
         "--list-waves", action="store_true", help="print the known rollout wave names and exit"
     )
-    _add_fidelity(lifecycle)
-    _add_sharding(lifecycle)
-    _add_cache(lifecycle)
 
-    adversary = sub.add_parser(
-        "adversary", help="run a scanning campaign + worm outbreak against a fleet, print time-to-compromise"
+    adversary = _add_population(
+        sub,
+        "adversary",
+        "run a scanning campaign + worm outbreak against a fleet, print time-to-compromise",
+        homes=6,
+        budget="home",
     )
-    adversary.add_argument("--homes", type=_non_negative_int, default=6, help="number of synthetic homes")
-    adversary.add_argument("--seed", type=_non_negative_int, default=42)
-    adversary.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (1 = serial)")
     adversary.add_argument(
         "--scenario",
         default="baseline",
@@ -316,8 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     adversary.add_argument(
         "--firewall",
         nargs="+",
-        default=["open", "stateful", "pinhole"],
-        choices=["open", "stateful", "pinhole"],
+        default=list(_FIREWALL_MODES),
+        choices=list(_FIREWALL_MODES),
         help="router firewall mode(s) to run the outbreak under",
     )
     adversary.add_argument(
@@ -347,46 +313,164 @@ def _build_parser() -> argparse.ArgumentParser:
         default=200_000,
         help="leaked addresses on the replay list beyond this population (hitlist strategy only)",
     )
-    adversary.add_argument("--timeout", type=float, default=None, help="per-home wall-clock budget in seconds")
-    _add_fidelity(adversary)
-    _add_sharding(adversary)
-    _add_cache(adversary)
     return parser
 
 
-def _no_work(what: str) -> int:
-    """Uniform handling for fleet commands that generated nothing to run."""
-    print(f"error: nothing to run — {what}", file=sys.stderr)
-    return 2
+# ------------------------------------------------------- population commands
 
 
-def _fleet_exit(fleet) -> int:
-    """Exit code for a completed fleet: 0 clean, 1 when any worker failed."""
-    failures = fleet.failures
-    if not failures:
+def _failures(aggregate) -> tuple:
+    return aggregate.failed, aggregate.total_runs
+
+
+class _Population(NamedTuple):
+    """One population subcommand, its arguments validated and bound."""
+
+    banner: str  # the stderr banner up to its seed; the driver adds the shard count
+    run: Callable  # run_*_stream with everything but the shared engine arguments bound
+    render: Callable  # aggregate -> report text
+    failures: Callable = _failures  # aggregate -> (failed entries, total runs)
+
+
+def _fleet(args) -> _Population:
+    from repro.fleet import get_scenario, run_fleet_stream
+    from repro.reports import render_fleet_summary
+
+    scenario = get_scenario(args.scenario)
+    return _Population(
+        f"simulating {args.homes} homes (scenario={scenario.name}, seed={args.seed}",
+        functools.partial(
+            run_fleet_stream, args.homes, seed=args.seed, scenario=scenario, fidelity=args.fidelity
+        ),
+        render_fleet_summary,
+        lambda aggregate: (aggregate.failed_homes, aggregate.total_homes),
+    )
+
+
+def _exposure(args) -> _Population:
+    from repro.exposure import run_exposure_stream
+    from repro.reports import render_exposure
+
+    _reject_duplicates("firewall mode(s)", args.firewall)
+    return _Population(
+        f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
+        f"(config={args.config}, seed={args.seed}",
+        functools.partial(
+            run_exposure_stream,
+            args.homes,
+            seed=args.seed,
+            config_name=args.config,
+            firewalls=tuple(args.firewall),
+            fidelity=args.fidelity,
+        ),
+        render_exposure,
+    )
+
+
+def _faults(args) -> _Population | int:
+    if args.list_presets:
+        from repro.faults.schedule import FAULT_PRESETS
+
+        print("\n".join(sorted(FAULT_PRESETS)))
         return 0
-    print(f"error: {len(failures)}/{len(fleet.results)} home run(s) failed:", file=sys.stderr)
-    for result in failures:
-        last_line = (result.error or "unknown error").strip().splitlines()[-1]
-        print(f"  home {getattr(result.spec, 'home_id', '?')}: {last_line}", file=sys.stderr)
-    return 1
+    from repro.faults.population import run_faults_stream
+    from repro.reports import render_faults
+
+    _reject_duplicates("config(s)", args.configs)
+    _reject_duplicates("fault preset(s)", args.faults)
+    return _Population(
+        f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
+        f"{len(args.configs)} config(s) (seed={args.seed}",
+        functools.partial(
+            run_faults_stream,
+            args.homes,
+            seed=args.seed,
+            config_names=tuple(args.configs),
+            fault_names=tuple(args.faults),
+            fidelity=args.fidelity,
+        ),
+        render_faults,
+    )
 
 
-def _use_stream(args) -> bool:
-    return args.shards is not None or args.journal is not None
+def _lifecycle(args) -> _Population | int:
+    if args.list_waves:
+        from repro.lifecycle.rollout import WAVES
+
+        print("\n".join(sorted(WAVES)))
+        return 0
+    from repro.lifecycle import LifecycleParams, run_lifecycle_stream
+    from repro.reports import render_lifecycle
+
+    params = LifecycleParams(
+        epochs=args.epochs,
+        wave=args.wave,
+        leave_rate=args.leave_rate,
+        join_rate=args.join_rate,
+        update_rate=args.update_rate,
+        fault_name=args.fault,
+        exposure=args.exposure,
+        rotation=not args.no_rotation,
+        fidelity=args.fidelity,
+    )
+    return _Population(
+        f"advancing {args.homes} homes through {args.epochs} epochs "
+        f"(wave={args.wave}, fault={args.fault}, seed={args.seed}",
+        functools.partial(run_lifecycle_stream, args.homes, seed=args.seed, params=params),
+        render_lifecycle,
+    )
+
+
+def _adversary(args) -> _Population:
+    from repro.adversary import WormParams, run_adversary_stream
+    from repro.fleet import get_scenario
+    from repro.reports import render_adversary
+
+    _reject_duplicates("firewall mode(s)", args.firewall)
+    scenario = get_scenario(args.scenario)
+    params = WormParams(
+        strategy=args.strategy,
+        scan_rate=args.scan_rate,
+        dt=args.dt,
+        horizon=args.horizon,
+        seeds=args.seeds,
+        recovery=args.recover,
+        hitlist_background=args.hitlist_background,
+    )
+    return _Population(
+        f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
+        f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, seed={args.seed}",
+        functools.partial(
+            run_adversary_stream,
+            args.homes,
+            seed=args.seed,
+            params=params,
+            scenario=scenario,
+            firewalls=tuple(args.firewall),
+            fault_name=args.fault,
+            fidelity=args.fidelity,
+        ),
+        render_adversary,
+    )
+
+
+_POPULATIONS = {
+    "fleet": _fleet,
+    "exposure": _exposure,
+    "faults": _faults,
+    "lifecycle": _lifecycle,
+    "adversary": _adversary,
+}
 
 
 def _shard_progress(done: int, total: int, shard: int, units: int) -> None:
     print(f"  shard {shard} [{done}/{total}] done ({units} home(s))", file=sys.stderr)
 
 
-def _stream_exit(failed, total: int) -> int:
-    """Exit code for a streamed aggregate: 0 clean, 1 when any run failed.
+def _exit_code(failed, total: int) -> int:
+    """0 clean, 1 when any run failed, listing each as its home id and error line.
 
-    ``failed`` entries are tuples whose first element is the home id and
-    whose last is the error's final line (middle elements, when present,
-    name the firewall / config / epoch cell — already part of the line the
-    report renders, so only the ends are printed here).
+    (Middle elements of a ``failed`` tuple name the cell; the report shows them.)
     """
     if not failed:
         return 0
@@ -394,6 +478,42 @@ def _stream_exit(failed, total: int) -> int:
     for entry in failed:
         print(f"  home {entry[0]}: {entry[-1]}", file=sys.stderr)
     return 1
+
+
+def _run_population(args, entry: Callable) -> int:
+    """Drive one population subcommand: validate, run, report, exit code."""
+    from repro.cache import CacheSettings, read_disk_stats
+
+    cache = CacheSettings(directory=args.cache) if args.cache is not None else None
+    try:
+        population = entry(args)
+        if isinstance(population, int):
+            return population
+        if args.homes == 0:
+            print("error: nothing to run — --homes 0 generates an empty population", file=sys.stderr)
+            return 2
+        print(f"{population.banner}, shards={args.shards}) ...", file=sys.stderr)
+        before = read_disk_stats(args.cache) if cache is not None else None
+        start = time.time()
+        aggregate = population.run(
+            shards=args.shards,
+            timeout=args.timeout,
+            journal_dir=args.journal,
+            checkpoint_every=args.checkpoint_every,
+            progress=_shard_progress,
+            cache=cache,
+        )
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
+    if cache is not None:
+        _report_cache(args.cache, before)
+    print(population.render(aggregate))
+    return _exit_code(*population.failures(aggregate))
+
+
+# ------------------------------------------------------------ study commands
 
 
 def _run_study(seed: int, with_scan: bool = True, fidelity: str = "packet"):
@@ -430,6 +550,9 @@ def _print_tables(analysis, numbers: list[str]) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
+    if args.command in _POPULATIONS:
+        return _run_population(args, _POPULATIONS[args.command])
+
     if args.command == "devices":
         from repro.devices import build_inventory
 
@@ -459,439 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         _, analysis = _run_study(args.seed, with_scan=False, fidelity=args.fidelity)
         _print_tables(analysis, args.numbers)
         return 0
-
-    if args.command == "fleet":
-        from repro.fleet import aggregate_fleet, generate_fleet, get_scenario, run_fleet
-        from repro.reports import render_fleet_summary
-
-        try:
-            scenario = get_scenario(args.scenario)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.fleet.stream import run_fleet_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty fleet")
-            shards = args.shards or 1
-            print(
-                f"simulating {args.homes} homes (scenario={scenario.name}, "
-                f"seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_fleet_stream(
-                    args.homes,
-                    seed=args.seed,
-                    scenario=scenario,
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except ValueError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_fleet_summary(aggregate))
-            return _stream_exit(aggregate.failed_homes, aggregate.total_homes)
-
-        specs = generate_fleet(args.homes, seed=args.seed, scenario=scenario, fidelity=args.fidelity)
-        if not specs:
-            return _no_work("--homes 0 generates an empty fleet")
-        print(
-            f"simulating {len(specs)} homes (scenario={scenario.name}, "
-            f"seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(f"  home {result.spec.home_id:4d} [{done}/{total}] {status}", file=sys.stderr)
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_fleet(specs, jobs=args.jobs, timeout=args.timeout, progress=progress, cache=cache)
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_fleet_summary(aggregate_fleet(fleet)))
-        return _fleet_exit(fleet)
-
-    if args.command == "exposure":
-        from repro.exposure import aggregate_exposure, generate_exposure_specs, run_exposure_fleet
-        from repro.reports import render_exposure
-
-        code = _reject_duplicates("firewall mode(s)", args.firewall)
-        if code is not None:
-            return code
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.exposure.population import run_exposure_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty scan fleet")
-            shards = args.shards or 1
-            print(
-                f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-                f"(config={args.config}, seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_exposure_stream(
-                    args.homes,
-                    seed=args.seed,
-                    config_name=args.config,
-                    firewalls=tuple(args.firewall),
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except ValueError as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_exposure(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        specs = generate_exposure_specs(
-            args.homes,
-            seed=args.seed,
-            config_name=args.config,
-            firewalls=tuple(args.firewall),
-            fidelity=args.fidelity,
-        )
-        if not specs:
-            return _no_work("--homes 0 generates an empty scan fleet")
-        print(
-            f"WAN-scanning {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-            f"(config={args.config}, seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def scan_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.firewall}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_exposure_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=scan_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_exposure(aggregate_exposure(fleet)))
-        return _fleet_exit(fleet)
-
-    if args.command == "faults":
-        if args.list_presets:
-            from repro.faults.schedule import FAULT_PRESETS
-
-            for name in sorted(FAULT_PRESETS):
-                print(name)
-            return 0
-
-        from repro.faults import aggregate_faults, generate_fault_specs, run_fault_fleet
-        from repro.reports import render_faults
-
-        for what, values in (("config(s)", args.configs), ("fault preset(s)", args.faults)):
-            code = _reject_duplicates(what, values)
-            if code is not None:
-                return code
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.faults.population import run_faults_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty fault fleet")
-            shards = args.shards or 1
-            print(
-                f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
-                f"{len(args.configs)} config(s) (seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_faults_stream(
-                    args.homes,
-                    seed=args.seed,
-                    config_names=tuple(args.configs),
-                    fault_names=tuple(args.faults),
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_faults(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            specs = generate_fault_specs(
-                args.homes,
-                seed=args.seed,
-                config_names=tuple(args.configs),
-                fault_names=tuple(args.faults),
-                fidelity=args.fidelity,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not specs:
-            return _no_work("--homes 0 generates an empty fault fleet")
-        print(
-            f"injecting {len(args.faults)} fault(s) into {args.homes} homes x "
-            f"{len(args.configs)} config(s) (seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def fault_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.config_name}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_fault_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=fault_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_faults(aggregate_faults(fleet)))
-        return _fleet_exit(fleet)
-
-    if args.command == "lifecycle":
-        if args.list_waves:
-            from repro.lifecycle.rollout import WAVES
-
-            for name in sorted(WAVES):
-                print(name)
-            return 0
-
-        from repro.lifecycle import (
-            LifecycleParams,
-            aggregate_lifecycle,
-            build_timelines,
-            run_lifecycle_fleet,
-            timeline_specs,
-        )
-        from repro.reports import render_lifecycle
-
-        try:
-            params = LifecycleParams(
-                epochs=args.epochs,
-                wave=args.wave,
-                leave_rate=args.leave_rate,
-                join_rate=args.join_rate,
-                update_rate=args.update_rate,
-                fault_name=args.fault,
-                exposure=args.exposure,
-                rotation=not args.no_rotation,
-                fidelity=args.fidelity,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.lifecycle.population import run_lifecycle_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty timeline")
-            shards = args.shards or 1
-            print(
-                f"advancing {args.homes} homes through {args.epochs} epochs "
-                f"(wave={args.wave}, fault={args.fault}, seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_lifecycle_stream(
-                    args.homes,
-                    seed=args.seed,
-                    params=params,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_lifecycle(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            timelines = build_timelines(args.homes, seed=args.seed, params=params)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        specs = timeline_specs(timelines)
-        if not specs:
-            return _no_work("--homes 0 generates an empty timeline")
-        print(
-            f"advancing {args.homes} homes through {args.epochs} epochs "
-            f"(wave={args.wave}, fault={args.fault}, seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def epoch_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [epoch {result.spec.epoch}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_lifecycle_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=epoch_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_lifecycle(aggregate_lifecycle(fleet, wave_name=args.wave)))
-        return _fleet_exit(fleet)
-
-    if args.command == "adversary":
-        from repro.adversary import (
-            WormParams,
-            aggregate_adversary,
-            generate_adversary_specs,
-            run_adversary_fleet,
-        )
-        from repro.fleet import get_scenario
-        from repro.reports import render_adversary
-
-        code = _reject_duplicates("firewall mode(s)", args.firewall)
-        if code is not None:
-            return code
-        try:
-            scenario = get_scenario(args.scenario)
-            params = WormParams(
-                strategy=args.strategy,
-                scan_rate=args.scan_rate,
-                dt=args.dt,
-                horizon=args.horizon,
-                seeds=args.seeds,
-                recovery=args.recover,
-                hitlist_background=args.hitlist_background,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-
-        cache = _cache_settings(args)
-        if _use_stream(args):
-            from repro.adversary.population import run_adversary_stream
-
-            if args.homes == 0:
-                return _no_work("--homes 0 generates an empty target population")
-            shards = args.shards or 1
-            print(
-                f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-                f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, "
-                f"seed={args.seed}, shards={shards}) ...",
-                file=sys.stderr,
-            )
-            before = _cache_before(cache)
-            start = time.time()
-            try:
-                aggregate = run_adversary_stream(
-                    args.homes,
-                    seed=args.seed,
-                    params=params,
-                    scenario=scenario,
-                    firewalls=tuple(args.firewall),
-                    fault_name=args.fault,
-                    fidelity=args.fidelity,
-                    shards=shards,
-                    timeout=args.timeout,
-                    journal_dir=args.journal,
-                    checkpoint_every=args.checkpoint_every,
-                    progress=_shard_progress,
-                    cache=cache,
-                )
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc.args[0]}", file=sys.stderr)
-                return 2
-            print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-            _report_cache(cache, before)
-            print(render_adversary(aggregate))
-            return _stream_exit(aggregate.failed, aggregate.total_runs)
-
-        try:
-            specs = generate_adversary_specs(
-                args.homes,
-                seed=args.seed,
-                scenario=scenario,
-                firewalls=tuple(args.firewall),
-                fault_name=args.fault,
-                fidelity=args.fidelity,
-            )
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        if not specs:
-            return _no_work("--homes 0 generates an empty target population")
-        print(
-            f"attacking {args.homes} homes x {len(args.firewall)} firewall mode(s) "
-            f"(strategy={args.strategy}, scenario={scenario.name}, fault={args.fault}, "
-            f"seed={args.seed}, jobs={args.jobs}) ...",
-            file=sys.stderr,
-        )
-
-        def adversary_progress(done, total, result):
-            status = "ok" if result.ok else "FAILED"
-            print(
-                f"  home {result.spec.home_id:4d} [{result.spec.firewall}] [{done}/{total}] {status}",
-                file=sys.stderr,
-            )
-
-        before = _cache_before(cache)
-        start = time.time()
-        fleet = run_adversary_fleet(
-            specs, jobs=args.jobs, timeout=args.timeout, progress=adversary_progress, cache=cache
-        )
-        print(f"done in {time.time() - start:.1f}s", file=sys.stderr)
-        _report_cache(cache, before)
-        print(render_adversary(aggregate_adversary(fleet, params, seed=args.seed, scenario_name=scenario.name)))
-        return _fleet_exit(fleet)
 
     if args.command == "pcap":
         study, _ = _run_study(args.seed, with_scan=False, fidelity=args.fidelity)

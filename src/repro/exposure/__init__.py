@@ -29,9 +29,6 @@ from repro.exposure.population import (
     ExposureFold,
     ExposureSpec,
     FirewallStats,
-    aggregate_exposure,
-    generate_exposure_specs,
-    run_exposure_fleet,
     run_exposure_stream,
 )
 from repro.exposure.wanscan import (
@@ -53,11 +50,8 @@ __all__ = [
     "HomeExposure",
     "WanScanResult",
     "WanScanner",
-    "aggregate_exposure",
     "effective_pinholes",
-    "generate_exposure_specs",
     "inventory_oui_knowledge",
-    "run_exposure_fleet",
     "run_exposure_stream",
     "run_home_exposure",
     "summarize_exposure",

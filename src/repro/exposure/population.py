@@ -11,14 +11,12 @@ counterfactuals, not resampling noise.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.exposure.analysis import HomeExposure, run_home_exposure
-from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
-from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home
+from repro.exposure.analysis import run_home_exposure
+from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
@@ -41,71 +39,8 @@ class ExposureSpec:
     fidelity: str = "packet"
 
     @property
-    def sort_key(self) -> tuple:
-        return (self.home_id, self.firewall)
-
-    @property
     def size(self) -> int:
         return len(self.device_names)
-
-
-def generate_exposure_specs(
-    homes: int,
-    *,
-    seed: int,
-    config_name: str = "dual-stack",
-    firewalls: Sequence[str] = FIREWALL_MODES,
-    settle: float = DEFAULT_SETTLE,
-    fidelity: str = "packet",
-) -> list[ExposureSpec]:
-    """Sample ``homes`` synthetic homes and cross them with firewall modes.
-
-    The home population is drawn once (via the fleet generator's
-    scenario-independent streams) and shared by every firewall mode.
-    """
-    for firewall in firewalls:
-        if firewall not in FIREWALL_MODES:
-            raise ValueError(f"unknown firewall mode {firewall!r} (known: {', '.join(FIREWALL_MODES)})")
-    if not firewalls:
-        raise ValueError("need at least one firewall mode")
-    config = resolve_config(config_name)
-    if not config.ipv6:
-        raise ValueError(f"config {config.name!r} has no IPv6; exposure needs a routed prefix")
-
-    scenario = RolloutScenario(name="exposure", config_mix=((config.name, 1.0),))
-    return [
-        ExposureSpec(
-            home_id=home.home_id,
-            sim_seed=home.sim_seed,
-            config_name=config.name,
-            firewall=firewall,
-            device_names=home.device_names,
-            settle=settle,
-            fidelity=fidelity,
-        )
-        for home in generate_fleet(homes, seed=seed, scenario=scenario)
-        for firewall in firewalls
-    ]
-
-
-def run_exposure_fleet(
-    specs: Sequence[ExposureSpec],
-    *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    cache: Optional[CacheSettings] = None,
-) -> FleetResult:
-    """Scan every (home, firewall) cell; results ordered by ``sort_key``."""
-    return run_fleet(
-        specs,
-        jobs=jobs,
-        timeout=timeout,
-        progress=progress,
-        worker=run_home_exposure,
-        cache=cache,
-        group=operator.attrgetter("home_id") if cache is not None else None,
-    )
 
 
 # ------------------------------------------------------------- aggregation
@@ -174,61 +109,6 @@ def _firewall_order(firewall: str) -> tuple:
         return (len(FIREWALL_MODES), firewall)
 
 
-def _stats_for(firewall: str, summaries: list[HomeExposure]) -> FirewallStats:
-    devices = [device for summary in summaries for device in summary.devices]
-    kinds = sorted({device.addr_kind for device in devices})
-    by_kind = tuple(
-        AddrKindStats(
-            kind=kind,
-            devices=sum(1 for d in devices if d.addr_kind == kind),
-            discoverable=sum(1 for d in devices if d.addr_kind == kind and d.discoverable),
-            reachable=sum(1 for d in devices if d.addr_kind == kind and d.reachable),
-        )
-        for kind in kinds
-    )
-    return FirewallStats(
-        firewall=firewall,
-        homes=len(summaries),
-        devices=len(devices),
-        discoverable_devices=sum(1 for d in devices if d.discoverable),
-        responsive_devices=sum(1 for d in devices if d.responsive),
-        reachable_devices=sum(1 for d in devices if d.reachable),
-        open_tcp_ports=sum(len(d.open_tcp) for d in devices),
-        open_udp_ports=sum(len(d.open_udp) for d in devices),
-        homes_with_discoverable=sum(1 for s in summaries if s.discoverable_devices),
-        homes_with_reachable=sum(1 for s in summaries if s.any_reachable),
-        wan_dropped=sum(s.wan_dropped for s in summaries),
-        by_addr_kind=by_kind,
-    )
-
-
-def aggregate_exposure(fleet: FleetResult) -> ExposureAggregate:
-    """Collapse per-(home, firewall) results into per-mode population stats."""
-    by_firewall: dict[str, list[HomeExposure]] = {}
-    failed: list[tuple[int, str, str]] = []
-    config_name = ""
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.firewall, first_line))
-            continue
-        summary = result.summary
-        config_name = summary.config_name
-        by_firewall.setdefault(spec.firewall, []).append(summary)
-
-    per_firewall = tuple(
-        _stats_for(firewall, summaries)
-        for firewall, summaries in sorted(by_firewall.items(), key=lambda item: _firewall_order(item[0]))
-    )
-    return ExposureAggregate(
-        config_name=config_name,
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        per_firewall=per_firewall,
-    )
-
-
 # --------------------------------------------------------- streaming fold
 
 # Positional counter slots of a per-firewall row (FirewallStats order);
@@ -240,8 +120,8 @@ _FW_SLOTS = 10
 class ExposureFold(Fold):
     """Fold one home's (home x firewall) scan grid into per-mode counters.
 
-    Exposure statistics are pure counters, so this fold is exactly the
-    retained aggregation, computed incrementally.
+    Exposure statistics are pure counters, so every slot merges by
+    addition.
     """
 
     def empty(self):
@@ -367,10 +247,12 @@ def run_exposure_stream(
     progress: Optional[ShardProgressFn] = None,
     cache: Optional[CacheSettings] = None,
 ) -> ExposureAggregate:
-    """Sharded streaming equivalent of generate + run + aggregate.
+    """Scan ``homes`` synthetic homes under every firewall mode and fold the result.
 
-    Byte-identical to the retained path at any shard count, in O(shards)
-    memory; each shard generates its homes lazily from the seed.
+    The home population is drawn once per index (via the fleet generator's
+    scenario-independent streams) and shared by every firewall mode.
+    Byte-identical at any shard count, in O(shards) memory; each shard
+    generates its homes lazily from the seed.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

@@ -30,9 +30,6 @@ from repro.faults.population import (
     FaultFold,
     FaultSpec,
     TtrStats,
-    aggregate_faults,
-    generate_fault_specs,
-    run_fault_fleet,
     run_faults_stream,
 )
 from repro.faults.schedule import (
@@ -65,12 +62,9 @@ __all__ = [
     "OUTCOMES",
     "RouterFaultState",
     "TtrStats",
-    "aggregate_faults",
     "classify_device",
-    "generate_fault_specs",
     "get_fault",
     "observe_study",
-    "run_fault_fleet",
     "run_faults_stream",
     "run_home_faults",
 ]

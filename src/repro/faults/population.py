@@ -11,16 +11,14 @@ paired counterfactuals, not resampling noise.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.faults.analysis import CellOutcome, HomeFaultSummary, OUTCOMES, run_home_faults
+from repro.faults.analysis import OUTCOMES, run_home_faults
 from repro.faults.schedule import get_fault
 from repro.fleet.aggregate import QuantileSketch
-from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
-from repro.fleet.scenario import RolloutScenario, generate_fleet, generate_home
+from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
@@ -48,79 +46,8 @@ class FaultSpec:
     fidelity: str = "packet"
 
     @property
-    def sort_key(self) -> tuple:
-        # fault_names joins the key so arm-per-spec sweeps (one schedule per
-        # spec, several specs per home/config) stay totally ordered at any
-        # --jobs; classic one-spec-per-cell runs are unaffected.
-        return (self.home_id, self.config_name, self.fault_names)
-
-    @property
     def size(self) -> int:
         return len(self.device_names)
-
-
-def generate_fault_specs(
-    homes: int,
-    *,
-    seed: int,
-    config_names: Sequence[str] = DEFAULT_CONFIGS,
-    fault_names: Sequence[str] = DEFAULT_FAULTS,
-    checkins: int = 2,
-    fidelity: str = "packet",
-) -> list[FaultSpec]:
-    """Sample ``homes`` synthetic homes and cross them with configs x faults.
-
-    The home population is drawn once (via the fleet generator's
-    scenario-independent streams) and shared by every config column.
-    """
-    if not config_names:
-        raise ValueError("need at least one network config")
-    if not fault_names:
-        raise ValueError("need at least one fault preset")
-    configs = [resolve_config(name) for name in config_names]
-    for fault_name in fault_names:
-        get_fault(fault_name)  # raises on unknown presets before any work
-
-    scenario = RolloutScenario(name="faults", config_mix=((configs[0].name, 1.0),))
-    population = generate_fleet(homes, seed=seed, scenario=scenario)
-    return [
-        FaultSpec(
-            home_id=home.home_id,
-            sim_seed=home.sim_seed,
-            config_name=config.name,
-            device_names=home.device_names,
-            fault_names=tuple(fault_names),
-            checkins=checkins,
-            fidelity=fidelity,
-        )
-        for home in population
-        for config in configs
-    ]
-
-
-def run_fault_fleet(
-    specs: Sequence[FaultSpec],
-    *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    cache: Optional[CacheSettings] = None,
-) -> FleetResult:
-    """Run every (home, config) cell; results ordered by ``sort_key``.
-
-    With ``cache`` set, a home's cells are grouped into one worker task so
-    arms sharing a clean closure (schedule sweeps split across specs)
-    simulate their baseline exactly once per home.
-    """
-    return run_fleet(
-        specs,
-        jobs=jobs,
-        timeout=timeout,
-        progress=progress,
-        worker=run_home_faults,
-        cache=cache,
-        group=operator.attrgetter("home_id") if cache is not None else None,
-    )
 
 
 # ------------------------------------------------------------- aggregation
@@ -131,20 +58,15 @@ class TtrStats:
     """Time-to-recover distribution over one population cell (seconds).
 
     The median comes from the mergeable
-    :class:`~repro.fleet.aggregate.QuantileSketch` on *both* the retained
-    and the sharded aggregation paths, so ``--jobs`` and ``--shards``
-    reports stay byte-identical (the sketch is within 1% relative error,
-    clamped to the exact min/max).
+    :class:`~repro.fleet.aggregate.QuantileSketch`, so reports stay
+    byte-identical at any ``--shards`` (the sketch is within 1% relative
+    error, clamped to the exact min/max).
     """
 
     count: int = 0
     minimum: float = 0.0
     median: float = 0.0
     maximum: float = 0.0
-
-    @staticmethod
-    def of(samples: Sequence[float]) -> "TtrStats":
-        return TtrStats.from_sketch(QuantileSketch.of(samples))
 
     @staticmethod
     def from_sketch(sketch: QuantileSketch) -> "TtrStats":
@@ -206,60 +128,6 @@ class FaultAggregate:
         raise KeyError((config_name, fault))
 
 
-def _cell_stats(config_name: str, fault: str, summaries: list[HomeFaultSummary]) -> CellStats:
-    cells: list[CellOutcome] = [cell for summary in summaries for cell in summary.outcomes_for(fault)]
-    counts = {outcome: sum(1 for cell in cells if cell.outcome == outcome) for outcome in OUTCOMES}
-    samples = [cell.time_to_recover for cell in cells if cell.time_to_recover is not None]
-    return CellStats(
-        config_name=config_name,
-        fault=fault,
-        homes=len(summaries),
-        devices=len(cells),
-        unaffected=counts["unaffected"],
-        recovered=counts["recovered"],
-        degraded=counts["degraded"],
-        bricked=counts["bricked"],
-        dns_retries=sum(cell.dns_retries for cell in cells),
-        dns_timeouts=sum(cell.dns_timeouts for cell in cells),
-        flow_failures=sum(cell.flow_failures for cell in cells),
-        fallbacks=sum(cell.fallbacks for cell in cells),
-        ttr=TtrStats.of(samples),
-    )
-
-
-def aggregate_faults(fleet: FleetResult) -> FaultAggregate:
-    """Collapse per-(home, config) results into (config, fault) cell stats."""
-    by_config: dict[str, list[HomeFaultSummary]] = {}
-    failed: list[tuple[int, str, str]] = []
-    fault_names: list[str] = []
-    homes: set[int] = set()
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            first_line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, spec.config_name, first_line))
-            continue
-        summary = result.summary
-        homes.add(summary.home_id)
-        by_config.setdefault(summary.config_name, []).append(summary)
-        for fault_name, _count in summary.injected:
-            if fault_name not in fault_names:
-                fault_names.append(fault_name)
-
-    cells = tuple(
-        _cell_stats(config_name, fault, summaries)
-        for config_name, summaries in sorted(by_config.items())
-        for fault in fault_names
-    )
-    return FaultAggregate(
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        homes=len(homes),
-        fault_names=tuple(fault_names),
-        cells=cells,
-    )
-
-
 # --------------------------------------------------------- streaming fold
 
 # Positional counter slots of a (config, fault) cell row; the trailing slot
@@ -281,7 +149,7 @@ class FaultFold(Fold):
             "total": 0,
             "failed": [],  # (home_id, config, first error line)
             "homes": 0,
-            "fault_names": [],  # first-seen order, like the retained path
+            "fault_names": [],  # first-seen order
             "config_homes": {},  # config -> ok summaries
             "cells": {},  # (config, fault) -> counters + ttr sketch
         }
@@ -406,10 +274,12 @@ def run_faults_stream(
     progress: Optional[ShardProgressFn] = None,
     cache: Optional[CacheSettings] = None,
 ) -> FaultAggregate:
-    """Sharded streaming equivalent of generate + run + aggregate.
+    """Run ``homes`` synthetic homes under every config x fault and fold the grid.
 
-    Byte-identical to the retained path at any shard count, in O(shards)
-    memory; each shard generates its homes lazily from the seed.
+    The home population is drawn once per index (via the fleet generator's
+    scenario-independent streams) and shared by every config column.
+    Byte-identical at any shard count, in O(shards) memory; each shard
+    generates its homes lazily from the seed.
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")

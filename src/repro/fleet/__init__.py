@@ -6,16 +6,16 @@ breaks when an ISP flips X% of homes to IPv6-only?") can be answered at the
 scale related work studies them.
 
 - :mod:`repro.fleet.scenario` — seeded home generation + rollout scenarios
-- :mod:`repro.fleet.runner` — parallel (multiprocessing) fleet executor
+- :mod:`repro.fleet.runner` — the guarded per-home worker entry
 - :mod:`repro.fleet.summary` — compact picklable per-home analytics
 - :mod:`repro.fleet.aggregate` — population-level statistics
-- :mod:`repro.fleet.shard` — sharded streaming execution (O(shards) memory)
+- :mod:`repro.fleet.shard` — the sharded streaming executor (O(shards) memory)
 - :mod:`repro.fleet.store` — resumable on-disk shard journals
 - :mod:`repro.fleet.stream` — the fleet rollout fold for sharded runs
 """
 
-from repro.fleet.aggregate import ConfigStats, FleetAggregate, ShareDistribution, aggregate_fleet
-from repro.fleet.runner import FleetResult, HomeResult, HomeTimeout, run_fleet, simulate_home
+from repro.fleet.aggregate import ConfigStats, FleetAggregate, ShareDistribution
+from repro.fleet.runner import HomeResult, HomeTimeout, simulate_home
 from repro.fleet.shard import Fold, run_sharded, shard_ranges
 from repro.fleet.store import JournalStore, spec_token
 from repro.fleet.stream import FleetFold, run_fleet_stream
@@ -35,7 +35,6 @@ __all__ = [
     "ConfigStats",
     "FleetAggregate",
     "FleetFold",
-    "FleetResult",
     "Fold",
     "HomeResult",
     "HomeSpec",
@@ -44,12 +43,10 @@ __all__ = [
     "JournalStore",
     "RolloutScenario",
     "ShareDistribution",
-    "aggregate_fleet",
     "generate_fleet",
     "generate_home",
     "get_scenario",
     "ipv6_only_flip",
-    "run_fleet",
     "run_fleet_stream",
     "run_sharded",
     "shard_ranges",

@@ -1,10 +1,11 @@
-"""Population-level rollout analytics over per-home summaries.
+"""Population-level rollout statistics and the mergeable accumulators behind them.
 
 This is where the fleet answers the question the single-lab paper cannot:
-*across a customer base, what does a given rollout do?* Every statistic is
-computed from :class:`HomeSummary` records only, with deterministic
-(sorted / insertion-ordered) iteration so that the same fleet always
-aggregates to the same bytes regardless of worker scheduling.
+*across a customer base, what does a given rollout do?* The dataclasses
+here are what the reports render; :class:`StreamStats` and
+:class:`QuantileSketch` are the exactly-mergeable accumulators every
+population fold builds them from, so the same fleet always aggregates to
+the same bytes regardless of how it was sharded.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from repro.fleet.runner import FleetResult
-from repro.fleet.summary import HomeSummary
 from repro.stack.config import ALL_CONFIGS
 
 _CONFIG_ORDER = [config.name for config in ALL_CONFIGS]
@@ -267,26 +266,11 @@ class FleetAggregate:
         return exposed / self.total_devices if self.total_devices else 0.0
 
 
-def _config_stats(config_name: str, homes: list[HomeSummary]) -> ConfigStats:
-    return ConfigStats(
-        config_name=config_name,
-        homes=len(homes),
-        devices=sum(home.size for home in homes),
-        bricked_devices=sum(len(home.bricked) for home in homes),
-        homes_with_bricked=sum(1 for home in homes if home.has_bricked),
-        eui64_devices=sum(len(home.eui64_devices) for home in homes),
-        homes_with_eui64=sum(1 for home in homes if home.has_eui64),
-        data_v6_devices=sum(len(home.data_v6_devices) for home in homes),
-    )
-
-
 def share_distribution(stats: StreamStats, sketch: QuantileSketch) -> Optional[ShareDistribution]:
     """Render a share distribution from streaming accumulators.
 
-    Both the retained path (:func:`aggregate_fleet`) and the sharded fold
-    (:class:`repro.fleet.stream.FleetFold`) go through here, so the median
-    comes from the mergeable sketch in both — that is what keeps ``--jobs``
-    and ``--shards`` reports byte-identical.
+    The median comes from the mergeable sketch, so it is the same for any
+    grouping of the homes into shards.
     """
     if stats.count == 0:
         return None
@@ -296,36 +280,4 @@ def share_distribution(stats: StreamStats, sketch: QuantileSketch) -> Optional[S
         median=sketch.median,
         mean=stats.mean,
         maximum=stats.maximum,
-    )
-
-
-def _share_distribution(homes: list[HomeSummary]) -> Optional[ShareDistribution]:
-    shares = [home.v6_share for home in homes if home.v6_share is not None]
-    return share_distribution(StreamStats.of(shares), QuantileSketch.of(shares))
-
-
-def aggregate_fleet(fleet: FleetResult) -> FleetAggregate:
-    """Fold ordered per-home results into population statistics."""
-    summaries = fleet.summaries
-    by_config: dict[str, list[HomeSummary]] = {}
-    for summary in summaries:
-        by_config.setdefault(summary.config_name, []).append(summary)
-
-    ordered = sorted(
-        by_config,
-        key=lambda name: (_CONFIG_ORDER.index(name) if name in _CONFIG_ORDER else len(_CONFIG_ORDER), name),
-    )
-    per_config = tuple(_config_stats(name, by_config[name]) for name in ordered)
-
-    failed = tuple(
-        (result.spec.home_id, (result.error or "unknown error").strip().splitlines()[-1])
-        for result in fleet.failures
-    )
-
-    return FleetAggregate(
-        total_homes=len(fleet.results),
-        completed_homes=len(summaries),
-        failed_homes=failed,
-        per_config=per_config,
-        v6_share=_share_distribution(summaries),
     )

@@ -1,21 +1,19 @@
-"""Sharded streaming fleet execution: constant-memory populations.
+"""Sharded streaming execution: the one engine every population runs on.
 
-The classic runner (:mod:`repro.fleet.runner`) materializes every spec and
-retains every per-home summary — O(homes) memory, which tops out around
-thousands of homes. This module is the simbricks-style alternative the
-ROADMAP calls for: ``--shards N`` spawns N *long-lived* worker shards, each
-owning one contiguous slice of the population. A shard generates each
-home's specs lazily from its index, simulates the home, folds the outcome
-straight into a small mergeable accumulator, and drops the summary. Memory
-is O(shards), independent of population size, which is what makes a
-million-home run fit on one machine.
+``shards=N`` (the CLI's ``--shards N``, alias ``--jobs N``) spawns N
+*long-lived* worker shards, each owning one contiguous slice of the
+population. A shard generates each home's specs lazily from its index,
+simulates the home, folds the outcome straight into a small mergeable
+accumulator, and drops the summary. Memory is O(shards), independent of
+population size, which is what makes a million-home run fit on one machine.
 
-Three contracts make sharded output byte-identical to a serial run:
+Three contracts make the output byte-identical at any shard count:
 
 - **unit = whole home.** The work unit is *all* of one home's specs (every
   firewall / config / epoch cell), so a shard boundary never splits a home
   and per-home cross-cell logic (distinct-home counts, epoch-to-epoch
-  movement) stays exact.
+  movement) stays exact. It also puts a home's arms in one process back to
+  back, where the study cache's memory tier dedups their shared studies.
 - **exactly associative folds.** Accumulators are integer counters,
   ``Fraction``-backed :class:`~repro.fleet.aggregate.StreamStats`,
   bucketwise :class:`~repro.fleet.aggregate.QuantileSketch` merges, and
@@ -37,10 +35,15 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.cache import CacheSettings, CachingWorker
-from repro.fleet.runner import HomeResult, WorkerFn, _execute_home, start_pool
+from repro.fleet.runner import HomeResult, WorkerFn, _execute_home
 from repro.fleet.store import JournalStore, spec_token
 
 DEFAULT_CHECKPOINT_EVERY = 25
+
+DEAD_WORKER_ERROR = (
+    "worker process died before returning a result "
+    "(killed or crashed, e.g. OOM-killed; the home was not completed)"
+)
 
 # unit index -> the specs making up that unit (all cells of one home)
 UnitSource = Callable[[int], Sequence]
@@ -92,6 +95,15 @@ def run_unit(
     return tuple(_execute_home(spec, timeout, worker) for spec in source(index))
 
 
+def _restore(fold: Fold, journal: Optional[JournalStore], shard: int, lo: int, hi: int):
+    """A shard's starting point: its last journal checkpoint, else ``(empty, lo)``."""
+    if journal is not None:
+        done, saved = journal.restore(shard)
+        if saved is not None:
+            return saved, min(lo + done, hi)
+    return fold.empty(), lo
+
+
 def _fold_range(
     source: UnitSource,
     lo: int,
@@ -104,13 +116,7 @@ def _fold_range(
     checkpoint_every: int,
 ):
     """One shard's whole life: resume, simulate, fold, checkpoint."""
-    acc = fold.empty()
-    start = lo
-    if journal is not None:
-        done, saved = journal.restore(shard)
-        if saved is not None:
-            acc = saved
-            start = min(lo + done, hi)
+    acc, start = _restore(fold, journal, shard, lo, hi)
     for index in range(start, hi):
         acc = fold.add(acc, run_unit(source, index, worker, timeout))
         completed = index - lo + 1
@@ -119,9 +125,52 @@ def _fold_range(
     return acc
 
 
-def _shard_entry(payload) -> object:
-    (shard, lo, hi, source, fold, worker, timeout, journal, checkpoint_every) = payload
-    return _fold_range(source, lo, hi, fold, worker, timeout, journal, shard, checkpoint_every)
+def _fold_dead_range(
+    source: UnitSource, lo: int, hi: int, fold: Fold, journal: Optional[JournalStore], shard: int
+):
+    """What a shard whose process died contributes, settled in the parent.
+
+    Its last journal checkpoint (or the empty fold), plus a
+    ``DEAD_WORKER_ERROR`` row for every spec of every unit past it. The rows
+    are never journaled, so a relaunch retries exactly those units.
+    """
+    acc, start = _restore(fold, journal, shard, lo, hi)
+    for index in range(start, hi):
+        dead = tuple(HomeResult(spec=spec, error=DEAD_WORKER_ERROR) for spec in source(index))
+        acc = fold.add(acc, dead)
+    return acc
+
+
+def _fork_context():
+    import multiprocessing
+
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return multiprocessing.get_context()
+
+
+def _probe_pool() -> bool:
+    return True
+
+
+def start_pool(workers: int):
+    """A :class:`~concurrent.futures.ProcessPoolExecutor` proven usable.
+
+    A probe task runs eagerly so that environments where no worker process
+    can start at all (sandboxes, fd exhaustion) surface here as ``OSError``
+    — which callers treat as "degrade to in-process" — rather than as a
+    broken future later, which means "a worker died mid-run".
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context())
+    try:
+        pool.submit(_probe_pool).result()
+    except Exception as exc:
+        pool.shutdown(wait=True, cancel_futures=True)
+        raise OSError(f"no usable process pool: {exc!r}") from exc
+    return pool
 
 
 def _run_shards_parallel(
@@ -138,13 +187,12 @@ def _run_shards_parallel(
     from concurrent.futures.process import BrokenProcessPool
 
     accs: list = [None] * len(ranges)
-    rerun: list[int] = []
+    dead: list[int] = []
     pool = start_pool(len(ranges))
     try:
         futures = {
             pool.submit(
-                _shard_entry,
-                (shard, lo, hi, source, fold, worker, timeout, journal, checkpoint_every),
+                _fold_range, source, lo, hi, fold, worker, timeout, journal, shard, checkpoint_every
             ): shard
             for shard, (lo, hi) in enumerate(ranges)
         }
@@ -153,20 +201,37 @@ def _run_shards_parallel(
             try:
                 accs[shard] = future.result()
             except BrokenProcessPool:
-                # The shard process died mid-range. Its journal (if any)
-                # still holds the last checkpoint, so re-running it
-                # in-process below repeats at most checkpoint_every units.
-                rerun.append(shard)
+                # A shard process died mid-range (OOM kill, segfault,
+                # os._exit), breaking every in-flight shard with it. Never
+                # re-fold here: a home that kills its process would kill the
+                # parent too. Settle the shard once the pool is gone.
+                dead.append(shard)
             if progress is not None:
                 lo, hi = ranges[shard]
                 progress(done, len(ranges), shard, hi - lo)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    for shard in rerun:
+    for shard in dead:
         lo, hi = ranges[shard]
-        accs[shard] = _fold_range(
-            source, lo, hi, fold, worker, timeout, journal, shard, checkpoint_every
-        )
+        accs[shard] = _fold_dead_range(source, lo, hi, fold, journal, shard)
+    return accs
+
+
+def _run_shards_serial(
+    ranges: list[tuple[int, int]],
+    source: UnitSource,
+    fold: Fold,
+    worker: WorkerFn,
+    timeout: Optional[float],
+    journal: Optional[JournalStore],
+    checkpoint_every: int,
+    progress: Optional[ShardProgressFn],
+) -> list:
+    accs = []
+    for shard, (lo, hi) in enumerate(ranges):
+        accs.append(_fold_range(source, lo, hi, fold, worker, timeout, journal, shard, checkpoint_every))
+        if progress is not None:
+            progress(shard + 1, len(ranges), shard, hi - lo)
     return accs
 
 
@@ -186,12 +251,16 @@ def run_sharded(
 ):
     """Fold ``units`` home-units into one aggregate across ``shards`` workers.
 
-    Returns ``fold.finalize`` of the merged accumulator. ``shards > 1``
-    fans the contiguous ranges out over a process pool (falling back to
-    in-process execution when no pool can start, exactly like
-    :func:`repro.fleet.runner.run_fleet`); shard accumulators merge in
-    shard order, and because the folds are exactly associative the result
-    is byte-identical for any shard count.
+    Returns ``fold.finalize`` of the merged accumulator. ``shards = 1`` runs
+    in-process; ``shards > 1`` fans the contiguous ranges out over a process
+    pool (falling back to in-process execution when no pool can start).
+    Shard accumulators merge in shard order, and because the folds are
+    exactly associative the result is byte-identical for any shard count.
+
+    A shard whose process dies mid-range is never re-run: it contributes
+    its last journal checkpoint (or nothing) plus a ``DEAD_WORKER_ERROR``
+    failed row for every spec past it, and a relaunch against the journal
+    retries those units.
 
     With ``journal_dir`` set, each shard checkpoints every
     ``checkpoint_every`` completed units and a re-launch with the same
@@ -199,10 +268,8 @@ def run_sharded(
     parameters) resumes from the checkpoints instead of re-simulating.
 
     ``cache`` activates the study cache (:mod:`repro.cache`) inside every
-    shard. The unit is already a whole home, so a home's arms (configs,
-    firewalls, schedules) land in one shard process back to back — the
-    memory tier dedups their shared studies, and a ``--cache`` directory
-    additionally persists artifacts across runs.
+    shard; a ``--cache`` directory additionally persists artifacts across
+    runs.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -219,29 +286,16 @@ def run_sharded(
             directory=str(journal_dir), token=journal_token, units=units, shards=effective
         ).open()
 
+    args = (ranges, source, fold, worker, timeout, journal, checkpoint_every, progress)
     if effective == 1:
-        accs = [
-            _fold_range(source, 0, units, fold, worker, timeout, journal, 0, checkpoint_every)
-        ]
-        if progress is not None:
-            progress(1, 1, 0, units)
+        accs = _run_shards_serial(*args)
     else:
         try:
-            accs = _run_shards_parallel(
-                ranges, source, fold, worker, timeout, journal, checkpoint_every, progress
-            )
+            accs = _run_shards_parallel(*args)
         except (OSError, ImportError):
             # No process pool available here (e.g. sandboxed); shards run
             # in-process one after another — same bytes, just slower.
-            accs = []
-            for shard, (lo, hi) in enumerate(ranges):
-                accs.append(
-                    _fold_range(
-                        source, lo, hi, fold, worker, timeout, journal, shard, checkpoint_every
-                    )
-                )
-                if progress is not None:
-                    progress(shard + 1, len(ranges), shard, hi - lo)
+            accs = _run_shards_serial(*args)
 
     total = fold.empty()
     for acc in accs:
@@ -250,6 +304,7 @@ def run_sharded(
 
 
 __all__ = [
+    "DEAD_WORKER_ERROR",
     "DEFAULT_CHECKPOINT_EVERY",
     "Fold",
     "JournalStore",

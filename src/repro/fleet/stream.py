@@ -1,11 +1,10 @@
 """The fleet subsystem's streaming fold: sharded rollout aggregation.
 
-:class:`FleetFold` re-expresses :func:`repro.fleet.aggregate.aggregate_fleet`
-as a mergeable fold over one home at a time, so ``repro fleet --shards N``
-renders byte-identical reports without ever retaining a summary. The other
-population layers (exposure, faults, lifecycle, adversary) define their own
-folds next to their retained aggregators; this module is the template they
-follow.
+:class:`FleetFold` aggregates the rollout one home at a time, so ``repro
+fleet`` renders byte-identical reports at any ``--shards`` without ever
+retaining a summary. The other population layers (exposure, faults,
+lifecycle, adversary) define their own folds; this module is the template
+they follow.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ class FleetFold(Fold):
 
     The accumulator is a plain dict of counters, a per-config counter table,
     and the two share accumulators; every entry merges exactly
-    associatively, and ``finalize`` produces the same
-    :class:`FleetAggregate` the retained path does.
+    associatively, and ``finalize`` produces the :class:`FleetAggregate`
+    the fleet report renders.
     """
 
     def empty(self):
@@ -125,7 +124,7 @@ def run_fleet_stream(
 ) -> FleetAggregate:
     """Simulate ``homes`` across ``shards`` and stream-fold the aggregate.
 
-    Byte-identical to ``aggregate_fleet(run_fleet(generate_fleet(...)))`` at
+    Home ``i`` is ``generate_fleet(...)[i]``; the result is byte-identical at
     any shard count, in O(shards) memory.
     """
     if homes < 0:

@@ -23,9 +23,6 @@ from repro.lifecycle.population import (
     EpochStats,
     LifecycleAggregate,
     LifecycleFold,
-    aggregate_lifecycle,
-    brick_trajectory,
-    run_lifecycle_fleet,
     run_lifecycle_stream,
 )
 from repro.lifecycle.rollout import WAVES, RolloutWave, WaveStage, get_wave
@@ -35,8 +32,6 @@ from repro.lifecycle.timeline import (
     HomeTimeline,
     LifecycleParams,
     build_timeline,
-    build_timelines,
-    timeline_specs,
 )
 
 __all__ = [
@@ -54,18 +49,13 @@ __all__ = [
     "RolloutWave",
     "WAVES",
     "WaveStage",
-    "aggregate_lifecycle",
     "apply_revisions",
-    "brick_trajectory",
     "build_timeline",
-    "build_timelines",
     "evolve",
     "get_revision",
     "get_wave",
     "run_home_epoch",
-    "run_lifecycle_fleet",
     "run_lifecycle_stream",
-    "timeline_specs",
     "upgrade_path",
     "v6_ready",
 ]

@@ -1,49 +1,26 @@
 """Fleet-level time series: trajectories, not snapshots.
 
-Folds the ordered per-(home, epoch) results into per-epoch fleet statistics
-plus cross-epoch movement (joins/leaves, firmware updates, brick/recover
-flips) and time-to-transition distributions. Every fold is either a plain
+Folds each home's per-epoch results into per-epoch fleet statistics plus
+cross-epoch movement (joins/leaves, firmware updates, brick/recover flips)
+and time-to-transition distributions. Every accumulator is either a plain
 counter or one of the mergeable streaming aggregates from
-:mod:`repro.fleet.aggregate` (``StreamStats`` / ``QuantileSketch``), folded
-in sorted ``(home, epoch)`` order — so the aggregate, and the bytes the
-report renders from it, are identical at any ``--jobs``.
+:mod:`repro.fleet.aggregate` (``QuantileSketch``), so the aggregate, and the
+bytes the report renders from it, are identical at any ``--shards``.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.cache import CacheSettings
 from repro.fleet.aggregate import QuantileSketch
-from repro.fleet.runner import FleetResult, ProgressFn, run_fleet
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
-from repro.lifecycle.analysis import EpochSummary, run_home_epoch
-from repro.lifecycle.timeline import EpochSpec, LifecycleParams, build_timeline
-
-
-def run_lifecycle_fleet(
-    specs: Sequence[EpochSpec],
-    *,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    progress: Optional[ProgressFn] = None,
-    cache: Optional[CacheSettings] = None,
-) -> FleetResult:
-    """Run every (home, epoch) cell; results ordered by ``sort_key``."""
-    return run_fleet(
-        specs,
-        jobs=jobs,
-        timeout=timeout,
-        progress=progress,
-        worker=run_home_epoch,
-        cache=cache,
-        group=operator.attrgetter("home_id") if cache is not None else None,
-    )
+from repro.lifecycle.analysis import run_home_epoch
+from repro.lifecycle.timeline import LifecycleParams, build_timeline
 
 
 @dataclass(frozen=True)
@@ -101,120 +78,6 @@ class LifecycleAggregate:
         return self.total_runs - len(self.failed)
 
 
-def _epoch_stats(epoch: int, summaries: list[EpochSummary], movement: dict) -> EpochStats:
-    configs: dict[str, int] = {}
-    for summary in summaries:
-        configs[summary.config_name] = configs.get(summary.config_name, 0) + 1
-    scans = [s.exposure for s in summaries if s.exposure is not None]
-    return EpochStats(
-        epoch=epoch,
-        homes=len(summaries),
-        devices=sum(s.size for s in summaries),
-        functional=sum(len(s.functional) for s in summaries),
-        bricked=sum(len(s.bricked) for s in summaries),
-        ready=sum(len(s.ready) for s in summaries),
-        eui64=sum(len(s.eui64_devices) for s in summaries),
-        joins=movement.get("joins", 0),
-        leaves=movement.get("leaves", 0),
-        firmware_updates=movement.get("updates", 0),
-        transitions=sum(1 for s in summaries if s.transitioned),
-        gua_addresses=sum(s.gua_addresses for s in summaries),
-        retired_addresses=sum(s.retired_addresses for s in summaries),
-        config_mix=tuple(sorted(configs.items())),
-        discoverable=sum(scan.discoverable for scan in scans),
-        reachable=sum(scan.reachable for scan in scans),
-        scanned_homes=len(scans),
-    )
-
-
-def aggregate_lifecycle(fleet: FleetResult, *, wave_name: str = "?") -> LifecycleAggregate:
-    """Collapse ordered (home, epoch) results into fleet trajectories."""
-    by_home: dict[int, list[EpochSummary]] = {}
-    failed: list[tuple[int, str, str]] = []
-    for result in fleet.results:
-        spec = result.spec
-        if not result.ok:
-            line = (result.error or "").strip().splitlines()[-1] if result.error else "unknown error"
-            failed.append((spec.home_id, f"epoch {spec.epoch}", line))
-            continue
-        by_home.setdefault(spec.home_id, []).append(result.summary)
-    for summaries in by_home.values():
-        summaries.sort(key=lambda s: s.epoch)
-
-    # Cross-epoch movement, per home then folded per epoch.
-    epoch_movement: dict[int, dict[str, int]] = {}
-    transition_sketch = QuantileSketch()
-    transitioned_homes = 0
-    recovered_devices = 0
-    brick_flips = 0
-    never_bricked = 0
-    bricked_at_end = 0
-    recovered_homes = 0
-    retired_responsive = 0
-    for home_id in sorted(by_home):
-        summaries = by_home[home_id]
-        ever_bricked: set[str] = set()
-        first_transition: Optional[int] = None
-        for i, summary in enumerate(summaries):
-            movement = epoch_movement.setdefault(summary.epoch, {})
-            if i > 0:
-                previous = summaries[i - 1]
-                joined = set(summary.devices) - set(previous.devices)
-                left = set(previous.devices) - set(summary.devices)
-                movement["joins"] = movement.get("joins", 0) + len(joined)
-                movement["leaves"] = movement.get("leaves", 0) + len(left)
-                before = dict(previous.firmware)
-                updates = sum(
-                    1 for name, revisions in summary.firmware if revisions != before.get(name, ())
-                )
-                movement["updates"] = movement.get("updates", 0) + updates
-                # a device bricked before, functional now: the recovery flip
-                recovered_devices += len(ever_bricked & set(summary.functional))
-                brick_flips += len(set(summary.bricked) & set(previous.functional))
-            if summary.transitioned and first_transition is None:
-                first_transition = summary.epoch
-            ever_bricked |= set(summary.bricked)
-            ever_bricked -= set(summary.functional)
-            if summary.exposure is not None:
-                retired_responsive += summary.exposure.retired_responsive
-        if first_transition is not None:
-            transitioned_homes += 1
-            transition_sketch = transition_sketch.add(float(first_transition))
-        home_ever = any(summary.bricked for summary in summaries)
-        if not home_ever:
-            never_bricked += 1
-        elif summaries and summaries[-1].bricked:
-            bricked_at_end += 1
-        else:
-            recovered_homes += 1
-
-    seen_epochs = sorted({s.epoch for summaries in by_home.values() for s in summaries})
-    epochs = tuple(
-        _epoch_stats(
-            epoch,
-            [s for home_id in sorted(by_home) for s in by_home[home_id] if s.epoch == epoch],
-            epoch_movement.get(epoch, {}),
-        )
-        for epoch in seen_epochs
-    )
-    return LifecycleAggregate(
-        wave_name=wave_name,
-        homes=len(by_home),
-        epoch_count=len(epochs),
-        total_runs=len(fleet.results),
-        failed=tuple(failed),
-        epochs=epochs,
-        transition_epochs=transition_sketch,
-        transitioned_homes=transitioned_homes,
-        recovered_devices=recovered_devices,
-        brick_flips=brick_flips,
-        never_bricked_homes=never_bricked,
-        bricked_at_end_homes=bricked_at_end,
-        recovered_homes=recovered_homes,
-        retired_responsive=retired_responsive,
-    )
-
-
 # --------------------------------------------------------- streaming fold
 
 # Positional counter slots of a per-epoch row (EpochStats order, movement
@@ -227,10 +90,10 @@ class LifecycleFold(Fold):
     """Fold one home's full timeline into fleet trajectory statistics.
 
     The unit is the *whole home* (all its epochs in order), so every
-    cross-epoch comparison the retained path makes — joins/leaves against
-    the previous epoch, ever-bricked tracking, first-transition detection,
-    end-state classification — happens inside one ``add`` call with the
-    complete timeline in hand. Only per-epoch counters and the transition
+    cross-epoch comparison — joins/leaves against the previous epoch,
+    ever-bricked tracking, first-transition detection, end-state
+    classification — happens inside one ``add`` call with the complete
+    timeline in hand. Only per-epoch counters and the transition
     sketch cross shard boundaries, and those merge exactly.
     """
 
@@ -395,8 +258,7 @@ class LifecycleFold(Fold):
 
 def _lifecycle_unit(index: int, *, seed: int, params: LifecycleParams):
     # build_timeline's inventory/upgrade-path lookups are process-cached, so
-    # planning one home at a time costs the same per home as planning the
-    # whole fleet up front.
+    # planning one home at a time costs nothing extra per home.
     return build_timeline(index, seed, params).epochs
 
 
@@ -412,10 +274,10 @@ def run_lifecycle_stream(
     progress: Optional[ShardProgressFn] = None,
     cache: Optional[CacheSettings] = None,
 ) -> LifecycleAggregate:
-    """Sharded streaming equivalent of plan + run + aggregate.
+    """Advance ``homes`` timelines through every epoch and fold the trajectories.
 
-    Byte-identical to the retained path at any shard count, in O(shards)
-    memory; each shard plans its timelines lazily from the seed.
+    Byte-identical at any shard count, in O(shards) memory; each shard plans
+    its timelines lazily from the seed (a prefix-stable function of it).
     """
     if homes < 0:
         raise ValueError("homes must be >= 0")
@@ -432,15 +294,3 @@ def run_lifecycle_stream(
         checkpoint_every=checkpoint_every,
         cache=cache,
     )
-
-
-def brick_trajectory(fleet: FleetResult, device: str, home_id: int) -> tuple[tuple[int, bool], ...]:
-    """One device's (epoch, functional) trajectory — test/debug helper."""
-    points = []
-    for result in fleet.results:
-        if not result.ok or result.spec.home_id != home_id:
-            continue
-        summary = result.summary
-        if device in summary.devices:
-            points.append((summary.epoch, device in summary.functional))
-    return tuple(sorted(points))

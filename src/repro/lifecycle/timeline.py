@@ -20,9 +20,9 @@ count, so two waves (or two ``--epochs`` horizons) describe the *same homes
 undergoing the same local events* and differ only where the rollout
 differs. Wave positions are drawn per home once; cumulative stage
 fractions then make a wider rollout transition a superset of a narrower
-one. The flattened :class:`EpochSpec` list is a pure function of
-``(homes, seed, params)`` and each spec is picklable, so the fleet runner
-can execute epochs in any worker order and re-sort by ``sort_key``.
+one. Each home's :class:`EpochSpec` tuple is a pure function of
+``(index, seed, params)`` and each spec is picklable, so a shard can plan
+and run any home without seeing the rest of the fleet.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from repro.faults.schedule import get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.lifecycle.firmware import upgrade_path
-from repro.lifecycle.rollout import RolloutWave, get_wave
+from repro.lifecycle.rollout import get_wave
 
 # Homes never churn below this size: a "smart home" with one device left is
 # a different study, not a smaller one.
@@ -89,10 +89,6 @@ class EpochSpec:
     fidelity: str = "packet"
 
     @property
-    def sort_key(self) -> tuple:
-        return (self.home_id, self.epoch)
-
-    @property
     def size(self) -> int:
         return len(self.device_names)
 
@@ -130,20 +126,11 @@ def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool
     return survivors
 
 
-def build_timeline(
-    index: int,
-    seed: int,
-    params: LifecycleParams,
-    *,
-    wave: Optional[RolloutWave] = None,
-    upgrade_paths: Optional[dict[str, tuple[str, ...]]] = None,
-    pool: Optional[Sequence[str]] = None,
-) -> HomeTimeline:
+def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeline:
     """Plan one home's timeline; fully determined by ``(seed, index, params)``."""
-    wave = wave or get_wave(params.wave)
-    pool = pool if pool is not None else _inventory_names()
-    if upgrade_paths is None:
-        upgrade_paths = _stock_upgrade_paths()
+    wave = get_wave(params.wave)
+    pool = _inventory_names()
+    upgrade_paths = _stock_upgrade_paths()
 
     scenario = RolloutScenario(
         name="lifecycle",
@@ -207,21 +194,3 @@ def _stock_upgrade_paths() -> dict[str, tuple[str, ...]]:
     from repro.devices import build_inventory
 
     return {profile.name: upgrade_path(profile) for profile in build_inventory()}
-
-
-def build_timelines(homes: int, *, seed: int, params: LifecycleParams) -> list[HomeTimeline]:
-    """Plan ``homes`` timelines; a prefix-stable function of ``seed``."""
-    if homes < 0:
-        raise ValueError("homes must be >= 0")
-    wave = get_wave(params.wave)
-    pool = _inventory_names()
-    paths = _stock_upgrade_paths()
-    return [
-        build_timeline(index, seed, params, wave=wave, upgrade_paths=paths, pool=pool)
-        for index in range(homes)
-    ]
-
-
-def timeline_specs(timelines: Sequence[HomeTimeline]) -> list[EpochSpec]:
-    """Flatten timelines into the fleet runner's work list."""
-    return [spec for timeline in timelines for spec in timeline.epochs]

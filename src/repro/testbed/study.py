@@ -185,10 +185,10 @@ def run_home_study(
 ) -> Study:
     """Run one synthetic *home*: a device subset under a single network config.
 
-    This is the picklable per-home entry point the fleet runner
-    (:mod:`repro.fleet.runner`) fans out over a worker pool — it takes only
-    plain values (seed, config name, device names), rebuilds the profiles
-    from the inventory inside the worker, and returns a single-experiment
+    This is the per-home entry point every population worker (e.g.
+    :func:`repro.fleet.runner.simulate_home`) calls inside its shard
+    process — it takes only plain values (seed, config name, device names),
+    rebuilds the profiles from the inventory inside the worker, and returns a single-experiment
     :class:`Study`. ``fault_schedule``, if given, is a
     :class:`~repro.faults.schedule.FaultSchedule` injected into the home's
     link and router for the whole run (the injector's counters are exposed

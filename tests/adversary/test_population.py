@@ -1,18 +1,20 @@
-"""Spec generation, susceptibility workers, aggregation, fault composition."""
+"""Spec generation, susceptibility workers, the epidemic fold, fault composition."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.adversary import (
+    AdversaryFold,
     AdversarySpec,
     WormParams,
-    aggregate_adversary,
-    generate_adversary_specs,
-    run_adversary_fleet,
+    run_adversary_stream,
     run_home_susceptibility,
     run_worm,
 )
+from repro.adversary.population import DEFAULT_SETTLE, _adversary_unit
+from repro.fleet import get_scenario
+from repro.fleet.shard import run_sharded, run_unit
 from repro.reports import render_adversary
 
 # A home built around the one EUI-64 + WAN-open-TCP device in the inventory
@@ -26,9 +28,32 @@ def spec(home_id=0, firewall="open", fault="none", config="dual-stack"):
     return AdversarySpec(home_id, 7, config, firewall, fault, DEVICES)
 
 
+def specs_for(homes, *, seed, scenario="baseline", firewalls=("open", "stateful")):
+    """Every home's (home x firewall) specs, as the stream generates them."""
+    return [
+        spec
+        for index in range(homes)
+        for spec in _adversary_unit(
+            index,
+            seed=seed,
+            scenario=get_scenario(scenario),
+            firewalls=firewalls,
+            fault_name="none",
+            settle=DEFAULT_SETTLE,
+            fidelity="packet",
+        )
+    ]
+
+
+def outbreak(results, *, seed, scenario_name=""):
+    """Fold one home's retained susceptibility results into the epidemic aggregate."""
+    fold = AdversaryFold(params=PARAMS, seed=seed, scenario_name=scenario_name)
+    return fold.finalize(fold.add(fold.empty(), results))
+
+
 def test_spec_generation_is_deterministic_and_paired():
-    a = generate_adversary_specs(3, seed=11, firewalls=("open", "stateful"))
-    b = generate_adversary_specs(3, seed=11, firewalls=("open", "stateful"))
+    a = specs_for(3, seed=11)
+    b = specs_for(3, seed=11)
     assert a == b
     assert len(a) == 6
     open_specs = [s for s in a if s.firewall == "open"]
@@ -38,20 +63,20 @@ def test_spec_generation_is_deterministic_and_paired():
 
 
 def test_spec_generation_keeps_ipv4_only_homes():
-    specs = generate_adversary_specs(8, seed=3, scenario="legacy", firewalls=("open",))
+    specs = specs_for(8, seed=3, scenario="legacy", firewalls=("open",))
     configs = {s.config_name for s in specs}
     assert "ipv4-only" in configs       # immune homes stay in the population
 
 
 def test_spec_generation_validates_inputs():
     with pytest.raises(ValueError):
-        generate_adversary_specs(2, seed=1, firewalls=("bogus",))
+        run_adversary_stream(2, seed=1, params=PARAMS, firewalls=("bogus",))
     with pytest.raises(ValueError):
-        generate_adversary_specs(2, seed=1, firewalls=())
+        run_adversary_stream(2, seed=1, params=PARAMS, firewalls=())
     with pytest.raises(KeyError):
-        generate_adversary_specs(2, seed=1, fault_name="not-a-preset")
+        run_adversary_stream(2, seed=1, params=PARAMS, fault_name="not-a-preset")
     with pytest.raises(KeyError):
-        generate_adversary_specs(2, seed=1, scenario="not-a-scenario")
+        run_adversary_stream(2, seed=1, params=PARAMS, scenario="not-a-scenario")
 
 
 def test_ipv4_only_home_is_immune_not_an_error():
@@ -104,12 +129,11 @@ def test_fault_schedule_changes_infection_trajectory():
 
 @pytest.fixture(scope="module")
 def small_fleet():
-    specs = [spec(firewall=fw) for fw in ("open", "stateful")]
-    return run_adversary_fleet(specs, jobs=1)
+    return run_unit(lambda index: tuple(spec(firewall=fw) for fw in ("open", "stateful")), 0, run_home_susceptibility, None)
 
 
 def test_aggregate_runs_one_outbreak_per_firewall(small_fleet):
-    aggregate = aggregate_adversary(small_fleet, PARAMS, seed=5, scenario_name="test")
+    aggregate = outbreak(small_fleet, seed=5, scenario_name="test")
     assert aggregate.total_runs == 2 and not aggregate.failed
     open_outcome = aggregate.outcome_for("open")
     stateful_outcome = aggregate.outcome_for("stateful")
@@ -124,8 +148,8 @@ def test_aggregate_runs_one_outbreak_per_firewall(small_fleet):
 
 
 def test_aggregate_and_render_are_deterministic(small_fleet):
-    a = aggregate_adversary(small_fleet, PARAMS, seed=5, scenario_name="test")
-    b = aggregate_adversary(small_fleet, PARAMS, seed=5, scenario_name="test")
+    a = outbreak(small_fleet, seed=5, scenario_name="test")
+    b = outbreak(small_fleet, seed=5, scenario_name="test")
     assert a == b
     text = render_adversary(a)
     assert text == render_adversary(b)
@@ -134,36 +158,18 @@ def test_aggregate_and_render_are_deterministic(small_fleet):
 
 
 def test_parallel_matches_serial_byte_for_byte():
-    specs = generate_adversary_specs(2, seed=11, firewalls=("open", "stateful"))
-    serial = run_adversary_fleet(specs, jobs=1)
-    parallel = run_adversary_fleet(specs, jobs=2)
-    a = render_adversary(aggregate_adversary(serial, PARAMS, seed=11, scenario_name="baseline"))
-    b = render_adversary(aggregate_adversary(parallel, PARAMS, seed=11, scenario_name="baseline"))
-    assert a == b
+    kwargs = dict(seed=11, params=PARAMS, firewalls=("open", "stateful"))
+    serial = run_adversary_stream(2, shards=1, **kwargs)
+    parallel = run_adversary_stream(2, shards=2, **kwargs)
+    assert serial == parallel
+    assert render_adversary(serial) == render_adversary(parallel)
 
 
 def test_aggregate_reports_failures():
-    bad = AdversarySpec(1, 7, "dual-stack", "open", "none", ("No Such Device",))
-    fleet = run_adversary_fleet([bad], jobs=1)
-    aggregate = aggregate_adversary(fleet, PARAMS, seed=1)
+    units = ((AdversarySpec(1, 7, "dual-stack", "open", "none", ("No Such Device",)),),)
+    aggregate = run_sharded(
+        1, units.__getitem__, fold=AdversaryFold(params=PARAMS, seed=1), worker=run_home_susceptibility
+    )
     assert aggregate.completed == 0
     assert aggregate.failed[0][:2] == (1, "open")
     assert "FAILED home 1" in render_adversary(aggregate)
-
-
-def test_stream_matches_retained_byte_for_byte():
-    """run_adversary_stream folds one home at a time (retaining only the
-    compact susceptibilities the epidemic needs) yet renders the exact
-    bytes the retained generate + run + aggregate pipeline does."""
-    from repro.adversary import run_adversary_stream
-
-    params = WormParams(horizon=300.0)
-    kwargs = dict(seed=11, scenario="baseline", firewalls=("stateful", "open"), fidelity="flow")
-    specs = generate_adversary_specs(2, **kwargs)
-    retained = aggregate_adversary(
-        run_adversary_fleet(specs, jobs=1), params, seed=11, scenario_name="baseline"
-    )
-    for shards in (1, 2):
-        streamed = run_adversary_stream(2, params=params, shards=shards, **kwargs)
-        assert streamed == retained
-        assert render_adversary(streamed) == render_adversary(retained)

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.faults.analysis import DeviceObservation, classify_device, run_home_faults
-from repro.faults.population import (
-    FaultSpec,
-    aggregate_faults,
-    generate_fault_specs,
-    run_fault_fleet,
-)
+from repro.faults.population import FaultFold, FaultSpec, _faults_unit, run_faults_stream
 from repro.faults.schedule import FaultSchedule, FaultWindow
+from repro.fleet import run_sharded
 from repro.reports import render_faults
 
 DEVICES = ("Behmor Brewer", "Smarter IKettle", "GE Microwave")
@@ -87,7 +83,14 @@ def test_run_home_faults_produces_full_grid():
 
 
 def test_generate_fault_specs_crosses_homes_with_configs():
-    specs = generate_fault_specs(3, seed=5, config_names=("dual-stack", "ipv6-only"), fault_names=("uplink-flap",))
+    configs = ("dual-stack", "ipv6-only")
+    specs = [
+        spec
+        for index in range(3)
+        for spec in _faults_unit(
+            index, seed=5, config_names=configs, fault_names=("uplink-flap",), checkins=2, fidelity="packet"
+        )
+    ]
     assert len(specs) == 6
     # Common random numbers: the same homes appear under every config.
     by_home = {}
@@ -95,27 +98,34 @@ def test_generate_fault_specs_crosses_homes_with_configs():
         by_home.setdefault(spec.home_id, set()).add((spec.device_names, spec.sim_seed))
     assert all(len(variants) == 1 for variants in by_home.values())
     with pytest.raises(ValueError):
-        generate_fault_specs(1, seed=5, config_names=(), fault_names=("uplink-flap",))
+        run_faults_stream(1, seed=5, config_names=(), fault_names=("uplink-flap",))
     with pytest.raises(ValueError):
-        generate_fault_specs(1, seed=5, fault_names=())
+        run_faults_stream(1, seed=5, fault_names=())
     with pytest.raises(KeyError):
-        generate_fault_specs(1, seed=5, fault_names=("meteor-strike",))
+        run_faults_stream(1, seed=5, fault_names=("meteor-strike",))
 
 
 def test_fault_fleet_parallel_matches_serial():
-    specs = generate_fault_specs(2, seed=31, config_names=("dual-stack",), fault_names=("uplink-flap",))
-    serial = run_fault_fleet(specs, jobs=1)
-    parallel = run_fault_fleet(specs, jobs=4)
-    assert [r.summary for r in serial.results] == [r.summary for r in parallel.results]
+    kwargs = dict(seed=31, config_names=("dual-stack",), fault_names=("uplink-flap",))
+    serial = run_faults_stream(2, shards=1, **kwargs)
+    parallel = run_faults_stream(2, shards=4, **kwargs)
+    assert serial == parallel
+    assert render_faults(serial) == render_faults(parallel)
 
 
 def test_aggregate_and_render():
-    specs = generate_fault_specs(2, seed=31, config_names=("dual-stack",), fault_names=("dns-blackout",))
-    aggregate = aggregate_faults(run_fault_fleet(specs, jobs=1))
+    aggregate = run_faults_stream(2, seed=31, config_names=("dual-stack",), fault_names=("dns-blackout",))
     assert aggregate.completed == 2
     assert aggregate.homes == 2
     cell = aggregate.cell("dual-stack", "dns-blackout")
-    assert cell.devices == sum(spec.size for spec in specs)
+    sizes = [
+        spec.size
+        for index in range(2)
+        for spec in _faults_unit(
+            index, seed=31, config_names=("dual-stack",), fault_names=("dns-blackout",), checkins=2, fidelity="packet"
+        )
+    ]
+    assert cell.devices == sum(sizes)
     assert cell.unaffected + cell.recovered + cell.degraded + cell.bricked == cell.devices
     assert cell.dns_retries > 0
     text = render_faults(aggregate)
@@ -126,7 +136,9 @@ def test_aggregate_and_render():
 
 
 def test_aggregate_reports_worker_failures():
-    good = generate_fault_specs(1, seed=31, config_names=("dual-stack",), fault_names=("none",))[0]
+    (good,) = _faults_unit(
+        0, seed=31, config_names=("dual-stack",), fault_names=("none",), checkins=2, fidelity="packet"
+    )
     bad = FaultSpec(
         home_id=99,
         sim_seed=1,
@@ -134,8 +146,8 @@ def test_aggregate_reports_worker_failures():
         device_names=("No Such Device",),
         fault_names=("none",),
     )
-    fleet = run_fault_fleet([good, bad], jobs=1)
-    aggregate = aggregate_faults(fleet)
+    units = ((good,), (bad,))
+    aggregate = run_sharded(len(units), units.__getitem__, fold=FaultFold(), worker=run_home_faults)
     assert aggregate.completed == 1
     assert len(aggregate.failed) == 1
     assert aggregate.failed[0][0] == 99

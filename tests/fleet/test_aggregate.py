@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fleet import FleetResult, HomeResult, HomeSpec, HomeSummary, aggregate_fleet
+from repro.fleet import FleetFold, HomeResult, HomeSpec, HomeSummary
 from repro.reports import render_fleet_summary
 
 
@@ -25,16 +25,18 @@ def _summary(home_id, config, *, devices=4, bricked=(), eui64=(), share=None):
     )
 
 
-def _fleet(entries):
-    results = tuple(
-        HomeResult(spec=_spec(s.home_id, s.config_name), summary=s) if isinstance(s, HomeSummary) else s
-        for s in entries
-    )
-    return FleetResult(results=results, jobs=1)
+def aggregate_of(entries):
+    """Fold hand-built summaries (or failed results), one home per unit."""
+    fold = FleetFold()
+    acc = fold.empty()
+    for s in entries:
+        result = HomeResult(spec=_spec(s.home_id, s.config_name), summary=s) if isinstance(s, HomeSummary) else s
+        acc = fold.add(acc, (result,))
+    return fold.finalize(acc)
 
 
 def test_per_config_and_total_statistics():
-    fleet = _fleet(
+    aggregate = aggregate_of(
         [
             _summary(0, "ipv6-only", bricked=("a", "b")),
             _summary(1, "ipv6-only"),
@@ -42,7 +44,6 @@ def test_per_config_and_total_statistics():
             _summary(3, "dual-stack", share=0.75),
         ]
     )
-    aggregate = aggregate_fleet(fleet)
 
     by_name = {stats.config_name: stats for stats in aggregate.per_config}
     v6only = by_name["ipv6-only"]
@@ -69,21 +70,20 @@ def test_per_config_and_total_statistics():
 
 
 def test_config_rows_follow_table2_order():
-    fleet = _fleet(
+    aggregate = aggregate_of(
         [
             _summary(0, "dual-stack"),
             _summary(1, "ipv4-only"),
             _summary(2, "ipv6-only"),
         ]
     )
-    names = [stats.config_name for stats in aggregate_fleet(fleet).per_config]
+    names = [stats.config_name for stats in aggregate.per_config]
     assert names == ["ipv4-only", "ipv6-only", "dual-stack"]
 
 
 def test_failed_homes_surface_in_aggregate_and_rendering():
     failed = HomeResult(spec=_spec(5, "ipv6-only"), error="Traceback ...\nKeyError: 'boom'")
-    fleet = _fleet([_summary(0, "ipv6-only"), failed])
-    aggregate = aggregate_fleet(fleet)
+    aggregate = aggregate_of([_summary(0, "ipv6-only"), failed])
     assert aggregate.total_homes == 2
     assert aggregate.completed_homes == 1
     assert aggregate.failed_homes == ((5, "KeyError: 'boom'"),)
@@ -94,7 +94,7 @@ def test_failed_homes_surface_in_aggregate_and_rendering():
 
 
 def test_empty_fleet_renders():
-    aggregate = aggregate_fleet(FleetResult(results=(), jobs=1))
+    aggregate = aggregate_of([])
     assert aggregate.total_homes == 0
     assert aggregate.v6_share is None
     assert "0/0 homes" in render_fleet_summary(aggregate)

@@ -1,12 +1,13 @@
 """Runner tests: serial/parallel equality, error isolation, determinism.
 
 Hand-built small :class:`HomeSpec`\\ s keep each simulated home cheap; the
-runner does not care whether a spec came from ``generate_fleet``.
+sharded engine does not care whether a spec came from ``generate_fleet``.
 """
 
 import pytest
 
-from repro.fleet import HomeSpec, aggregate_fleet, run_fleet, simulate_home
+from repro.cli import main
+from repro.fleet import FleetFold, HomeSpec, run_sharded, simulate_home
 from repro.reports import render_fleet_summary
 
 SMALL_HOMES = [
@@ -38,6 +39,12 @@ BROKEN_HOME = HomeSpec(
 )
 
 
+def run_homes(specs, **kwargs):
+    """Fold hand-built homes, one unit each, through the sharded engine."""
+    units = [(spec,) for spec in specs]
+    return run_sharded(len(units), units.__getitem__, fold=FleetFold(), worker=simulate_home, **kwargs)
+
+
 def test_simulate_home_is_deterministic():
     first = simulate_home(SMALL_HOMES[0])
     second = simulate_home(SMALL_HOMES[0])
@@ -47,40 +54,33 @@ def test_simulate_home_is_deterministic():
 
 
 def test_serial_and_parallel_results_are_equal():
-    serial = run_fleet(SMALL_HOMES, jobs=1)
-    parallel = run_fleet(SMALL_HOMES, jobs=2)
-    assert serial.summaries == parallel.summaries
-    assert render_fleet_summary(aggregate_fleet(serial)) == render_fleet_summary(
-        aggregate_fleet(parallel)
-    )
+    serial = run_homes(SMALL_HOMES, shards=1)
+    parallel = run_homes(SMALL_HOMES, shards=2)
+    assert serial == parallel
+    assert render_fleet_summary(serial) == render_fleet_summary(parallel)
 
 
 def test_results_ordered_by_home_id():
-    fleet = run_fleet(list(reversed(SMALL_HOMES)), jobs=2)
-    assert [result.spec.home_id for result in fleet.results] == [0, 1, 2]
+    broken_too = HomeSpec(home_id=4, sim_seed=505, config_name="dual-stack", device_names=("Nope",))
+    aggregate = run_homes([broken_too, BROKEN_HOME] + list(reversed(SMALL_HOMES)), shards=2)
+    assert [home_id for home_id, _ in aggregate.failed_homes] == [3, 4]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_one_failing_home_does_not_abort_the_fleet(jobs):
-    fleet = run_fleet(SMALL_HOMES + [BROKEN_HOME], jobs=jobs)
-    assert len(fleet.results) == 4
-    assert len(fleet.summaries) == 3
-    (failure,) = fleet.failures
-    assert failure.spec.home_id == 3
-    assert "No Such Device" in failure.error
-
-    aggregate = aggregate_fleet(fleet)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_one_failing_home_does_not_abort_the_fleet(shards):
+    aggregate = run_homes(SMALL_HOMES + [BROKEN_HOME], shards=shards)
     assert aggregate.total_homes == 4
     assert aggregate.completed_homes == 3
-    assert aggregate.failed_homes[0][0] == 3
+    ((home_id, line),) = aggregate.failed_homes
+    assert home_id == 3
+    assert "No Such Device" in line
     assert "FAILED home 3" in render_fleet_summary(aggregate)
 
 
 def test_timeout_reports_a_failed_home():
-    fleet = run_fleet([SMALL_HOMES[0]], jobs=1, timeout=1e-4)
-    (result,) = fleet.results
-    assert not result.ok
-    assert "HomeTimeout" in result.error
+    aggregate = run_homes([SMALL_HOMES[0]], timeout=1e-4)
+    ((_, line),) = aggregate.failed_homes
+    assert "HomeTimeout" in line
 
 
 def test_dual_stack_home_reports_v6_share():
@@ -95,35 +95,13 @@ def test_ipv4_only_home_has_no_share_and_no_bricks():
     assert summary.bricked == ()
 
 
-def test_invalid_jobs_rejected():
+def test_invalid_jobs_rejected(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fleet", "--homes", "1", "--jobs", "0"])
+    assert excinfo.value.code == 2
+    assert "must be >= 1, got 0" in capsys.readouterr().err
     with pytest.raises(ValueError):
-        run_fleet(SMALL_HOMES, jobs=0)
-
-
-def _exit_hard(spec):
-    """A worker that dies without returning — an OOM kill stand-in."""
-    if spec.home_id == 1:
-        import os
-
-        os._exit(17)
-    return simulate_home(spec)
-
-
-def test_dead_worker_surfaces_as_failed_home_instead_of_hanging():
-    """Regression: a worker killed mid-home (OOM, segfault) must come back
-    as a failed HomeResult. The old ``Pool.imap_unordered`` path waited
-    forever for a result the dead process would never send."""
-    from repro.fleet.runner import DEAD_WORKER_ERROR
-
-    fleet = run_fleet(SMALL_HOMES + [BROKEN_HOME], jobs=2, worker=_exit_hard)
-    assert len(fleet.results) == 4
-    by_home = {result.spec.home_id: result for result in fleet.results}
-    assert not by_home[1].ok
-    assert by_home[1].error == DEAD_WORKER_ERROR
-    # A dying process can take in-flight siblings down with it; every result
-    # must still be either a real summary or an explicit dead-worker failure.
-    for result in fleet.results:
-        assert result.ok or result.error is not None
+        run_homes(SMALL_HOMES, shards=0)
 
 
 def test_progress_polling_does_not_perturb_the_simulation():

@@ -3,24 +3,28 @@
 A cheap module-level toy worker (no simulation) drives the real
 :class:`~repro.fleet.stream.FleetFold` through :func:`run_sharded`, so these
 tests exercise the sharding machinery — range math, fold/merge, journaled
-resume — at interactive speed. Byte-identity against the *real* retained
-pipeline is covered per-subsystem in the population tests and in the CI
+resume, dead workers — at interactive speed. Byte-identity with real
+workers is covered per-subsystem in the population tests and in the CI
 determinism matrix.
 """
 
 import functools
+import importlib
+import os
+import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fleet import HomeSpec, HomeSummary
-from repro.fleet.shard import run_sharded, run_unit, shard_ranges
+from repro.fleet.shard import DEAD_WORKER_ERROR, run_sharded, run_unit, shard_ranges
 from repro.fleet.stream import FleetFold
 from repro.reports import render_fleet_summary
 
 CONFIGS = ("ipv4-only", "dual-stack", "ipv6-only")
 BROKEN_INDEX = 3
+DEAD_INDEX = 7
 
 
 def toy_unit(index, *, marker=None):
@@ -43,6 +47,18 @@ def toy_worker(spec):
     """A deterministic stand-in for simulate_home; raises on the broken home."""
     if spec.home_id == BROKEN_INDEX:
         raise RuntimeError(f"boom in home {spec.home_id}")
+    return toy_summary(spec)
+
+
+def dying_worker(spec):
+    """toy_summary, except the dead home kills its process (an OOM-kill stand-in)."""
+    if spec.home_id == DEAD_INDEX:
+        os._exit(17)
+    return toy_summary(spec)
+
+
+def toy_summary(spec):
+    """The toy summary of any home (never raises)."""
     dual = spec.config_name == "dual-stack"
     return HomeSummary(
         home_id=spec.home_id,
@@ -177,6 +193,56 @@ def test_completed_journal_short_circuits_entirely(tmp_path):
     again = run_toy(6, shards=2, journal_dir=str(journal), checkpoint_every=1, marker=str(markers))
     assert again == baseline
     assert not markers.exists()  # nothing was re-executed at all
+
+
+@pytest.mark.parametrize("journaled", [False, True], ids=["no-journal", "journal"])
+@pytest.mark.parametrize("shards", [2, 4])
+def test_dead_worker_surfaces_as_failed_rows_and_a_relaunch_retries_them(shards, journaled, tmp_path):
+    """A home that kills its shard process must neither hang nor kill the parent.
+
+    The pool breaks every in-flight shard at once, so each broken shard
+    keeps its last journal checkpoint (or nothing) and reports every home
+    past it as a DEAD_WORKER_ERROR row. Those rows are never journaled: a
+    relaunch with a healthy worker resumes there and renders the clean bytes.
+    """
+    units = 12
+    run = functools.partial(
+        run_sharded,
+        units,
+        toy_unit,
+        fold=FleetFold(),
+        shards=shards,
+        journal_dir=str(tmp_path / "journal") if journaled else None,
+        checkpoint_every=1,
+    )
+    dead = run(worker=dying_worker)
+    failed = dict(dead.failed_homes)
+    assert failed[DEAD_INDEX] == DEAD_WORKER_ERROR
+    assert set(failed.values()) == {DEAD_WORKER_ERROR}
+    assert dead.total_homes == units
+    assert dead.completed_homes + len(failed) == units
+
+    clean = run_sharded(units, toy_unit, fold=FleetFold(), worker=toy_summary, shards=shards)
+    assert DEAD_INDEX not in dict(clean.failed_homes)
+    relaunched = run(worker=toy_summary)
+    assert render_fleet_summary(relaunched) == render_fleet_summary(clean)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "repro.fleet.stream:run_fleet_stream",
+        "repro.exposure.population:run_exposure_stream",
+        "repro.faults.population:run_faults_stream",
+        "repro.lifecycle.population:run_lifecycle_stream",
+        "repro.adversary.population:run_adversary_stream",
+    ],
+)
+def test_stream_entry_points_resolve_their_type_hints(entry):
+    """Every annotation names something importable (a missing import is a NameError)."""
+    module, name = entry.split(":")
+    hints = typing.get_type_hints(getattr(importlib.import_module(module), name))
+    assert "cache" in hints and "progress" in hints
 
 
 def test_journal_from_a_different_run_is_refused(tmp_path):

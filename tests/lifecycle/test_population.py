@@ -1,4 +1,4 @@
-"""Lifecycle integration: trajectories, recovery flips, jobs-invariance.
+"""Lifecycle integration: trajectories, recovery flips, shard-invariance.
 
 The pinned scenario below is the ISSUE's acceptance narrative: a staged
 IPv6-only rollout pushes the brick rate up for v4-only profiles while
@@ -8,14 +8,8 @@ update mid-timeline flips a bricked device back to functional.
 
 import pytest
 
-from repro.lifecycle import (
-    LifecycleParams,
-    aggregate_lifecycle,
-    brick_trajectory,
-    build_timelines,
-    run_lifecycle_fleet,
-    timeline_specs,
-)
+from repro.fleet.shard import run_sharded, run_unit
+from repro.lifecycle import LifecycleFold, LifecycleParams, run_home_epoch, run_lifecycle_stream
 from repro.lifecycle.timeline import EpochSpec
 from repro.reports import render_lifecycle
 
@@ -44,14 +38,26 @@ def _pinned_specs() -> list[EpochSpec]:
     return specs
 
 
+def device_trajectory(results, device: str) -> tuple[tuple[int, bool], ...]:
+    """One device's (epoch, functional) trajectory across a home's epoch results."""
+    summaries = [result.summary for result in results]
+    return tuple(sorted((s.epoch, device in s.functional) for s in summaries if device in s.devices))
+
+
 @pytest.fixture(scope="module")
 def pinned_fleet():
-    return run_lifecycle_fleet(_pinned_specs())
+    return run_unit(lambda index: _pinned_specs(), 0, run_home_epoch, None)
+
+
+@pytest.fixture(scope="module")
+def pinned_aggregate(pinned_fleet):
+    fold = LifecycleFold(wave_name="pinned")
+    return fold.finalize(fold.add(fold.empty(), pinned_fleet))
 
 
 class TestPinnedRollout:
     def test_v4_only_profile_bricks_at_transition(self, pinned_fleet):
-        assert brick_trajectory(pinned_fleet, "Fire TV", 0) == (
+        assert device_trajectory(pinned_fleet, "Fire TV") == (
             (0, True),
             (1, True),
             (2, False),   # ISP moved the home to IPv6-only: bricked
@@ -59,31 +65,31 @@ class TestPinnedRollout:
         )
 
     def test_dual_stack_profile_unaffected(self, pinned_fleet):
-        assert brick_trajectory(pinned_fleet, "Nest Hub Max", 0) == (
+        assert device_trajectory(pinned_fleet, "Nest Hub Max") == (
             (0, True),
             (1, True),
             (2, True),
             (3, True),
         )
 
-    def test_brick_rate_trajectory_rises_then_recovers(self, pinned_fleet):
-        aggregate = aggregate_lifecycle(pinned_fleet, wave_name="pinned")
+    def test_brick_rate_trajectory_rises_then_recovers(self, pinned_aggregate):
+        aggregate = pinned_aggregate
         rates = [epoch.brick_rate for epoch in aggregate.epochs]
         assert rates == [0.0, 0.0, 0.5, 0.0]
 
-    def test_recovery_is_counted(self, pinned_fleet):
-        aggregate = aggregate_lifecycle(pinned_fleet, wave_name="pinned")
+    def test_recovery_is_counted(self, pinned_aggregate):
+        aggregate = pinned_aggregate
         assert aggregate.brick_flips == 1        # Fire TV functional -> bricked
         assert aggregate.recovered_devices == 1  # ... and back
         assert aggregate.recovered_homes == 1
         assert aggregate.bricked_at_end_homes == 0
 
-    def test_readiness_trajectory_tracks_firmware(self, pinned_fleet):
-        aggregate = aggregate_lifecycle(pinned_fleet, wave_name="pinned")
+    def test_readiness_trajectory_tracks_firmware(self, pinned_aggregate):
+        aggregate = pinned_aggregate
         assert [epoch.ready for epoch in aggregate.epochs] == [1, 1, 1, 2]
 
-    def test_transition_timing(self, pinned_fleet):
-        aggregate = aggregate_lifecycle(pinned_fleet, wave_name="pinned")
+    def test_transition_timing(self, pinned_aggregate):
+        aggregate = pinned_aggregate
         assert aggregate.transitioned_homes == 1
         assert aggregate.transition_epochs.median == pytest.approx(2.0, rel=0.02)
 
@@ -91,10 +97,7 @@ class TestPinnedRollout:
 class TestEngineEndToEnd:
     @pytest.fixture(scope="class")
     def staged(self):
-        params = LifecycleParams(epochs=4, wave="flash-cut")
-        specs = timeline_specs(build_timelines(3, seed=7, params=params))
-        fleet = run_lifecycle_fleet(specs)
-        return aggregate_lifecycle(fleet, wave_name=params.wave)
+        return run_lifecycle_stream(3, seed=7, params=LifecycleParams(epochs=4, wave="flash-cut"))
 
     def test_all_cells_complete(self, staged):
         assert staged.completed == staged.total_runs == 12
@@ -117,8 +120,7 @@ class TestEngineEndToEnd:
 
     def test_rotation_retires_addresses_over_time(self):
         params = LifecycleParams(epochs=3, wave="none", exposure=True)
-        specs = timeline_specs(build_timelines(2, seed=11, params=params))
-        aggregate = aggregate_lifecycle(run_lifecycle_fleet(specs), wave_name="none")
+        aggregate = run_lifecycle_stream(2, seed=11, params=params)
         assert aggregate.retired_responsive == 0
         # privacy-addressed devices rotate out at least somewhere in the fleet
         assert any(epoch.retired_addresses > 0 for epoch in aggregate.epochs)
@@ -127,11 +129,8 @@ class TestEngineEndToEnd:
 class TestJobsInvariance:
     def test_report_byte_identical_serial_vs_parallel(self):
         params = LifecycleParams(epochs=3, wave="staged-v6only")
-        specs = timeline_specs(build_timelines(3, seed=5, params=params))
-        serial = run_lifecycle_fleet(specs, jobs=1)
-        parallel = run_lifecycle_fleet(specs, jobs=4)
-        a = aggregate_lifecycle(serial, wave_name=params.wave)
-        b = aggregate_lifecycle(parallel, wave_name=params.wave)
+        a = run_lifecycle_stream(3, seed=5, params=params, shards=1)
+        b = run_lifecycle_stream(3, seed=5, params=params, shards=4)
         assert a == b
         assert render_lifecycle(a) == render_lifecycle(b)
 
@@ -145,30 +144,11 @@ class TestFailureAccounting:
             config_name="dual-stack",
             device_names=("No Such Device",),
         )
-        fleet = run_lifecycle_fleet([bad])
-        aggregate = aggregate_lifecycle(fleet, wave_name="none")
+        units = ((bad,),)
+        aggregate = run_sharded(1, units.__getitem__, fold=LifecycleFold(wave_name="none"), worker=run_home_epoch)
         assert aggregate.completed == 0
         assert len(aggregate.failed) == 1
         home_id, label, error = aggregate.failed[0]
         assert (home_id, label) == (0, "epoch 0")
         assert "No Such Device" in error
         assert "FAILED home 0 [epoch 0]" in render_lifecycle(aggregate)
-
-
-def test_stream_matches_retained_byte_for_byte():
-    """run_lifecycle_stream folds one whole timeline at a time yet renders
-    the exact bytes the retained plan + run + aggregate pipeline does."""
-    from repro.lifecycle import (
-        LifecycleParams,
-        build_timelines,
-        run_lifecycle_stream,
-        timeline_specs,
-    )
-
-    params = LifecycleParams(epochs=3, wave="flash-cut", exposure=True, fidelity="flow")
-    specs = timeline_specs(build_timelines(3, seed=11, params=params))
-    retained = aggregate_lifecycle(run_lifecycle_fleet(specs, jobs=1), wave_name=params.wave)
-    for shards in (1, 2):
-        streamed = run_lifecycle_stream(3, seed=11, params=params, shards=shards)
-        assert streamed == retained
-        assert render_lifecycle(streamed) == render_lifecycle(retained)

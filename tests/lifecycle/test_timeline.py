@@ -4,14 +4,17 @@ import dataclasses
 
 import pytest
 
-from repro.lifecycle.timeline import (
-    MIN_HOME_SIZE,
-    EpochSpec,
-    LifecycleParams,
-    build_timeline,
-    build_timelines,
-    timeline_specs,
-)
+from repro.lifecycle import run_lifecycle_stream
+from repro.lifecycle.timeline import MIN_HOME_SIZE, EpochSpec, LifecycleParams, build_timeline
+
+
+def plan_homes(homes, *, seed, params):
+    return [build_timeline(index, seed, params) for index in range(homes)]
+
+
+def flatten(timelines):
+    """The epoch specs of every timeline, home by home."""
+    return [spec for timeline in timelines for spec in timeline.epochs]
 
 
 class TestParams:
@@ -49,8 +52,8 @@ class TestDeterminism:
     def test_prefix_stability(self):
         """Growing the fleet never rewrites existing homes' timelines."""
         params = LifecycleParams(epochs=4)
-        small = build_timelines(3, seed=9, params=params)
-        large = build_timelines(6, seed=9, params=params)
+        small = plan_homes(3, seed=9, params=params)
+        large = plan_homes(6, seed=9, params=params)
         assert large[:3] == small
 
     def test_waves_share_local_event_streams(self):
@@ -101,7 +104,7 @@ class TestChurn:
 class TestWaveComposition:
     def test_flash_cut_transitions_everyone_at_epoch_two(self):
         params = LifecycleParams(epochs=4, wave="flash-cut")
-        for timeline in build_timelines(5, seed=3, params=params):
+        for timeline in plan_homes(5, seed=3, params=params):
             assert timeline.first_transition == 2
             configs = [spec.config_name for spec in timeline.epochs]
             assert configs == ["dual-stack", "dual-stack", "ipv6-only", "ipv6-only"]
@@ -144,21 +147,23 @@ class TestFirmwareHistory:
 
 class TestSpecs:
     def test_flatten_order_matches_sort_key(self):
+        """Homes in index order, each home's epochs in time order."""
         params = LifecycleParams(epochs=3)
-        specs = timeline_specs(build_timelines(3, seed=1, params=params))
-        assert [spec.sort_key for spec in specs] == sorted(spec.sort_key for spec in specs)
+        specs = flatten(plan_homes(3, seed=1, params=params))
+        keys = [(spec.home_id, spec.epoch) for spec in specs]
+        assert keys == sorted(keys)
         assert len(specs) == 9
 
     def test_specs_are_picklable(self):
         import pickle
 
         params = LifecycleParams(epochs=2)
-        specs = timeline_specs(build_timelines(1, seed=1, params=params))
+        specs = flatten(plan_homes(1, seed=1, params=params))
         assert pickle.loads(pickle.dumps(specs)) == specs
 
     def test_negative_homes_rejected(self):
         with pytest.raises(ValueError, match="homes"):
-            build_timelines(-1, seed=1, params=LifecycleParams())
+            run_lifecycle_stream(-1, seed=1, params=LifecycleParams())
 
     def test_spec_is_frozen(self):
         spec = EpochSpec(home_id=0, epoch=0, sim_seed=1, config_name="dual-stack", device_names=("Fire TV",))

@@ -81,8 +81,8 @@ def test_fleet_worker_failure_exits_nonzero(capsys, monkeypatch):
     def exploding_study(*args, **kwargs):
         raise RuntimeError("boom in worker")
 
-    # simulate_home is baked in as run_fleet's default worker at def time,
-    # so fail the study call it makes instead.
+    # run_fleet_stream holds simulate_home itself, so fail the study call
+    # it makes instead.
     monkeypatch.setattr(runner, "run_home_study", exploding_study)
     assert main(["fleet", "--homes", "2", "--jobs", "1", "--seed", "7"]) == 1
     captured = capsys.readouterr()
@@ -232,10 +232,10 @@ def test_fleet_fidelity_output_identical(capsys):
 def test_fleet_shards_render_identical_to_jobs(capsys):
     base = ["fleet", "--homes", "3", "--seed", "7", "--fidelity", "flow", "--scenario", "flip50"]
     assert main(base + ["--jobs", "1"]) == 0
-    retained = capsys.readouterr().out
+    single = capsys.readouterr().out
     assert main(base + ["--shards", "2"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == retained
+    assert captured.out == single
     assert "shards=2" in captured.err
 
 
@@ -258,7 +258,10 @@ def test_fleet_journal_mismatch_exits_nonzero(capsys, tmp_path):
     assert "different run" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["fleet", "exposure", "faults", "lifecycle", "adversary"])
+POPULATION_COMMANDS = ("fleet", "exposure", "faults", "lifecycle", "adversary")
+
+
+@pytest.mark.parametrize("command", POPULATION_COMMANDS)
 def test_shards_zero_homes_exits_nonzero(command, capsys):
     assert main([command, "--homes", "0", "--shards", "2"]) == 2
     assert "nothing to run" in capsys.readouterr().err
@@ -276,3 +279,37 @@ def test_faults_stream_worker_failure_exits_nonzero(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "home run(s) failed" in captured.err
     assert "stream worker crashed" in captured.err
+
+
+@pytest.mark.parametrize("command", POPULATION_COMMANDS)
+def test_timeout_must_be_finite_and_positive(command, capsys):
+    """A zero, negative or non-finite budget would silently arm no deadline."""
+    for value in ("0", "-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--homes", "1", "--timeout", value])
+        assert excinfo.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+
+
+def test_jobs_is_an_alias_of_shards(capsys):
+    base = ["fleet", "--homes", "3", "--seed", "7", "--fidelity", "flow", "--scenario", "flip50"]
+    assert main(base + ["--shards", "2"]) == 0
+    sharded = capsys.readouterr()
+    assert main(base + ["--jobs", "2"]) == 0
+    jobs = capsys.readouterr()
+    assert jobs.out == sharded.out
+    assert "shards=2" in jobs.err
+
+
+def test_literal_mirrors_equal_their_module_constants():
+    """The CLI keeps these literal to import nothing heavy at parse time."""
+    from repro import cli
+    from repro.faults.population import DEFAULT_CONFIGS, DEFAULT_FAULTS
+    from repro.stack.config import ALL_CONFIGS, FIDELITY_MODES
+    from repro.stack.firewall import FIREWALL_MODES
+
+    assert cli._DEFAULT_FAULT_CONFIGS == DEFAULT_CONFIGS
+    assert cli._DEFAULT_FAULT_NAMES == DEFAULT_FAULTS
+    assert cli._FIDELITY_MODES == FIDELITY_MODES
+    assert cli._FIREWALL_MODES == FIREWALL_MODES
+    assert cli._IPV6_CONFIGS == tuple(config.name for config in ALL_CONFIGS if config.ipv6)
