@@ -107,7 +107,7 @@ def _best_of_interleaved(repeats, runs):
 
 
 def test_bench_in_run_dedup_simulates_each_baseline_once(record):
-    settings = CacheSettings(scope="bench-dedup")
+    settings = CacheSettings()
 
     (uncached_seconds, cached_seconds), (uncached, cached) = _best_of_interleaved(
         5, (_sweep, lambda: _sweep(cache=settings))
@@ -132,7 +132,7 @@ def test_bench_in_run_dedup_simulates_each_baseline_once(record):
 
 
 def test_bench_warm_cache_rerun_skips_every_simulation(tmp_path):
-    settings = CacheSettings(directory=str(tmp_path / "store"), scope="bench-disk")
+    settings = CacheSettings(directory=str(tmp_path / "store"))
 
     reset_process_caches()
     started = time.perf_counter()
@@ -159,7 +159,7 @@ def test_bench_warm_cache_rerun_skips_every_simulation(tmp_path):
 def test_bench_cached_bytes_identical_across_jobs(tmp_path):
     baseline = render_faults(_sweep())
 
-    settings = CacheSettings(directory=str(tmp_path / "store"), scope="bench-jobs")
+    settings = CacheSettings(directory=str(tmp_path / "store"))
     reset_process_caches()
     serial = render_faults(_sweep(cache=settings, shards=1))
     reset_process_caches()
@@ -176,7 +176,7 @@ def test_bench_cached_bytes_identical_across_shards(tmp_path):
     )
     baseline = render_faults(run_faults_stream(HOMES, shards=1, **kwargs))
 
-    settings = CacheSettings(directory=str(tmp_path / "store"), scope="bench-shards")
+    settings = CacheSettings(directory=str(tmp_path / "store"))
     single = render_faults(run_faults_stream(HOMES, shards=1, cache=settings, **kwargs))
     sharded = render_faults(run_faults_stream(HOMES, shards=SHARDS, cache=settings, **kwargs))
 

@@ -168,7 +168,7 @@ def run_home_susceptibility(spec: "AdversarySpec") -> HomeSusceptibility:
         measured = _measure_home(spec, config, profiles, schedule)
         return dataclasses.replace(measured, home_id=-1)
 
-    summary = cached_artifact(fingerprint, "adversary-susceptibility", 1, compute)
+    summary = cached_artifact(fingerprint, "adversary-susceptibility", compute)
     return dataclasses.replace(summary, home_id=spec.home_id)
 
 

@@ -34,7 +34,6 @@ from repro.cache import CacheSettings
 from repro.faults.schedule import NO_FAULTS, get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home, get_scenario
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES
 
@@ -323,18 +322,6 @@ def run_adversary_stream(
         timeout=timeout,
         progress=progress,
         journal_dir=journal_dir,
-        journal_token=spec_token(
-            "adversary",
-            homes,
-            seed,
-            scenario,
-            tuple(firewalls),
-            fault_name,
-            settle,
-            fidelity,
-            params,
-            timeout,
-        ),
         checkpoint_every=checkpoint_every,
         cache=cache,
     )

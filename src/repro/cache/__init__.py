@@ -10,7 +10,7 @@ without touching a byte of output:
   (seed, resolved :class:`~repro.stack.config.NetworkConfig` including
   firewall and fidelity, device profile *contents*, fault schedule,
   checkins) into a stable hash, plus a code-epoch token derived from the
-  package version so entries written by other code never get reused;
+  package source so entries written by other code never get reused;
 - :mod:`repro.cache.store` holds the two-tier cache: a per-worker-process
   memory tier that dedups identical studies *within* a run, and an optional
   on-disk tier (``--cache DIR``) holding compact extracted artifacts —

@@ -14,35 +14,44 @@ A fingerprint must satisfy two properties the property tests in
 Canonicalization is structural: dataclasses decompose into
 ``(qualified-name, sorted field items)``, mappings and sets sort their
 items, sequences keep their order (device order shapes MAC assignment and
-is part of the closure). Objects without a deterministic decomposition are
-refused with ``TypeError`` rather than hashed by ``repr`` — a memory
-address leaking into a fingerprint would silently disable every hit.
+is part of the closure), module-level functions reduce to ``(module,
+qualname)`` and partials to their function and arguments. Anything else —
+lambdas and closures included — is refused with ``TypeError`` rather than
+hashed by ``repr``: a memory address in a fingerprint disables every hit.
 
-The **code epoch** folds the package version into every persistent cache
-key, mirroring the ``spec_token`` manifest discipline of
-:mod:`repro.fleet.store`: artifacts extracted by different code are never
-reused, they are recomputed.
+The **code epoch**, a digest of the package source, is stamped into every
+cache entry and journal manifest, so state written by other code is never
+reused — and a function's name identifies its code.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import ipaddress
+import types
+from pathlib import Path
 from typing import Optional
 
-from repro import __version__
-
-# Bump to invalidate every existing cache entry without a version bump
-# (e.g. a simulation-semantics fix that keeps the public version).
-CACHE_GENERATION = 1
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _source_epoch(root: Path) -> str:
+    """A sha256 over the sorted (relative path, bytes) pairs of ``root``'s ``.py`` files."""
+    sha = hashlib.sha256()
+    for name in sorted(path.relative_to(root).as_posix() for path in root.rglob("*.py")):
+        blob = (root / name).read_bytes()
+        sha.update(f"{name}\0{len(blob)}\0".encode("utf-8"))
+        sha.update(blob)
+    return sha.hexdigest()[:16]
+
+
+@functools.cache
 def code_epoch() -> str:
-    """The token stamped into (and demanded of) every persistent entry."""
-    blob = f"repro-{__version__}/gen-{CACHE_GENERATION}".encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """The token naming this package's code, hashed once per process on first use."""
+    return _source_epoch(_PACKAGE_ROOT)
 
 
 def canonical(value):
@@ -74,9 +83,14 @@ def canonical(value):
         return ("set", tuple(sorted((canonical(v) for v in value), key=repr)))
     if isinstance(value, (list, tuple)):
         return ("seq", tuple(canonical(v) for v in value))
+    if isinstance(value, functools.partial):
+        return ("partial", canonical(value.func), canonical(value.args), canonical(value.keywords))
+    if isinstance(value, types.FunctionType) and "<" not in value.__qualname__:
+        # "<lambda>" / "<locals>": a name that cannot see the captured state.
+        return ("fn", value.__module__, value.__qualname__)
     raise TypeError(
-        f"cannot canonicalize {type(value).__qualname__!r} for a cache fingerprint; "
-        "pass plain values, dataclasses, mappings, or sequences"
+        f"cannot canonicalize {type(value).__qualname__!r} for a fingerprint; "
+        "pass plain values, dataclasses, mappings, sequences, or module-level functions"
     )
 
 

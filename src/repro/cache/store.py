@@ -9,11 +9,11 @@ resets when the pid changes), so forked pool workers never double-count
 inherited state.
 
 **Disk tier.** With ``CacheSettings.directory`` set, artifacts are also
-written to an on-disk object store keyed by ``(fingerprint, extractor,
-extractor-version)`` and stamped with the :func:`~repro.cache.fingerprint.
-code_epoch` token. Loads verify the stamp and every key component; a
-mismatch — stale code, tampering, torn write — is treated as a miss and the
-study recomputes cold, never half-trusts. Writes are atomic
+written to an on-disk object store keyed by ``(fingerprint, extractor)``
+and stamped with the :func:`~repro.cache.fingerprint.code_epoch` of the
+source that extracted them. Loads verify the stamp and both key components;
+a mismatch — other code, tampering, torn write — is treated as a miss and
+the study recomputes cold, never half-trusts. Writes are atomic
 (temp-file + rename) so concurrent shards can share one directory.
 
 Artifacts are **extracted summaries, never captures**: observation dicts,
@@ -41,7 +41,6 @@ from repro.cache.fingerprint import code_epoch
 
 MANIFEST_NAME = "manifest.json"
 STATS_NAME = "stats.log"
-STORE_VERSION = 1
 
 # Lookup outcomes, in counter-slot order (see CacheCounters.by_extractor).
 EVENTS = ("hit-memory", "hit-disk", "miss")
@@ -60,18 +59,30 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def claim_manifest(root: Path, payload: dict) -> Optional[dict]:
+    """Create ``root`` with ``payload`` as its manifest, or return a differing one found there.
+
+    Journal and cache directories both start here; each refuses a differing
+    manifest with its own message rather than merge state it did not write.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    path = root / MANIFEST_NAME
+    if not path.exists():
+        atomic_write_bytes(path, (json.dumps(payload, sort_keys=True) + "\n").encode())
+        return None
+    existing = json.loads(path.read_text())
+    return None if existing == payload else existing
+
+
 @dataclass(frozen=True)
 class CacheSettings:
     """Picklable cache configuration carried across the pool boundary.
 
     ``directory=None`` keeps the cache memory-only (in-run dedup without
-    any persistence). ``scope`` segregates otherwise-identical settings
-    into distinct process-local caches — tests and benchmarks use it to
-    get a cold cache without touching other runs in the same process.
+    any persistence).
     """
 
     directory: Optional[str] = None
-    scope: str = ""
 
 
 @dataclass
@@ -109,7 +120,6 @@ class StudyCache:
     def __init__(self, settings: CacheSettings):
         self.settings = settings
         self.counters = CacheCounters()
-        self.epoch = code_epoch()
         self._memory: dict[tuple, object] = {}
         self._root: Optional[Path] = None
         if settings.directory is not None:
@@ -117,35 +127,28 @@ class StudyCache:
 
     @staticmethod
     def _open_store(root: Path) -> Path:
-        """Create the store directory and write or validate its manifest.
+        """Create the store directory, or refuse one that is not a study cache.
 
-        Same discipline as :class:`repro.fleet.store.JournalStore`: a store
-        written by an incompatible layout version is refused, not merged.
-        (Code-epoch staleness is *per entry*, so one directory can hold
-        entries from many epochs and each run only trusts its own.)
+        The code epoch is checked *per entry*, not here: one directory holds
+        entries from many epochs and each run trusts only its own.
         """
-        root.mkdir(parents=True, exist_ok=True)
-        manifest = root / MANIFEST_NAME
-        payload = {"version": STORE_VERSION, "kind": "study-cache"}
-        if manifest.exists():
-            existing = json.loads(manifest.read_text())
-            if existing != payload:
-                raise ValueError(
-                    f"cache at {str(root)!r} uses an incompatible store layout "
-                    f"(manifest {existing} != {payload}); point --cache at a "
-                    "fresh directory"
-                )
-        else:
-            atomic_write_bytes(manifest, (json.dumps(payload, sort_keys=True) + "\n").encode())
+        payload = {"kind": "study-cache"}
+        existing = claim_manifest(root, payload)
+        if existing is not None:
+            raise ValueError(
+                f"cache at {str(root)!r} uses an incompatible store layout "
+                f"(manifest {existing} != {payload}); point --cache at a "
+                "fresh directory"
+            )
         return root
 
-    def entry_path(self, fingerprint: str, extractor: str, version: int) -> Path:
+    def entry_path(self, fingerprint: str, extractor: str) -> Path:
         assert self._root is not None
-        return self._root / "objects" / fingerprint[:2] / f"{fingerprint}-{extractor}-v{version}.pkl"
+        return self._root / "objects" / fingerprint[:2] / f"{fingerprint}-{extractor}.pkl"
 
-    def get_or_run(self, fingerprint: str, extractor: str, version: int, compute: Callable[[], object]):
+    def get_or_run(self, fingerprint: str, extractor: str, compute: Callable[[], object]):
         """The single lookup entry point: memory, then disk, then simulate."""
-        key = (fingerprint, extractor, version)
+        key = (fingerprint, extractor)
         if key in self._memory:
             self._note(extractor, "hit-memory")
             return self._memory[key]
@@ -180,21 +183,20 @@ class StudyCache:
                 payload = pickle.load(fh)
         except Exception:
             return None, False
-        if not isinstance(payload, dict) or payload.get("code_epoch") != self.epoch:
+        if not isinstance(payload, dict) or payload.get("code_epoch") != code_epoch():
             return None, False
-        if (payload.get("fingerprint"), payload.get("extractor"), payload.get("version")) != key:
+        if (payload.get("fingerprint"), payload.get("extractor")) != key:
             return None, False
         return payload.get("artifact"), True
 
     def _store(self, key: tuple, artifact: object) -> None:
         if self._root is None:
             return
-        fingerprint, extractor, version = key
+        fingerprint, extractor = key
         payload = {
-            "code_epoch": self.epoch,
+            "code_epoch": code_epoch(),
             "fingerprint": fingerprint,
             "extractor": extractor,
-            "version": version,
             "artifact": artifact,
         }
         path = self.entry_path(*key)
@@ -263,12 +265,12 @@ def activated(settings: CacheSettings) -> Iterator[StudyCache]:
         _active = previous
 
 
-def cached_artifact(fingerprint: str, extractor: str, version: int, compute: Callable[[], object]):
+def cached_artifact(fingerprint: str, extractor: str, compute: Callable[[], object]):
     """Workers' lookup hook: memoize through the ambient cache, if any."""
     cache = active_cache()
     if cache is None:
         return compute()
-    return cache.get_or_run(fingerprint, extractor, version, compute)
+    return cache.get_or_run(fingerprint, extractor, compute)
 
 
 def process_counters() -> dict:

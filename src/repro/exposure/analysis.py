@@ -163,7 +163,7 @@ def run_home_exposure(spec: "ExposureSpec") -> HomeExposure:
         scan = _scan_home(spec, config, profiles)
         return dataclasses.replace(summarize_exposure(scan, spec), home_id=-1)
 
-    exposure = cached_artifact(fingerprint, "exposure-scan", 1, compute)
+    exposure = cached_artifact(fingerprint, "exposure-scan", compute)
     return dataclasses.replace(exposure, home_id=spec.home_id)
 
 

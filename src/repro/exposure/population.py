@@ -18,7 +18,6 @@ from repro.cache import CacheSettings
 from repro.exposure.analysis import run_home_exposure
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES
 from repro.testbed.study import resolve_config
@@ -280,9 +279,6 @@ def run_exposure_stream(
         timeout=timeout,
         progress=progress,
         journal_dir=journal_dir,
-        journal_token=spec_token(
-            "exposure", homes, seed, config.name, tuple(firewalls), settle, fidelity, timeout
-        ),
         checkpoint_every=checkpoint_every,
         cache=cache,
     )

@@ -175,7 +175,7 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     clean_fp = study_fingerprint(
         sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
     )
-    baseline = cached_artifact(clean_fp, "faults-baseline", 1, compute_baseline)
+    baseline = cached_artifact(clean_fp, "faults-baseline", compute_baseline)
 
     grid = [(name, get_fault(name)) for name in spec.fault_names]
     grid.extend((schedule.name, schedule) for schedule in extra_schedules)
@@ -203,7 +203,7 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
             checkins=spec.checkins,
             fault_schedule=schedule,
         )
-        observed, fault_events = cached_artifact(arm_fp, "faults-arm", 1, compute_arm)
+        observed, fault_events = cached_artifact(arm_fp, "faults-arm", compute_arm)
         injected.append((fault_name, fault_events))
         for name in sorted(observed):
             outcome, ttr = classify_device(baseline[name], observed[name], schedule)

@@ -20,7 +20,6 @@ from repro.faults.schedule import get_fault
 from repro.fleet.aggregate import QuantileSketch
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
 from repro.testbed.study import resolve_config
 
@@ -306,9 +305,6 @@ def run_faults_stream(
         timeout=timeout,
         progress=progress,
         journal_dir=journal_dir,
-        journal_token=spec_token(
-            "faults", homes, seed, resolved, tuple(fault_names), checkins, fidelity, timeout
-        ),
         checkpoint_every=checkpoint_every,
         cache=cache,
     )

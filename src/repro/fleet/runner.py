@@ -94,7 +94,7 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
     fingerprint = study_fingerprint(
         sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
     )
-    summary = cached_artifact(fingerprint, "fleet-summary", 1, compute)
+    summary = cached_artifact(fingerprint, "fleet-summary", compute)
     return dataclasses.replace(summary, home_id=spec.home_id)
 
 

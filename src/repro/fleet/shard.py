@@ -26,15 +26,16 @@ Three contracts make the output byte-identical at any shard count:
 
 Resumability rides on the same structure: with a journal
 (:mod:`repro.fleet.store`), each shard periodically appends its running
-accumulator plus a completed-unit watermark; a re-launched run seeds each
-shard from its last checkpoint and skips the completed range.
+accumulator plus a completed-unit watermark; a re-launched run of the same
+inputs and code seeds each shard from its last checkpoint and skips the
+completed range.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.cache import CacheSettings, CachingWorker
+from repro.cache import CacheSettings, CachingWorker, code_epoch
 from repro.fleet.runner import HomeResult, WorkerFn, _execute_home
 from repro.fleet.store import JournalStore, spec_token
 
@@ -245,7 +246,7 @@ def run_sharded(
     timeout: Optional[float] = None,
     progress: Optional[ShardProgressFn] = None,
     journal_dir: Optional[str] = None,
-    journal_token: str = "",
+    journal_token: Optional[str] = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     cache: Optional[CacheSettings] = None,
 ):
@@ -263,13 +264,16 @@ def run_sharded(
     retries those units.
 
     With ``journal_dir`` set, each shard checkpoints every
-    ``checkpoint_every`` completed units and a re-launch with the same
-    ``journal_token`` (a :func:`repro.fleet.store.spec_token` over the run
-    parameters) resumes from the checkpoints instead of re-simulating.
+    ``checkpoint_every`` completed units, and a re-launch with the same
+    ``journal_token`` under the same code epoch resumes from the checkpoints
+    instead of re-simulating. The token defaults to a
+    :func:`~repro.fleet.store.spec_token` over ``(source, fold, worker,
+    timeout)``, so a source or worker that cannot canonicalize (a lambda)
+    needs an explicit one.
 
     ``cache`` activates the study cache (:mod:`repro.cache`) inside every
     shard; a ``--cache`` directory additionally persists artifacts across
-    runs.
+    runs. It never changes the run's identity.
     """
     if shards < 1:
         raise ValueError("shards must be >= 1")
@@ -277,14 +281,18 @@ def run_sharded(
         raise ValueError("checkpoint_every must be >= 1")
     effective = min(shards, units) or 1
     ranges = shard_ranges(units, effective)
-    if cache is not None:
-        worker = CachingWorker(worker, cache)
 
     journal = None
     if journal_dir is not None:
+        if journal_token is None:
+            journal_token = spec_token(source, fold, worker, timeout)
         journal = JournalStore(
             directory=str(journal_dir), token=journal_token, units=units, shards=effective
         ).open()
+    if cache is not None:
+        if cache.directory is not None:
+            code_epoch()  # hashed once here, before any fork, so every shard stamps the same epoch
+        worker = CachingWorker(worker, cache)
 
     args = (ranges, source, fold, worker, timeout, journal, checkpoint_every, progress)
     if effective == 1:

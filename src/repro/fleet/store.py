@@ -13,35 +13,27 @@ the resumed run renders byte-identical output to an uninterrupted one.
 Crash tolerance is structural, not transactional: a ``kill -9`` mid-append
 leaves a torn pickle at the end of the file. :meth:`JournalStore.restore`
 stops at the last record that loads cleanly and truncates the torn tail away
-so later appends extend a valid stream. A ``manifest.json`` fingerprints the
-run (a caller-supplied token over every parameter that shapes the work list,
-plus the unit and shard counts); resuming against a journal written by a
-different run is refused instead of silently merging foreign aggregates.
+so later appends extend a valid stream. A ``manifest.json`` names the run:
+the :func:`~repro.cache.fingerprint.code_epoch` of the code that wrote it, a
+:func:`spec_token` over the run's inputs, and the unit and shard counts.
+Resuming against a journal written by a different run or by other code is
+refused before any shard restores, instead of merging foreign aggregates.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.cache.store import atomic_write_bytes
-
-MANIFEST_NAME = "manifest.json"
-JOURNAL_VERSION = 1
+from repro.cache.fingerprint import code_epoch, digest
+from repro.cache.store import claim_manifest
 
 
 def spec_token(*parts) -> str:
-    """A short stable fingerprint over the parameters that define a run.
-
-    ``parts`` must have deterministic ``repr``\\ s (plain values, frozen
-    dataclasses); the token lands in ``manifest.json`` and gates resume.
-    """
-    blob = repr(parts).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
+    """A short run token: the canonical digest of ``parts`` (``TypeError`` on what it cannot reduce)."""
+    return digest(*parts)[:16]
 
 
 @dataclass(frozen=True)
@@ -58,27 +50,32 @@ class JournalStore:
     shards: int
 
     def open(self) -> "JournalStore":
-        """Create the directory and write or validate the manifest."""
-        root = Path(self.directory)
-        root.mkdir(parents=True, exist_ok=True)
-        manifest = root / MANIFEST_NAME
+        """Create the directory and write the manifest, or refuse one that differs.
+
+        This runs before any shard restores: checkpoints pickled by other
+        code may not load here, and ``restore`` would truncate them as torn.
+        """
+        epoch = code_epoch()
         payload = {
-            "version": JOURNAL_VERSION,
+            "epoch": epoch,
             "token": self.token,
             "units": self.units,
             "shards": self.shards,
         }
-        if manifest.exists():
-            existing = json.loads(manifest.read_text())
-            if existing != payload:
-                raise ValueError(
-                    f"journal at {self.directory!r} belongs to a different run "
-                    f"(manifest {existing} != {payload}); resume with the same "
-                    "spec and shard count, or point --journal at a fresh directory"
-                )
-        else:
-            atomic_write_bytes(manifest, (json.dumps(payload, sort_keys=True) + "\n").encode())
-        return self
+        existing = claim_manifest(Path(self.directory), payload)
+        if existing is None:
+            return self
+        if {**existing, "epoch": epoch} == payload:
+            raise ValueError(
+                f"journal at {self.directory!r} was written by other code (epoch "
+                f"{existing['epoch']}, this code is epoch {epoch}); its checkpoints "
+                "cannot be resumed, point --journal at a fresh directory"
+            )
+        raise ValueError(
+            f"journal at {self.directory!r} belongs to a different run "
+            f"(manifest {existing} != {payload}); resume with the same "
+            "spec and shard count, or point --journal at a fresh directory"
+        )
 
     def shard_path(self, shard: int) -> Path:
         return Path(self.directory) / f"shard-{shard:04d}.journal"

@@ -25,7 +25,6 @@ from repro.fleet.aggregate import (
 from repro.fleet.runner import HomeResult, simulate_home
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.store import spec_token
 
 
 def failure_line(error: Optional[str]) -> str:
@@ -138,7 +137,6 @@ def run_fleet_stream(
         timeout=timeout,
         progress=progress,
         journal_dir=journal_dir,
-        journal_token=spec_token("fleet", homes, seed, scenario, fidelity, timeout),
         checkpoint_every=checkpoint_every,
         cache=cache,
     )

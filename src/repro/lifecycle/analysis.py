@@ -131,7 +131,7 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
             summary, home_id=-1, epoch=-1, transitioned=False, firmware=()
         )
 
-    summary = cached_artifact(fingerprint, "lifecycle-epoch", 1, compute)
+    summary = cached_artifact(fingerprint, "lifecycle-epoch", compute)
     return dataclasses.replace(
         summary,
         home_id=spec.home_id,

@@ -17,7 +17,6 @@ from typing import Optional
 from repro.cache import CacheSettings
 from repro.fleet.aggregate import QuantileSketch
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.store import spec_token
 from repro.fleet.stream import failure_line
 from repro.lifecycle.analysis import run_home_epoch
 from repro.lifecycle.timeline import LifecycleParams, build_timeline
@@ -290,7 +289,6 @@ def run_lifecycle_stream(
         timeout=timeout,
         progress=progress,
         journal_dir=journal_dir,
-        journal_token=spec_token("lifecycle", homes, seed, params, timeout),
         checkpoint_every=checkpoint_every,
         cache=cache,
     )

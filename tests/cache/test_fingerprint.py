@@ -8,12 +8,15 @@ a false split only costs time, a false merge would corrupt results.
 """
 
 import dataclasses
+import functools
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import canonical, code_epoch, digest, study_fingerprint
+from repro.cache import fingerprint as fp
 from repro.devices import build_inventory
 from repro.faults.schedule import FaultSchedule, FaultWindow, get_fault
 from repro.stack.config import with_fidelity, with_firewall
@@ -135,10 +138,15 @@ def test_unhashable_objects_are_refused_not_reprd():
     class Opaque:
         pass
 
-    with pytest.raises(TypeError):
-        canonical(Opaque())
-    with pytest.raises(TypeError):
-        digest("study", Opaque())
+    def closure(value):
+        return value
+
+    # A lambda's or closure's name cannot see the state it captures.
+    for value in (Opaque(), lambda value: value, closure, functools.partial(closure, 1)):
+        with pytest.raises(TypeError):
+            canonical(value)
+        with pytest.raises(TypeError):
+            digest("study", value)
 
 
 # --------------------------------------------------------------- code epoch
@@ -149,9 +157,26 @@ def test_code_epoch_is_deterministic():
     assert len(code_epoch()) == 16
 
 
-def test_code_epoch_tracks_the_cache_generation(monkeypatch):
-    from repro.cache import fingerprint as fp
+def test_code_epoch_tracks_the_package_source(tmp_path):
+    copy = tmp_path / "repro"
+    shutil.copytree(fp._PACKAGE_ROOT, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert fp._source_epoch(copy) == code_epoch()
 
-    before = code_epoch()
-    monkeypatch.setattr(fp, "CACHE_GENERATION", fp.CACHE_GENERATION + 1)
-    assert fp.code_epoch() != before
+    with open(copy / "sim" / "engine.py", "a") as fh:
+        fh.write("# one comment line is another code epoch\n")
+    assert fp._source_epoch(copy) != code_epoch()
+
+
+# ----------------------------------------------------- functions by name
+
+
+def _square(value, *, offset=0):
+    return value * value + offset
+
+
+def test_functions_and_partials_reduce_by_name_and_arguments():
+    assert canonical(_square) == ("fn", __name__, "_square")
+    bound = functools.partial(_square, 3, offset=1)
+    assert canonical(bound) == canonical(functools.partial(_square, 3, offset=1))
+    assert canonical(bound) != canonical(functools.partial(_square, 3, offset=2))
+    assert canonical(bound) != canonical(functools.partial(_square, 4, offset=1))

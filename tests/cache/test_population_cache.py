@@ -43,13 +43,13 @@ def uncached_report():
 
 
 def test_cached_run_matches_uncached_byte_for_byte(tmp_path, uncached_report):
-    cache = CacheSettings(directory=str(tmp_path / "store"), scope="pop")
+    cache = CacheSettings(directory=str(tmp_path / "store"))
     assert run(cache) == uncached_report
     assert process_counters()["study_cache_misses"] == 3  # baseline + 2 arms
 
 
 def test_warm_rerun_is_all_disk_hits(tmp_path, uncached_report):
-    cache = CacheSettings(directory=str(tmp_path / "store"), scope="warm")
+    cache = CacheSettings(directory=str(tmp_path / "store"))
     run(cache)
 
     reset_process_caches()  # a new run: memory gone, disk remains
@@ -74,14 +74,14 @@ def test_arm_per_spec_sweep_shares_one_baseline():
 
     plain = sweep()
     reset_process_caches()
-    assert sweep(CacheSettings(scope="sweep")) == plain
+    assert sweep(CacheSettings()) == plain
     snapshot = process_counters()
     assert snapshot["studies_deduped"] == 1   # the shared baseline
     assert snapshot["study_cache_misses"] == 3
 
 
 def test_memory_only_cache_needs_no_directory(uncached_report):
-    assert run(CacheSettings(scope="mem")) == uncached_report
+    assert run(CacheSettings()) == uncached_report
 
 
 def test_cli_cache_flag_end_to_end(tmp_path, capsys):

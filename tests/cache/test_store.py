@@ -50,8 +50,8 @@ def counting(value="artifact"):
 def test_memory_tier_computes_once_per_key(tmp_path):
     cache = StudyCache(CacheSettings())
     compute, calls = counting()
-    assert cache.get_or_run("f" * 64, "x", 1, compute) == "artifact"
-    assert cache.get_or_run("f" * 64, "x", 1, compute) == "artifact"
+    assert cache.get_or_run("f" * 64, "x", compute) == "artifact"
+    assert cache.get_or_run("f" * 64, "x", compute) == "artifact"
     assert calls == [1]
     assert cache.counters.memory_hits == 1
     assert cache.counters.misses == 1
@@ -60,11 +60,10 @@ def test_memory_tier_computes_once_per_key(tmp_path):
 
 def test_distinct_keys_do_not_collide():
     cache = StudyCache(CacheSettings())
-    assert cache.get_or_run("a" * 64, "x", 1, lambda: "one") == "one"
-    assert cache.get_or_run("b" * 64, "x", 1, lambda: "two") == "two"
-    assert cache.get_or_run("a" * 64, "y", 1, lambda: "three") == "three"
-    assert cache.get_or_run("a" * 64, "x", 2, lambda: "four") == "four"
-    assert cache.counters.misses == 4
+    assert cache.get_or_run("a" * 64, "x", lambda: "one") == "one"
+    assert cache.get_or_run("b" * 64, "x", lambda: "two") == "two"
+    assert cache.get_or_run("a" * 64, "y", lambda: "three") == "three"
+    assert cache.counters.misses == 3
 
 
 # --------------------------------------------------------------- disk tier
@@ -74,10 +73,10 @@ def test_disk_roundtrip_across_cache_instances(tmp_path):
     settings = CacheSettings(directory=str(tmp_path / "store"))
     first = StudyCache(settings)
     compute, calls = counting({"observed": (1, 2, 3)})
-    first.get_or_run("a" * 64, "x", 1, compute)
+    first.get_or_run("a" * 64, "x", compute)
 
     fresh = StudyCache(settings)  # a different process, effectively
-    assert fresh.get_or_run("a" * 64, "x", 1, compute) == {"observed": (1, 2, 3)}
+    assert fresh.get_or_run("a" * 64, "x", compute) == {"observed": (1, 2, 3)}
     assert calls == [1]
     assert fresh.counters.disk_hits == 1
 
@@ -86,20 +85,20 @@ def test_tampered_code_epoch_recomputes_cold(tmp_path):
     settings = CacheSettings(directory=str(tmp_path / "store"))
     cache = StudyCache(settings)
     compute, calls = counting()
-    cache.get_or_run("a" * 64, "x", 1, compute)
+    cache.get_or_run("a" * 64, "x", compute)
 
-    path = cache.entry_path("a" * 64, "x", 1)
+    path = cache.entry_path("a" * 64, "x")
     payload = pickle.loads(path.read_bytes())
     payload["code_epoch"] = "tampered"
     path.write_bytes(pickle.dumps(payload))
 
     fresh = StudyCache(settings)
-    assert fresh.get_or_run("a" * 64, "x", 1, compute) == "artifact"
+    assert fresh.get_or_run("a" * 64, "x", compute) == "artifact"
     assert calls == [1, 1]  # refused the entry, simulated again
     assert fresh.counters.misses == 1
     # ... and the recompute overwrote the poisoned entry with a valid one.
     again = StudyCache(settings)
-    again.get_or_run("a" * 64, "x", 1, compute)
+    again.get_or_run("a" * 64, "x", compute)
     assert again.counters.disk_hits == 1
 
 
@@ -107,26 +106,26 @@ def test_corrupt_pickle_is_a_miss_not_an_error(tmp_path):
     settings = CacheSettings(directory=str(tmp_path / "store"))
     cache = StudyCache(settings)
     compute, calls = counting()
-    cache.get_or_run("a" * 64, "x", 1, compute)
-    cache.entry_path("a" * 64, "x", 1).write_bytes(b"\x80\x04 torn")
+    cache.get_or_run("a" * 64, "x", compute)
+    cache.entry_path("a" * 64, "x").write_bytes(b"\x80\x04 torn")
 
     fresh = StudyCache(settings)
-    assert fresh.get_or_run("a" * 64, "x", 1, compute) == "artifact"
+    assert fresh.get_or_run("a" * 64, "x", compute) == "artifact"
     assert calls == [1, 1]
 
 
 def test_entry_under_the_wrong_key_is_refused(tmp_path):
     settings = CacheSettings(directory=str(tmp_path / "store"))
     cache = StudyCache(settings)
-    cache.get_or_run("a" * 64, "x", 1, lambda: "one")
+    cache.get_or_run("a" * 64, "x", lambda: "one")
     # Copy the valid entry to a different fingerprint's path: the payload
     # self-identifies, so the imposter must be treated as a miss.
-    target = cache.entry_path("b" * 64, "x", 1)
+    target = cache.entry_path("b" * 64, "x")
     target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_bytes(cache.entry_path("a" * 64, "x", 1).read_bytes())
+    target.write_bytes(cache.entry_path("a" * 64, "x").read_bytes())
 
     fresh = StudyCache(settings)
-    assert fresh.get_or_run("b" * 64, "x", 1, lambda: "two") == "two"
+    assert fresh.get_or_run("b" * 64, "x", lambda: "two") == "two"
 
 
 def test_incompatible_manifest_is_refused(tmp_path):
@@ -141,9 +140,9 @@ def test_stats_log_accrues_all_lookup_events(tmp_path):
     settings = CacheSettings(directory=str(tmp_path / "store"))
     cache = StudyCache(settings)
     compute, _ = counting()
-    cache.get_or_run("a" * 64, "x", 1, compute)   # miss
-    cache.get_or_run("a" * 64, "x", 1, compute)   # memory hit
-    StudyCache(settings).get_or_run("a" * 64, "x", 1, compute)  # disk hit
+    cache.get_or_run("a" * 64, "x", compute)   # miss
+    cache.get_or_run("a" * 64, "x", compute)   # memory hit
+    StudyCache(settings).get_or_run("a" * 64, "x", compute)  # disk hit
     assert read_disk_stats(settings.directory) == {"hit-memory": 1, "hit-disk": 1, "miss": 1}
 
 
@@ -157,13 +156,13 @@ def test_read_disk_stats_on_a_missing_store_is_all_zero(tmp_path):
 def test_cached_artifact_is_a_direct_call_without_a_cache():
     compute, calls = counting()
     assert active_cache() is None
-    assert cached_artifact("a" * 64, "x", 1, compute) == "artifact"
-    assert cached_artifact("a" * 64, "x", 1, compute) == "artifact"
+    assert cached_artifact("a" * 64, "x", compute) == "artifact"
+    assert cached_artifact("a" * 64, "x", compute) == "artifact"
     assert calls == [1, 1]  # no memoization, no error
 
 
-def test_activated_scopes_and_restores_the_ambient_cache():
-    outer, inner = CacheSettings(scope="outer"), CacheSettings(scope="inner")
+def test_activated_scopes_and_restores_the_ambient_cache(tmp_path):
+    outer, inner = CacheSettings(), CacheSettings(directory=str(tmp_path / "inner"))
     with activated(outer) as outer_cache:
         assert active_cache() is outer_cache
         with activated(inner) as inner_cache:
@@ -172,24 +171,24 @@ def test_activated_scopes_and_restores_the_ambient_cache():
     assert active_cache() is None
 
 
-def test_scopes_segregate_caches_in_one_process():
-    a = cache_for(CacheSettings(scope="a"))
-    b = cache_for(CacheSettings(scope="b"))
+def test_directories_segregate_caches_in_one_process(tmp_path):
+    a = cache_for(CacheSettings(directory=str(tmp_path / "a")))
+    b = cache_for(CacheSettings(directory=str(tmp_path / "b")))
     assert a is not b
-    assert cache_for(CacheSettings(scope="a")) is a
+    assert cache_for(CacheSettings(directory=str(tmp_path / "a"))) is a
 
 
 def test_caching_worker_is_picklable_and_dedups():
     compute, calls = counting()
 
     def worker(spec):
-        return cached_artifact("a" * 64, "x", 1, compute)
+        return cached_artifact("a" * 64, "x", compute)
 
-    wrapped = CachingWorker(CountingWorker(), CacheSettings(scope="w"))
+    wrapped = CachingWorker(CountingWorker(), CacheSettings())
     clone = pickle.loads(pickle.dumps(wrapped))
     assert clone.settings == wrapped.settings
 
-    wrapped_local = CachingWorker(worker, CacheSettings(scope="w"))
+    wrapped_local = CachingWorker(worker, CacheSettings())
     assert wrapped_local("spec-1") == "artifact"
     assert wrapped_local("spec-2") == "artifact"
     assert calls == [1]
@@ -203,12 +202,12 @@ class CountingWorker:
         return spec
 
 
-def test_process_counters_sum_across_scopes():
-    with activated(CacheSettings(scope="p1")):
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
-    with activated(CacheSettings(scope="p2")):
-        cached_artifact("a" * 64, "x", 1, lambda: 1)
+def test_process_counters_sum_across_scopes(tmp_path):
+    with activated(CacheSettings()):
+        cached_artifact("a" * 64, "x", lambda: 1)
+        cached_artifact("a" * 64, "x", lambda: 1)
+    with activated(CacheSettings(directory=str(tmp_path / "p2"))):
+        cached_artifact("a" * 64, "x", lambda: 1)
     snapshot = process_counters()
     assert snapshot["study_cache_misses"] == 2
     assert snapshot["studies_deduped"] == 1

@@ -10,16 +10,24 @@ determinism matrix.
 
 import functools
 import importlib
+import json
 import os
+import pickle
+import sys
 import typing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversary.worm import WormParams
+from repro.cache import code_epoch
+from repro.cache.store import MANIFEST_NAME
 from repro.fleet import HomeSpec, HomeSummary
+from repro.fleet.scenario import get_scenario
 from repro.fleet.shard import DEAD_WORKER_ERROR, run_sharded, run_unit, shard_ranges
 from repro.fleet.stream import FleetFold
+from repro.lifecycle.timeline import LifecycleParams
 from repro.reports import render_fleet_summary
 
 CONFIGS = ("ipv4-only", "dual-stack", "ipv6-only")
@@ -146,7 +154,8 @@ def test_journaled_run_resumes_after_a_mid_range_kill(tmp_path):
     The kill is simulated by rewinding one shard's journal to its first
     checkpoint (exactly what a SIGKILL between checkpoints leaves behind);
     marker files prove the resumed run re-executes only the units past that
-    shard's watermark and skips everything else.
+    shard's watermark and skips everything else. The marker keyword changes
+    the unit source, so both launches name the run with one explicit token.
     """
     journal = tmp_path / "journal"
     units, shards, every = 8, 2, 2
@@ -156,6 +165,7 @@ def test_journaled_run_resumes_after_a_mid_range_kill(tmp_path):
         units,
         shards=shards,
         journal_dir=str(journal),
+        journal_token="toy",
         checkpoint_every=every,
         marker=str(first_markers),
     )
@@ -163,8 +173,6 @@ def test_journaled_run_resumes_after_a_mid_range_kill(tmp_path):
     assert executed == list(range(units))
 
     # Rewind shard 1 (units 4..7) to its first checkpoint: units 4..5 done.
-    import pickle
-
     shard_file = journal / "shard-0001.journal"
     with open(shard_file, "rb") as fh:
         first_record = pickle.load(fh)
@@ -177,6 +185,7 @@ def test_journaled_run_resumes_after_a_mid_range_kill(tmp_path):
         units,
         shards=shards,
         journal_dir=str(journal),
+        journal_token="toy",
         checkpoint_every=every,
         marker=str(resume_markers),
     )
@@ -188,9 +197,9 @@ def test_journaled_run_resumes_after_a_mid_range_kill(tmp_path):
 
 def test_completed_journal_short_circuits_entirely(tmp_path):
     journal = tmp_path / "journal"
-    baseline = run_toy(6, shards=2, journal_dir=str(journal), checkpoint_every=1)
+    baseline = run_toy(6, shards=2, journal_dir=str(journal), journal_token="toy", checkpoint_every=1)
     markers = tmp_path / "again.markers"
-    again = run_toy(6, shards=2, journal_dir=str(journal), checkpoint_every=1, marker=str(markers))
+    again = run_toy(6, shards=2, journal_dir=str(journal), journal_token="toy", checkpoint_every=1, marker=str(markers))
     assert again == baseline
     assert not markers.exists()  # nothing was re-executed at all
 
@@ -203,7 +212,8 @@ def test_dead_worker_surfaces_as_failed_rows_and_a_relaunch_retries_them(shards,
     The pool breaks every in-flight shard at once, so each broken shard
     keeps its last journal checkpoint (or nothing) and reports every home
     past it as a DEAD_WORKER_ERROR row. Those rows are never journaled: a
-    relaunch with a healthy worker resumes there and renders the clean bytes.
+    relaunch with a healthy worker resumes there and renders the clean bytes
+    (the worker differs, so both launches name the run with one token).
     """
     units = 12
     run = functools.partial(
@@ -213,6 +223,7 @@ def test_dead_worker_surfaces_as_failed_rows_and_a_relaunch_retries_them(shards,
         fold=FleetFold(),
         shards=shards,
         journal_dir=str(tmp_path / "journal") if journaled else None,
+        journal_token="toy",
         checkpoint_every=1,
     )
     dead = run(worker=dying_worker)
@@ -228,21 +239,36 @@ def test_dead_worker_surfaces_as_failed_rows_and_a_relaunch_retries_them(shards,
     assert render_fleet_summary(relaunched) == render_fleet_summary(clean)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        "repro.fleet.stream:run_fleet_stream",
-        "repro.exposure.population:run_exposure_stream",
-        "repro.faults.population:run_faults_stream",
-        "repro.lifecycle.population:run_lifecycle_stream",
-        "repro.adversary.population:run_adversary_stream",
-    ],
-)
+# Each population entry point, with the arguments it requires besides homes and seed.
+STREAM_ENTRIES = {
+    "repro.fleet.stream:run_fleet_stream": dict(scenario=get_scenario("baseline")),
+    "repro.exposure.population:run_exposure_stream": {},
+    "repro.faults.population:run_faults_stream": {},
+    "repro.lifecycle.population:run_lifecycle_stream": dict(params=LifecycleParams()),
+    "repro.adversary.population:run_adversary_stream": dict(params=WormParams()),
+}
+
+
+def _entry(entry):
+    module, name = entry.split(":")
+    return getattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("entry", list(STREAM_ENTRIES))
 def test_stream_entry_points_resolve_their_type_hints(entry):
     """Every annotation names something importable (a missing import is a NameError)."""
-    module, name = entry.split(":")
-    hints = typing.get_type_hints(getattr(importlib.import_module(module), name))
+    hints = typing.get_type_hints(_entry(entry))
     assert "cache" in hints and "progress" in hints
+
+
+@pytest.mark.parametrize("entry", list(STREAM_ENTRIES))
+def test_stream_entry_points_derive_a_journal_token_from_their_inputs(entry, tmp_path):
+    tokens = []
+    for seed in (1, 2):
+        journal = tmp_path / f"seed-{seed}"
+        _entry(entry)(0, seed=seed, journal_dir=str(journal), **STREAM_ENTRIES[entry])
+        tokens.append(json.loads((journal / MANIFEST_NAME).read_text())["token"])
+    assert tokens[0] != tokens[1]
 
 
 def test_journal_from_a_different_run_is_refused(tmp_path):
@@ -250,6 +276,42 @@ def test_journal_from_a_different_run_is_refused(tmp_path):
     run_toy(4, shards=2, journal_dir=str(journal), journal_token="run-a")
     with pytest.raises(ValueError, match="different run"):
         run_toy(4, shards=2, journal_dir=str(journal), journal_token="run-b")
+
+
+class RenamedAccumulator:
+    """An accumulator class that the relaunching code no longer has."""
+
+
+def test_journal_written_by_other_code_is_refused_before_restore(tmp_path, monkeypatch):
+    """Restore would take a checkpoint this code cannot unpickle for a torn tail and truncate it."""
+    journal = tmp_path / "journal"
+    run_toy(2, journal_dir=str(journal))
+    manifest = json.loads((journal / MANIFEST_NAME).read_text())
+    (journal / MANIFEST_NAME).write_text(json.dumps({**manifest, "epoch": "0123456789abcdef"}))
+    checkpoint = pickle.dumps((1, RenamedAccumulator()))
+    (journal / "shard-0000.journal").write_bytes(checkpoint)
+    monkeypatch.delattr(sys.modules[__name__], "RenamedAccumulator")
+
+    with pytest.raises(ValueError, match="written by other code") as refused:
+        run_toy(2, journal_dir=str(journal))
+    assert "0123456789abcdef" in str(refused.value) and code_epoch() in str(refused.value)
+    assert (journal / "shard-0000.journal").read_bytes() == checkpoint
+
+
+def test_default_token_tells_unit_sources_apart(tmp_path):
+    """With no explicit token, the run's own inputs name its journal."""
+    journal = str(tmp_path / "journal")
+    run_sharded(4, functools.partial(toy_unit), fold=FleetFold(), worker=toy_worker, shards=2, journal_dir=journal)
+    other = functools.partial(toy_unit, marker=str(tmp_path / "other.markers"))
+    with pytest.raises(ValueError, match="different run"):
+        run_sharded(4, other, fold=FleetFold(), worker=toy_worker, shards=2, journal_dir=journal)
+
+
+def test_default_token_needs_a_source_it_can_name(tmp_path):
+    with pytest.raises(TypeError):
+        run_sharded(2, lambda index: toy_unit(index), fold=FleetFold(), worker=toy_worker, journal_dir=str(tmp_path))
+    # Without a journal nothing is named, so any callable source runs.
+    assert run_sharded(2, lambda index: toy_unit(index), fold=FleetFold(), worker=toy_worker).total_homes == 2
 
 
 @given(st.permutations(range(10)), st.data())

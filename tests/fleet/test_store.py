@@ -3,14 +3,17 @@
 The journal is the only state a sharded run persists, so restore must be
 exact (last intact record wins), crash-tolerant (a ``kill -9`` mid-append
 leaves a torn pickle that gets truncated away), and paranoid (a manifest
-from a different run is refused, never merged).
+from a different run, or written by other code, is refused, never merged).
 """
 
+import json
 import pickle
 
 import pytest
 
-from repro.fleet.store import JOURNAL_VERSION, MANIFEST_NAME, JournalStore, spec_token
+from repro.cache import code_epoch
+from repro.cache.store import MANIFEST_NAME
+from repro.fleet.store import JournalStore, spec_token
 
 
 def make_store(tmp_path, **overrides):
@@ -41,12 +44,10 @@ def test_open_is_idempotent_for_the_same_run(tmp_path):
 
 
 def test_manifest_records_the_run_shape(tmp_path):
-    import json
-
     store = make_store(tmp_path).open()
     manifest = json.loads((tmp_path / "journal" / MANIFEST_NAME).read_text())
     assert manifest == {
-        "version": JOURNAL_VERSION,
+        "epoch": code_epoch(),
         "token": store.token,
         "units": store.units,
         "shards": store.shards,
@@ -92,3 +93,11 @@ def test_spec_token_is_stable_and_discriminating():
     assert spec_token("fleet", 100, 42) != spec_token("fleet", 100, 43)
     assert spec_token("fleet", 100, 42) != spec_token("faults", 100, 42)
     assert len(spec_token("x")) == 16
+
+
+def test_spec_token_refuses_what_canonical_cannot_reduce():
+    class Opaque:
+        pass
+
+    with pytest.raises(TypeError):
+        spec_token("fleet", Opaque())  # its repr carries a memory address: no stable token
