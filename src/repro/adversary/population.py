@@ -25,6 +25,7 @@ column attacks the **same** home population.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ from repro.faults.schedule import NO_FAULTS, get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home, get_scenario
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.fleet.stream import failure_line
-from repro.stack.firewall import FIREWALL_MODES
+from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
 
 DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the probes
 
@@ -120,13 +121,6 @@ class AdversaryAggregate:
         raise KeyError(firewall)
 
 
-def _firewall_order(firewall: str) -> tuple:
-    try:
-        return (FIREWALL_MODES.index(firewall), firewall)
-    except ValueError:
-        return (len(FIREWALL_MODES), firewall)
-
-
 def _addr_kind_stats(population: list[HomeSusceptibility], strategy: str) -> tuple[AddrKindAdversaryStats, ...]:
     devices = [device for home in population for device in home.devices]
     kinds = sorted({device.addr_kind for device in devices})
@@ -197,49 +191,30 @@ class AdversaryFold(Fold):
     seed: int
     scenario_name: str = ""
 
-    def empty(self):
-        return {
-            "total": 0,
-            "failed": [],  # (home_id, firewall, first error line)
-            "fault": None,
-            "fw": {},  # firewall -> [HomeSusceptibility, ...]
-        }
-
     def add(self, acc, outcomes):
         for result in outcomes:
             acc["total"] += 1
             spec = result.spec
             if not result.ok:
-                acc["failed"].append((spec.home_id, spec.firewall, failure_line(result.error)))
+                acc.setdefault("failed", []).append((spec.home_id, spec.firewall, failure_line(result.error)))
                 continue
-            acc["fault"] = result.summary.fault
-            acc["fw"].setdefault(spec.firewall, []).append(result.summary)
+            acc.setdefault("fault", Counter())[result.summary.fault] += 1
+            acc.setdefault("fw", {}).setdefault(spec.firewall, []).append(result.summary)
         return acc
 
-    def merge(self, left, right):
-        left["total"] += right["total"]
-        left["failed"].extend(right["failed"])
-        if right["fault"] is not None:
-            left["fault"] = right["fault"]
-        for firewall, population in right["fw"].items():
-            left["fw"].setdefault(firewall, []).extend(population)
-        return left
-
     def finalize(self, acc) -> AdversaryAggregate:
-        per_firewall = tuple(
-            _outcome_for(firewall, population, self.params, self.seed)
-            for firewall, population in sorted(
-                acc["fw"].items(), key=lambda item: _firewall_order(item[0])
-            )
-        )
+        populations = acc.get("fw", {})
         return AdversaryAggregate(
             scenario_name=self.scenario_name,
-            fault_name=acc["fault"] if acc["fault"] is not None else NO_FAULTS.name,
+            fault_name=next(iter(acc.get("fault", ())), NO_FAULTS.name),
             params=self.params,
             seed=self.seed,
             total_runs=acc["total"],
-            failed=tuple(sorted(acc["failed"])),
-            per_firewall=per_firewall,
+            failed=tuple(sorted(acc.get("failed", ()))),
+            per_firewall=tuple(
+                _outcome_for(firewall, populations[firewall], self.params, self.seed)
+                for firewall in sorted(populations, key=firewall_sort_key)
+            ),
         )
 
 

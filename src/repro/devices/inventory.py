@@ -13,6 +13,7 @@ choices made here are documented in DESIGN.md §4.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from repro.devices.profile import Category, DeviceProfile, Phase, PortfolioSpec
@@ -473,7 +474,9 @@ def _largest_remainder(total: int, weights: list[float]) -> list[int]:
 
 
 def _mac_for(index: int, manufacturer: str) -> MacAddress:
-    oui_seed = abs(hash(("oui", manufacturer))) & 0xFFFF
+    # A stable digest, never hash(): str hashing is salted per process, which
+    # would change every MAC (and can collide two OUIs) between runs.
+    oui_seed = zlib.crc32(f"oui/{manufacturer}".encode()) & 0xFFFF
     first = (oui_seed >> 8) & 0xFC  # unicast, globally administered
     return MacAddress(bytes([first, oui_seed & 0xFF, 0x30, 0x00, (index >> 8) & 0xFF, index & 0xFF]))
 

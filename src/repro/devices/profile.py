@@ -165,7 +165,6 @@ class DeviceProfile:
                                      # EUI-64 GUA is assigned but never used
     gua_rotate_out: bool = False     # RFC 8981 deprecate-then-remove of the
                                      # previous temporary on each rotation
-    unused_extra_addr: bool = False  # (kept for API compat; rotation covers it)
     ula_addr_count: int = 1
     lla_count: int = 1               # total LLAs over a run (rotation)
     dad_enabled: bool = True

@@ -11,15 +11,16 @@ counterfactuals, not resampling noise.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
 from repro.exposure.analysis import run_home_exposure
 from repro.fleet.scenario import RolloutScenario, generate_home
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
 from repro.fleet.stream import failure_line
-from repro.stack.firewall import FIREWALL_MODES
+from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
 from repro.testbed.study import resolve_config
 
 DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the scan
@@ -101,107 +102,57 @@ class ExposureAggregate:
         raise KeyError(firewall)
 
 
-def _firewall_order(firewall: str) -> tuple:
-    try:
-        return (FIREWALL_MODES.index(firewall), firewall)
-    except ValueError:
-        return (len(FIREWALL_MODES), firewall)
-
-
 # --------------------------------------------------------- streaming fold
-
-# Positional counter slots of a per-firewall row (FirewallStats order);
-# the trailing dict maps addr kind -> [devices, discoverable, reachable].
-_FW_SLOTS = 10
 
 
 @dataclass(frozen=True)
 class ExposureFold(Fold):
     """Fold one home's (home x firewall) scan grid into per-mode counters.
 
-    Exposure statistics are pure counters, so every slot merges by
-    addition.
+    Each firewall mode gets a counter row keyed by :class:`FirewallStats`
+    field names, with a nested :class:`AddrKindStats` row per address kind;
+    the config is a counter too, so every slot merges exactly.
     """
-
-    def empty(self):
-        return {
-            "total": 0,
-            "failed": [],  # (home_id, firewall, first error line)
-            "config": None,
-            "fw": {},  # firewall -> counters + addr-kind table
-        }
 
     def add(self, acc, outcomes):
         for result in outcomes:
             acc["total"] += 1
             spec = result.spec
             if not result.ok:
-                acc["failed"].append((spec.home_id, spec.firewall, failure_line(result.error)))
+                acc.setdefault("failed", []).append((spec.home_id, spec.firewall, failure_line(result.error)))
                 continue
             summary = result.summary
-            acc["config"] = summary.config_name
-            row = acc["fw"].setdefault(spec.firewall, [0] * _FW_SLOTS + [{}])
-            row[0] += 1
-            row[1] += len(summary.devices)
-            row[2] += sum(1 for d in summary.devices if d.discoverable)
-            row[3] += sum(1 for d in summary.devices if d.responsive)
-            row[4] += sum(1 for d in summary.devices if d.reachable)
-            row[5] += sum(len(d.open_tcp) for d in summary.devices)
-            row[6] += sum(len(d.open_udp) for d in summary.devices)
-            row[7] += 1 if summary.discoverable_devices else 0
-            row[8] += 1 if summary.any_reachable else 0
-            row[9] += summary.wan_dropped
-            kinds = row[_FW_SLOTS]
+            acc.setdefault("config", Counter())[summary.config_name] += 1
+            row = acc.setdefault("fw", {}).setdefault(spec.firewall, Counter())
+            row["homes"] += 1
+            row["devices"] += len(summary.devices)
+            row["discoverable_devices"] += sum(1 for d in summary.devices if d.discoverable)
+            row["responsive_devices"] += sum(1 for d in summary.devices if d.responsive)
+            row["reachable_devices"] += sum(1 for d in summary.devices if d.reachable)
+            row["open_tcp_ports"] += sum(len(d.open_tcp) for d in summary.devices)
+            row["open_udp_ports"] += sum(len(d.open_udp) for d in summary.devices)
+            row["homes_with_discoverable"] += 1 if summary.discoverable_devices else 0
+            row["homes_with_reachable"] += summary.any_reachable
+            row["wan_dropped"] += summary.wan_dropped
+            kinds = row.setdefault("by_addr_kind", {})
             for device in summary.devices:
-                kind = kinds.setdefault(device.addr_kind, [0, 0, 0])
-                kind[0] += 1
-                kind[1] += 1 if device.discoverable else 0
-                kind[2] += 1 if device.reachable else 0
+                kind = kinds.setdefault(device.addr_kind, Counter())
+                kind["devices"] += 1
+                kind["discoverable"] += device.discoverable
+                kind["reachable"] += device.reachable
         return acc
 
-    def merge(self, left, right):
-        left["total"] += right["total"]
-        left["failed"].extend(right["failed"])
-        if right["config"] is not None:
-            left["config"] = right["config"]
-        for firewall, row in right["fw"].items():
-            mine = left["fw"].setdefault(firewall, [0] * _FW_SLOTS + [{}])
-            for slot in range(_FW_SLOTS):
-                mine[slot] += row[slot]
-            for kind, counts in row[_FW_SLOTS].items():
-                mine_kind = mine[_FW_SLOTS].setdefault(kind, [0, 0, 0])
-                for slot, value in enumerate(counts):
-                    mine_kind[slot] += value
-        return left
-
     def finalize(self, acc) -> ExposureAggregate:
+        rows = acc.get("fw", {})
         per_firewall = []
-        for firewall in sorted(acc["fw"], key=_firewall_order):
-            row = acc["fw"][firewall]
-            by_kind = tuple(
-                AddrKindStats(kind=kind, devices=counts[0], discoverable=counts[1], reachable=counts[2])
-                for kind, counts in sorted(row[_FW_SLOTS].items())
-            )
-            per_firewall.append(
-                FirewallStats(
-                    firewall=firewall,
-                    homes=row[0],
-                    devices=row[1],
-                    discoverable_devices=row[2],
-                    responsive_devices=row[3],
-                    reachable_devices=row[4],
-                    open_tcp_ports=row[5],
-                    open_udp_ports=row[6],
-                    homes_with_discoverable=row[7],
-                    homes_with_reachable=row[8],
-                    wan_dropped=row[9],
-                    by_addr_kind=by_kind,
-                )
-            )
+        for firewall in sorted(rows, key=firewall_sort_key):
+            kinds = rows[firewall].get("by_addr_kind", {})
+            by_kind = tuple(from_tally(AddrKindStats, kinds[kind], kind=kind) for kind in sorted(kinds))
+            per_firewall.append(from_tally(FirewallStats, rows[firewall], firewall=firewall, by_addr_kind=by_kind))
         return ExposureAggregate(
-            config_name=acc["config"] if acc["config"] is not None else "",
+            config_name=next(iter(acc.get("config", ())), ""),
             total_runs=acc["total"],
-            failed=tuple(sorted(acc["failed"])),
+            failed=tuple(sorted(acc.get("failed", ()))),
             per_firewall=tuple(per_firewall),
         )
 

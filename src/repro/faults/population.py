@@ -11,15 +11,16 @@ paired counterfactuals, not resampling noise.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.faults.analysis import OUTCOMES, run_home_faults
+from repro.faults.analysis import run_home_faults
 from repro.faults.schedule import get_fault
 from repro.fleet.aggregate import QuantileSketch
 from repro.fleet.scenario import RolloutScenario, generate_home
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
 from repro.fleet.stream import failure_line
 from repro.testbed.study import resolve_config
 
@@ -129,10 +130,6 @@ class FaultAggregate:
 
 # --------------------------------------------------------- streaming fold
 
-# Positional counter slots of a (config, fault) cell row; the trailing slot
-# holds the TTR QuantileSketch.
-_CELL_SLOTS = 9
-
 
 @dataclass(frozen=True)
 class FaultFold(Fold):
@@ -140,18 +137,11 @@ class FaultFold(Fold):
 
     The unit is the *whole home* (every config cell), so the distinct-home
     count is exact under sharding: a shard boundary can never split a
-    home's cells across accumulators.
+    home's cells across accumulators. Each (config, fault) cell is a counter
+    row keyed by :class:`CellStats` field names (outcomes count under their
+    own names) plus its TTR sketch; fault names are counter keys, whose
+    order is first-seen.
     """
-
-    def empty(self):
-        return {
-            "total": 0,
-            "failed": [],  # (home_id, config, first error line)
-            "homes": 0,
-            "fault_names": [],  # first-seen order
-            "config_homes": {},  # config -> ok summaries
-            "cells": {},  # (config, fault) -> counters + ttr sketch
-        }
 
     def add(self, acc, outcomes):
         any_ok = False
@@ -159,76 +149,52 @@ class FaultFold(Fold):
             acc["total"] += 1
             spec = result.spec
             if not result.ok:
-                acc["failed"].append((spec.home_id, spec.config_name, failure_line(result.error)))
+                acc.setdefault("failed", []).append((spec.home_id, spec.config_name, failure_line(result.error)))
                 continue
             any_ok = True
             summary = result.summary
             config = summary.config_name
-            acc["config_homes"][config] = acc["config_homes"].get(config, 0) + 1
+            acc.setdefault("config_homes", Counter())[config] += 1
             for fault_name, _count in summary.injected:
-                if fault_name not in acc["fault_names"]:
-                    acc["fault_names"].append(fault_name)
-                row = acc["cells"].setdefault(
-                    (config, fault_name), [0] * _CELL_SLOTS + [QuantileSketch()]
-                )
+                acc.setdefault("fault_names", Counter())[fault_name] += 1
+                row = acc.setdefault("cells", {}).setdefault((config, fault_name), Counter())
                 cells = summary.outcomes_for(fault_name)
-                row[0] += len(cells)
+                row["devices"] += len(cells)
                 for cell in cells:
-                    row[1 + OUTCOMES.index(cell.outcome)] += 1
-                    row[5] += cell.dns_retries
-                    row[6] += cell.dns_timeouts
-                    row[7] += cell.flow_failures
-                    row[8] += cell.fallbacks
+                    row[cell.outcome] += 1
+                    row["dns_retries"] += cell.dns_retries
+                    row["dns_timeouts"] += cell.dns_timeouts
+                    row["flow_failures"] += cell.flow_failures
+                    row["fallbacks"] += cell.fallbacks
                     if cell.time_to_recover is not None:
-                        row[_CELL_SLOTS] = row[_CELL_SLOTS].add(cell.time_to_recover)
+                        row["ttr"] = row.get("ttr", QuantileSketch()).add(cell.time_to_recover)
         if any_ok:
             acc["homes"] += 1
         return acc
 
-    def merge(self, left, right):
-        left["total"] += right["total"]
-        left["failed"].extend(right["failed"])
-        left["homes"] += right["homes"]
-        for name in right["fault_names"]:
-            if name not in left["fault_names"]:
-                left["fault_names"].append(name)
-        for config, count in right["config_homes"].items():
-            left["config_homes"][config] = left["config_homes"].get(config, 0) + count
-        for key, row in right["cells"].items():
-            mine = left["cells"].setdefault(key, [0] * _CELL_SLOTS + [QuantileSketch()])
-            for slot in range(_CELL_SLOTS):
-                mine[slot] += row[slot]
-            mine[_CELL_SLOTS] = mine[_CELL_SLOTS].merge(row[_CELL_SLOTS])
-        return left
-
     def finalize(self, acc) -> FaultAggregate:
-        empty_row = [0] * _CELL_SLOTS + [QuantileSketch()]
+        config_homes = acc.get("config_homes", {})
+        fault_names = tuple(acc.get("fault_names", ()))
+        rows = acc.get("cells", {})
         cells = []
-        for config in sorted(acc["config_homes"]):
-            for fault in acc["fault_names"]:
-                row = acc["cells"].get((config, fault), empty_row)
+        for config in sorted(config_homes):
+            for fault in fault_names:
+                row = rows.get((config, fault), Counter())
                 cells.append(
-                    CellStats(
+                    from_tally(
+                        CellStats,
+                        row,
                         config_name=config,
                         fault=fault,
-                        homes=acc["config_homes"][config],
-                        devices=row[0],
-                        unaffected=row[1],
-                        recovered=row[2],
-                        degraded=row[3],
-                        bricked=row[4],
-                        dns_retries=row[5],
-                        dns_timeouts=row[6],
-                        flow_failures=row[7],
-                        fallbacks=row[8],
-                        ttr=TtrStats.from_sketch(row[_CELL_SLOTS]),
+                        homes=config_homes[config],
+                        ttr=TtrStats.from_sketch(row.get("ttr", QuantileSketch())),
                     )
                 )
         return FaultAggregate(
             total_runs=acc["total"],
-            failed=tuple(sorted(acc["failed"])),
+            failed=tuple(sorted(acc.get("failed", ()))),
             homes=acc["homes"],
-            fault_names=tuple(acc["fault_names"]),
+            fault_names=fault_names,
             cells=tuple(cells),
         )
 

@@ -266,12 +266,14 @@ class FleetAggregate:
         return exposed / self.total_devices if self.total_devices else 0.0
 
 
-def share_distribution(stats: StreamStats, sketch: QuantileSketch) -> Optional[ShareDistribution]:
-    """Render a share distribution from streaming accumulators.
+def share_distribution(sketch: QuantileSketch) -> Optional[ShareDistribution]:
+    """Render a share distribution from its streaming sketch.
 
-    The median comes from the mergeable sketch, so it is the same for any
-    grouping of the homes into shards.
+    The median comes from the mergeable sketch and the rest from its exact
+    ``stats``, so both are the same for any grouping of the homes into
+    shards.
     """
+    stats = sketch.stats
     if stats.count == 0:
         return None
     return ShareDistribution(

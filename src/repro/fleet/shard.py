@@ -14,12 +14,13 @@ Three contracts make the output byte-identical at any shard count:
   and per-home cross-cell logic (distinct-home counts, epoch-to-epoch
   movement) stays exact. It also puts a home's arms in one process back to
   back, where the study cache's memory tier dedups their shared studies.
-- **exactly associative folds.** Accumulators are integer counters,
-  ``Fraction``-backed :class:`~repro.fleet.aggregate.StreamStats`,
-  bucketwise :class:`~repro.fleet.aggregate.QuantileSketch` merges, and
-  list concatenation sorted at finalize — any grouping of partial folds
-  renders the same bytes (see tests/fleet/test_shards.py for the
-  order-invariance property test).
+- **one exactly associative merge.** Every accumulator is a *tally*:
+  nested dicts of int counters, lists (sorted at finalize) and mergeable
+  aggregates (``Fraction``-backed
+  :class:`~repro.fleet.aggregate.StreamStats`, bucketwise
+  :class:`~repro.fleet.aggregate.QuantileSketch`). :func:`merge_tallies`
+  combines any two, so any contiguous grouping of partial folds renders the
+  same bytes (tests/fleet/test_folds.py checks all five folds).
 - **deterministic generation.** Home ``index`` plus the run seed fully
   determine each home (common random numbers), so a shard can generate its
   slice without ever seeing the full spec list.
@@ -33,6 +34,8 @@ completed range.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import fields
 from typing import Callable, Optional, Sequence
 
 from repro.cache import CacheSettings, CachingWorker, code_epoch
@@ -52,30 +55,67 @@ UnitSource = Callable[[int], Sequence]
 ShardProgressFn = Callable[[int, int, int, int], None]
 
 
+def merge_tallies(left: dict, right: dict) -> dict:
+    """Merge tally ``right`` into ``left`` and return ``left``.
+
+    Dicts merge key by key, keeping first-seen key order; a key only
+    ``right`` holds is adopted as is. Ints add, lists concatenate, and any
+    other value merges through its own ``merge`` (``StreamStats``,
+    ``QuantileSketch``). Floats, strings and ``None`` have no exact merge
+    and raise ``TypeError``. ``left`` is updated in place and ``right`` may
+    share structure with the result, so neither is reused afterwards.
+    """
+    for key, theirs in right.items():
+        if key not in left:
+            left[key] = theirs
+            continue
+        mine = left[key]
+        if isinstance(mine, dict) and isinstance(theirs, dict):
+            merge_tallies(mine, theirs)
+        elif isinstance(mine, int) and isinstance(theirs, int):
+            left[key] = mine + theirs
+        elif isinstance(mine, list) and isinstance(theirs, list):
+            mine.extend(theirs)
+        elif type(mine) is type(theirs) and hasattr(mine, "merge"):
+            left[key] = mine.merge(theirs)
+        else:
+            raise TypeError(f"tally slot {key!r}: no exact merge of {type(mine).__name__} and {type(theirs).__name__}")
+    return left
+
+
+def from_tally(cls, counts: Counter, **values):
+    """Build dataclass ``cls`` by field name: ``values`` first, the rest from ``counts``.
+
+    ``counts`` is a counter row, so a field no home ever counted reads 0.
+    """
+    return cls(**values, **{field.name: counts[field.name] for field in fields(cls) if field.name not in values})
+
+
 class Fold:
     """A mergeable streaming aggregation over per-unit outcomes.
 
-    Subclasses define a monoid: ``empty()`` is the identity, ``add``
-    absorbs one unit's :class:`HomeResult` tuple, ``merge`` combines two
-    accumulators, and ``finalize`` renders the aggregate dataclass the
-    reports consume. Accumulators must be plain picklable values (they
-    cross the pool boundary and land in journals) and every operation must
-    be exactly associative — sort anything order-sensitive in ``finalize``,
-    never rely on arrival order. ``add`` and ``merge`` may mutate and
-    return their first argument.
+    The accumulator is a *tally* that starts as ``empty()`` (a
+    :class:`~collections.Counter`, so a counter no unit touched reads 0);
+    ``add`` absorbs one unit's :class:`HomeResult` tuple into it and may
+    mutate and return it; ``merge`` is :func:`merge_tallies`; ``finalize``
+    renders the aggregate dataclass the reports consume. Subclasses define
+    only ``add`` and ``finalize``, and keep every slot a tally value:
+    counters, lists, nested dicts of them, or ``StreamStats`` /
+    ``QuantileSketch``. Order-sensitive data is sorted in ``finalize`` or
+    read from dict key order, which contiguous merges keep first-seen.
 
     Fold instances themselves are configuration (frozen, picklable); all
     run state lives in the accumulator.
     """
 
     def empty(self):
-        raise NotImplementedError
+        return Counter()
 
     def add(self, acc, outcomes: tuple[HomeResult, ...]):
         raise NotImplementedError
 
     def merge(self, left, right):
-        raise NotImplementedError
+        return merge_tallies(left, right)
 
     def finalize(self, acc):
         raise NotImplementedError
@@ -255,8 +295,9 @@ def run_sharded(
     Returns ``fold.finalize`` of the merged accumulator. ``shards = 1`` runs
     in-process; ``shards > 1`` fans the contiguous ranges out over a process
     pool (falling back to in-process execution when no pool can start).
-    Shard accumulators merge in shard order, and because the folds are
-    exactly associative the result is byte-identical for any shard count.
+    Shard tallies merge in shard order through :func:`merge_tallies`, which
+    is exactly associative, so the result is byte-identical for any shard
+    count.
 
     A shard whose process dies mid-range is never re-run: it contributes
     its last journal checkpoint (or nothing) plus a ``DEAD_WORKER_ERROR``
@@ -316,6 +357,8 @@ __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "Fold",
     "JournalStore",
+    "from_tally",
+    "merge_tallies",
     "run_sharded",
     "run_unit",
     "shard_ranges",

@@ -2,14 +2,15 @@
 
 :class:`FleetFold` aggregates the rollout one home at a time, so ``repro
 fleet`` renders byte-identical reports at any ``--shards`` without ever
-retaining a summary. The other population layers (exposure, faults,
-lifecycle, adversary) define their own folds; this module is the template
-they follow.
+retaining a summary. Like the other population folds (exposure, faults,
+lifecycle, adversary), it defines only ``add`` and ``finalize``; the tally
+and its merge come from :class:`~repro.fleet.shard.Fold`.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,12 +20,11 @@ from repro.fleet.aggregate import (
     ConfigStats,
     FleetAggregate,
     QuantileSketch,
-    StreamStats,
     share_distribution,
 )
 from repro.fleet.runner import HomeResult, simulate_home
 from repro.fleet.scenario import RolloutScenario, generate_home
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
 
 
 def failure_line(error: Optional[str]) -> str:
@@ -41,66 +41,43 @@ def config_sort_key(name: str):
 class FleetFold(Fold):
     """Fold one home's outcome into rollout statistics.
 
-    The accumulator is a plain dict of counters, a per-config counter table,
-    and the two share accumulators; every entry merges exactly
-    associatively, and ``finalize`` produces the :class:`FleetAggregate`
-    the fleet report renders.
+    The tally holds the home counts, the failed rows, one counter row per
+    config keyed by :class:`ConfigStats` field names, and the v6-share
+    sketch; ``finalize`` produces the :class:`FleetAggregate` the fleet
+    report renders.
     """
-
-    def empty(self):
-        return {
-            "total": 0,
-            "completed": 0,
-            "failed": [],  # (home_id, first error line)
-            "configs": {},  # name -> 7 ConfigStats counters, positional
-            "share_stats": StreamStats(),
-            "share_sketch": QuantileSketch(),
-        }
 
     def add(self, acc, outcomes: tuple[HomeResult, ...]):
         for result in outcomes:
             acc["total"] += 1
             if not result.ok:
-                acc["failed"].append((result.spec.home_id, failure_line(result.error)))
+                acc.setdefault("failed", []).append((result.spec.home_id, failure_line(result.error)))
                 continue
             summary = result.summary
             acc["completed"] += 1
-            row = acc["configs"].setdefault(summary.config_name, [0] * 7)
-            row[0] += 1
-            row[1] += summary.size
-            row[2] += len(summary.bricked)
-            row[3] += 1 if summary.has_bricked else 0
-            row[4] += len(summary.eui64_devices)
-            row[5] += 1 if summary.has_eui64 else 0
-            row[6] += len(summary.data_v6_devices)
+            row = acc.setdefault("configs", {}).setdefault(summary.config_name, Counter())
+            row["homes"] += 1
+            row["devices"] += summary.size
+            row["bricked_devices"] += len(summary.bricked)
+            row["homes_with_bricked"] += summary.has_bricked
+            row["eui64_devices"] += len(summary.eui64_devices)
+            row["homes_with_eui64"] += summary.has_eui64
+            row["data_v6_devices"] += len(summary.data_v6_devices)
             if summary.v6_share is not None:
-                acc["share_stats"] = acc["share_stats"].add(summary.v6_share)
-                acc["share_sketch"] = acc["share_sketch"].add(summary.v6_share)
+                acc["share"] = acc.get("share", QuantileSketch()).add(summary.v6_share)
         return acc
 
-    def merge(self, left, right):
-        left["total"] += right["total"]
-        left["completed"] += right["completed"]
-        left["failed"].extend(right["failed"])
-        for name, row in right["configs"].items():
-            mine = left["configs"].setdefault(name, [0] * 7)
-            for slot, value in enumerate(row):
-                mine[slot] += value
-        left["share_stats"] = left["share_stats"].merge(right["share_stats"])
-        left["share_sketch"] = left["share_sketch"].merge(right["share_sketch"])
-        return left
-
     def finalize(self, acc) -> FleetAggregate:
-        per_config = tuple(
-            ConfigStats(name, *acc["configs"][name])
-            for name in sorted(acc["configs"], key=config_sort_key)
-        )
+        configs = acc.get("configs", {})
         return FleetAggregate(
             total_homes=acc["total"],
             completed_homes=acc["completed"],
-            failed_homes=tuple(sorted(acc["failed"])),
-            per_config=per_config,
-            v6_share=share_distribution(acc["share_stats"], acc["share_sketch"]),
+            failed_homes=tuple(sorted(acc.get("failed", ()))),
+            per_config=tuple(
+                from_tally(ConfigStats, configs[name], config_name=name)
+                for name in sorted(configs, key=config_sort_key)
+            ),
+            v6_share=share_distribution(acc.get("share", QuantileSketch())),
         )
 
 

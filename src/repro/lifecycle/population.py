@@ -11,12 +11,13 @@ bytes the report renders from it, are identical at any ``--shards``.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache import CacheSettings
 from repro.fleet.aggregate import QuantileSketch
-from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
+from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
 from repro.fleet.stream import failure_line
 from repro.lifecycle.analysis import run_home_epoch
 from repro.lifecycle.timeline import LifecycleParams, build_timeline
@@ -79,10 +80,6 @@ class LifecycleAggregate:
 
 # --------------------------------------------------------- streaming fold
 
-# Positional counter slots of a per-epoch row (EpochStats order, movement
-# and config mix tracked separately).
-_EPOCH_SLOTS = 12
-
 
 @dataclass(frozen=True)
 class LifecycleFold(Fold):
@@ -92,37 +89,21 @@ class LifecycleFold(Fold):
     cross-epoch comparison — joins/leaves against the previous epoch,
     ever-bricked tracking, first-transition detection, end-state
     classification — happens inside one ``add`` call with the complete
-    timeline in hand. Only per-epoch counters and the transition
-    sketch cross shard boundaries, and those merge exactly.
+    timeline in hand. The first epoch is its own predecessor, so all its
+    movement counts are 0. Only counters keyed by :class:`EpochStats` and
+    :class:`LifecycleAggregate` field names, and the transition sketch,
+    cross shard boundaries, and those merge exactly.
     """
 
     wave_name: str = "?"
 
-    def empty(self):
-        return {
-            "total": 0,
-            "failed": [],  # (home_id, epoch, first error line); epoch numeric
-            "homes": 0,
-            "epochs": {},  # epoch -> counters
-            "mix": {},  # epoch -> {config: homes}
-            "movement": {},  # epoch -> [joins, leaves, updates]
-            "transition_sketch": QuantileSketch(),
-            "transitioned": 0,
-            "recovered_devices": 0,
-            "brick_flips": 0,
-            "never_bricked": 0,
-            "bricked_at_end": 0,
-            "recovered_homes": 0,
-            "retired_responsive": 0,
-        }
-
     def add(self, acc, outcomes):
         summaries = []
         for result in outcomes:
-            acc["total"] += 1
+            acc["total_runs"] += 1
             spec = result.spec
             if not result.ok:
-                acc["failed"].append((spec.home_id, spec.epoch, failure_line(result.error)))
+                acc.setdefault("failed", []).append((spec.home_id, spec.epoch, failure_line(result.error)))
                 continue
             summaries.append(result.summary)
         if not summaries:
@@ -132,18 +113,17 @@ class LifecycleFold(Fold):
 
         ever_bricked: set[str] = set()
         first_transition: Optional[int] = None
-        for i, summary in enumerate(summaries):
-            movement = acc["movement"].setdefault(summary.epoch, [0, 0, 0])
-            if i > 0:
-                previous = summaries[i - 1]
-                movement[0] += len(set(summary.devices) - set(previous.devices))
-                movement[1] += len(set(previous.devices) - set(summary.devices))
-                before = dict(previous.firmware)
-                movement[2] += sum(
-                    1 for name, revisions in summary.firmware if revisions != before.get(name, ())
-                )
-                acc["recovered_devices"] += len(ever_bricked & set(summary.functional))
-                acc["brick_flips"] += len(set(summary.bricked) & set(previous.functional))
+        previous = summaries[0]
+        for summary in summaries:
+            row = acc.setdefault("epochs", {}).setdefault(summary.epoch, Counter())
+            row["joins"] += len(set(summary.devices) - set(previous.devices))
+            row["leaves"] += len(set(previous.devices) - set(summary.devices))
+            before = dict(previous.firmware)
+            row["firmware_updates"] += sum(
+                1 for name, revisions in summary.firmware if revisions != before.get(name, ())
+            )
+            acc["recovered_devices"] += len(ever_bricked & set(summary.functional))
+            acc["brick_flips"] += len(set(summary.bricked) & set(previous.functional))
             if summary.transitioned and first_transition is None:
                 first_transition = summary.epoch
             ever_bricked |= set(summary.bricked)
@@ -151,107 +131,48 @@ class LifecycleFold(Fold):
             if summary.exposure is not None:
                 acc["retired_responsive"] += summary.exposure.retired_responsive
 
-            row = acc["epochs"].setdefault(summary.epoch, [0] * _EPOCH_SLOTS)
-            row[0] += 1
-            row[1] += summary.size
-            row[2] += len(summary.functional)
-            row[3] += len(summary.bricked)
-            row[4] += len(summary.ready)
-            row[5] += len(summary.eui64_devices)
-            row[6] += 1 if summary.transitioned else 0
-            row[7] += summary.gua_addresses
-            row[8] += summary.retired_addresses
+            row["homes"] += 1
+            row["devices"] += summary.size
+            row["functional"] += len(summary.functional)
+            row["bricked"] += len(summary.bricked)
+            row["ready"] += len(summary.ready)
+            row["eui64"] += len(summary.eui64_devices)
+            row["transitions"] += summary.transitioned
+            row["gua_addresses"] += summary.gua_addresses
+            row["retired_addresses"] += summary.retired_addresses
             if summary.exposure is not None:
-                row[9] += summary.exposure.discoverable
-                row[10] += summary.exposure.reachable
-                row[11] += 1
-            mix = acc["mix"].setdefault(summary.epoch, {})
-            mix[summary.config_name] = mix.get(summary.config_name, 0) + 1
+                row["discoverable"] += summary.exposure.discoverable
+                row["reachable"] += summary.exposure.reachable
+                row["scanned_homes"] += 1
+            row.setdefault("config_mix", Counter())[summary.config_name] += 1
+            previous = summary
 
         if first_transition is not None:
-            acc["transitioned"] += 1
-            acc["transition_sketch"] = acc["transition_sketch"].add(float(first_transition))
+            acc["transitioned_homes"] += 1
+            acc["transition_epochs"] = acc.get("transition_epochs", QuantileSketch()).add(float(first_transition))
         if not any(summary.bricked for summary in summaries):
-            acc["never_bricked"] += 1
+            acc["never_bricked_homes"] += 1
         elif summaries[-1].bricked:
-            acc["bricked_at_end"] += 1
+            acc["bricked_at_end_homes"] += 1
         else:
             acc["recovered_homes"] += 1
         return acc
 
-    def merge(self, left, right):
-        left["total"] += right["total"]
-        left["failed"].extend(right["failed"])
-        for key in (
-            "homes",
-            "transitioned",
-            "recovered_devices",
-            "brick_flips",
-            "never_bricked",
-            "bricked_at_end",
-            "recovered_homes",
-            "retired_responsive",
-        ):
-            left[key] += right[key]
-        left["transition_sketch"] = left["transition_sketch"].merge(right["transition_sketch"])
-        for epoch, row in right["epochs"].items():
-            mine = left["epochs"].setdefault(epoch, [0] * _EPOCH_SLOTS)
-            for slot in range(_EPOCH_SLOTS):
-                mine[slot] += row[slot]
-        for epoch, configs in right["mix"].items():
-            mine = left["mix"].setdefault(epoch, {})
-            for config, count in configs.items():
-                mine[config] = mine.get(config, 0) + count
-        for epoch, movement in right["movement"].items():
-            mine = left["movement"].setdefault(epoch, [0, 0, 0])
-            for slot, value in enumerate(movement):
-                mine[slot] += value
-        return left
-
     def finalize(self, acc) -> LifecycleAggregate:
-        epochs = []
-        for epoch in sorted(acc["epochs"]):
-            row = acc["epochs"][epoch]
-            movement = acc["movement"].get(epoch, [0, 0, 0])
-            epochs.append(
-                EpochStats(
-                    epoch=epoch,
-                    homes=row[0],
-                    devices=row[1],
-                    functional=row[2],
-                    bricked=row[3],
-                    ready=row[4],
-                    eui64=row[5],
-                    joins=movement[0],
-                    leaves=movement[1],
-                    firmware_updates=movement[2],
-                    transitions=row[6],
-                    gua_addresses=row[7],
-                    retired_addresses=row[8],
-                    config_mix=tuple(sorted(acc["mix"][epoch].items())),
-                    discoverable=row[9],
-                    reachable=row[10],
-                    scanned_homes=row[11],
-                )
-            )
-        failed = tuple(
-            (home_id, f"epoch {epoch}", line) for home_id, epoch, line in sorted(acc["failed"])
+        rows = acc.get("epochs", {})
+        epochs = tuple(
+            from_tally(EpochStats, row, epoch=epoch, config_mix=tuple(sorted(row["config_mix"].items())))
+            for epoch, row in sorted(rows.items())
         )
-        return LifecycleAggregate(
+        failed = tuple((home_id, f"epoch {epoch}", line) for home_id, epoch, line in sorted(acc.get("failed", ())))
+        return from_tally(
+            LifecycleAggregate,
+            acc,
             wave_name=self.wave_name,
-            homes=acc["homes"],
             epoch_count=len(epochs),
-            total_runs=acc["total"],
             failed=failed,
-            epochs=tuple(epochs),
-            transition_epochs=acc["transition_sketch"],
-            transitioned_homes=acc["transitioned"],
-            recovered_devices=acc["recovered_devices"],
-            brick_flips=acc["brick_flips"],
-            never_bricked_homes=acc["never_bricked"],
-            bricked_at_end_homes=acc["bricked_at_end"],
-            recovered_homes=acc["recovered_homes"],
-            retired_responsive=acc["retired_responsive"],
+            epochs=epochs,
+            transition_epochs=acc.get("transition_epochs", QuantileSketch()),
         )
 
 

@@ -29,19 +29,15 @@ class FrameCache:
     """Decode-once cache: frame bytes -> decoded :class:`Ethernet` (or None).
 
     Undecodable frames cache as ``None`` so repeated garbage is rejected
-    without re-raising per consumer. ``capacity`` bounds the cache with
-    deterministic FIFO eviction (insertion order); the default is unbounded,
-    which for a study run costs one dict entry per captured frame — the same
-    order of retention as the capture itself.
+    without re-raising per consumer. The cache is unbounded: for a study run
+    it costs one dict entry per captured frame, the same order of retention
+    as the capture itself.
     """
 
-    __slots__ = ("_frames", "capacity", "hits", "misses", "decode_errors", "primes", "prime_hits")
+    __slots__ = ("_frames", "hits", "misses", "decode_errors", "primes", "prime_hits")
 
-    def __init__(self, capacity: Optional[int] = None):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive or None")
+    def __init__(self):
         self._frames: dict[bytes, Optional[Ethernet]] = {}
-        self.capacity = capacity
         self.hits = 0
         self.misses = 0
         self.decode_errors = 0
@@ -93,8 +89,6 @@ class FrameCache:
             self.prime_hits += 1
             return cached
         self.primes += 1
-        if self.capacity is not None and len(self._frames) >= self.capacity:
-            self._frames.pop(next(iter(self._frames)))
         self._frames[data] = frame
         return frame
 
@@ -110,8 +104,6 @@ class FrameCache:
         except DecodeError:
             frame = None
             self.decode_errors += 1
-        if self.capacity is not None and len(self._frames) >= self.capacity:
-            self._frames.pop(next(iter(self._frames)))
         self._frames[data] = frame
         return frame
 

@@ -32,17 +32,11 @@ class EthernetLink:
     how many NICs accept it or how many capture consumers observe it.
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        latency: float = 0.0005,
-        name: str = "lan",
-        frame_cache: Optional[FrameCache] = None,
-    ):
+    def __init__(self, sim: "Simulator", latency: float = 0.0005, name: str = "lan"):
         self.sim = sim
         self.latency = latency
         self.name = name
-        self.frames = frame_cache if frame_cache is not None else FrameCache()
+        self.frames = FrameCache()
         # Optional fault hook (repro.faults): consulted per transmitted frame
         # for loss/latency/reordering while an impairment window is active.
         self.impairment: "Optional[LinkImpairment]" = None

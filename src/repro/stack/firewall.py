@@ -31,6 +31,12 @@ from repro.net.udp import UDP
 
 FIREWALL_MODES = ("open", "stateful", "pinhole")
 
+
+def firewall_sort_key(mode: str):
+    """``FIREWALL_MODES`` order first, then lexicographic for strangers."""
+    return (FIREWALL_MODES.index(mode) if mode in FIREWALL_MODES else len(FIREWALL_MODES), mode)
+
+
 # Flow entries idle out after this much (simulated) time without traffic in
 # either direction — a deliberately short CPE-class UDP/ICMP timeout so the
 # expiry path is exercised inside experiment timescales.

@@ -19,6 +19,7 @@ implements, subject to its :class:`~repro.stack.config.StackConfig`:
 
 from __future__ import annotations
 
+import hashlib
 import ipaddress
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -263,8 +264,10 @@ class HostStack(Node):
 
     def _ula_prefix(self) -> ipaddress.IPv6Network:
         seed = self.config.ula_prefix_seed or self.name
-        digest = abs(hash(("ula", seed))) & 0xFFFFFFFFFF
-        base = int(as_ipv6("fd00::")) | (digest << 80)
+        # The 40-bit global ID (RFC 4193) from a stable digest, never hash(),
+        # which is salted per process.
+        global_id = int.from_bytes(hashlib.sha256(f"ula/{seed}".encode()).digest()[:5], "big")
+        base = int(as_ipv6("fd00::")) | (global_id << 80)
         return ipaddress.IPv6Network((base, 64))
 
     def _form_ulas(self) -> None:

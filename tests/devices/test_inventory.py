@@ -7,10 +7,15 @@ and 9. The full-pipeline tests then verify the same numbers are *recovered
 from captures*.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.devices import Category, build_inventory
-from repro.devices.inventory import CATEGORY_TARGETS
+from repro.devices.inventory import CATEGORY_TARGETS, control_phones
 from repro.devices.portfolio import build_portfolio
 
 CATS = [
@@ -375,3 +380,46 @@ class TestMetadata:
         macs = {p.mac for p in inventory}
         assert len(macs) == 93
         assert all(not m.is_multicast for m in macs)
+
+    def test_every_manufacturer_has_its_own_oui(self, inventory):
+        ouis = {}
+        for profile in inventory + control_phones():
+            ouis.setdefault(profile.manufacturer, set()).add(profile.mac.packed[:3])
+        assert all(len(prefixes) == 1 for prefixes in ouis.values())
+        assert len(set.union(*ouis.values())) == len(ouis)
+
+
+# Everything that identifies a host on the wire and derives from a name:
+# every MAC, and the ULA prefix a fabric host forms.
+_WIRE_IDENTITY = """
+from repro.devices.inventory import build_inventory, control_phones
+from repro.net.mac import MacAddress
+from repro.sim import EthernetLink, Simulator
+from repro.stack import HostStack, StackConfig
+
+for profile in build_inventory() + control_phones():
+    print(profile.name, profile.mac)
+sim = Simulator(seed=1)
+host = HostStack(sim, "fabric", MacAddress("02:aa:00:00:00:01"), EthernetLink(sim), StackConfig(form_ula=True))
+host.boot()
+sim.run(10.0)
+print(*host.onlink_prefixes)
+"""
+
+
+def test_wire_identity_does_not_depend_on_the_hash_seed():
+    """Python salts str hashing per process, so no MAC or prefix may come from hash()."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _WIRE_IDENTITY],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0].rstrip().endswith("::/64")  # the host formed its ULA prefix
+    assert outputs[0] == outputs[1]

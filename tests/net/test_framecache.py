@@ -38,21 +38,6 @@ class TestFrameCache:
         assert cache.decode_errors == 1  # the error is paid once, then cached
         assert (cache.misses, cache.hits) == (1, 1)
 
-    def test_capacity_evicts_fifo(self):
-        cache = FrameCache(capacity=2)
-        first, second, third = (frame_bytes(bytes([i]) * 4) for i in range(3))
-        cache.decode(first)
-        cache.decode(second)
-        cache.decode(third)  # evicts `first` (insertion order)
-        assert len(cache) == 2
-        cache.decode(second)
-        cache.decode(first)
-        assert cache.hits == 1  # only `second` survived
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            FrameCache(capacity=0)
-
     def test_hit_rate(self):
         cache = FrameCache()
         assert cache.hit_rate == 0.0
@@ -118,14 +103,6 @@ class TestPrime:
         assert (cache.primes, cache.prime_hits) == (1, 1)
         assert cache.encode_count == 2
         assert cache.prime_rate == pytest.approx(0.5)
-
-    def test_prime_respects_capacity(self):
-        cache = FrameCache(capacity=1)
-        one = Ethernet(MAC_B, MAC_A, 0x1234, Raw(b"one"))
-        two = Ethernet(MAC_B, MAC_A, 0x1234, Raw(b"two"))
-        cache.prime(one.encode(), one)
-        cache.prime(two.encode(), two)
-        assert len(cache) == 1
 
 
 class TestMulticastFlood:
