@@ -36,16 +36,19 @@ def _run_ipv6_only(profiles, seed=21, extra=()):  # -> (Study, StudyAnalysis)
 def test_bench_ablation_universal_aaaa(benchmark, record):
     """If every essential destination had AAAA records, who would work?"""
 
+    def with_aaaa_essentials(profile):
+        if not (profile.v6only.dns_v6 and profile.v6only.data_v6 and not profile.portfolio.essential_aaaa):
+            return profile
+        portfolio = dataclasses.replace(
+            profile.portfolio,
+            essential_aaaa=True,
+            # the essentials now resolve, so the answered-name budget grows
+            aaaa_resp_names=profile.portfolio.aaaa_resp_names + profile.portfolio.essential,
+        )
+        return dataclasses.replace(profile, portfolio=portfolio)
+
     def run():
-        profiles = build_inventory()
-        for profile in profiles:
-            if profile.v6only.dns_v6 and profile.v6only.data_v6 and not profile.portfolio.essential_aaaa:
-                profile.portfolio = dataclasses.replace(
-                    profile.portfolio,
-                    essential_aaaa=True,
-                    # the essentials now resolve, so the answered-name budget grows
-                    aaaa_resp_names=profile.portfolio.aaaa_resp_names + profile.portfolio.essential,
-                )
+        profiles = [with_aaaa_essentials(profile) for profile in build_inventory()]
         study, analysis = _run_ipv6_only(profiles)
         functional = sorted(d for d, ok in study.experiments["ipv6-only"].functionality.items() if ok)
         return functional
@@ -67,10 +70,7 @@ def test_bench_ablation_no_privacy_extensions(benchmark, record):
     """A pre-RFC-4941 world: every identifier policy reverts to EUI-64."""
 
     def run():
-        profiles = build_inventory()
-        for profile in profiles:
-            profile.iid_mode = "eui64"
-            profile.gua_iid_mode = ""
+        profiles = [dataclasses.replace(profile, iid_mode="eui64", gua_iid_mode="") for profile in build_inventory()]
         study, analysis = _run_ipv6_only(profiles, extra=(DUAL_STACK,))
         return eui64_exposure(analysis)
 

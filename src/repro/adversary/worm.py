@@ -59,6 +59,10 @@ class WormParams:
 
     def __post_init__(self):
         validate_strategy(self.strategy)
+        for name in ("scan_rate", "dt", "horizon", "recovery"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.scan_rate < 0:
             raise ValueError("scan_rate must be >= 0")
         if self.dt <= 0:

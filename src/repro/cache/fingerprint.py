@@ -12,12 +12,14 @@ A fingerprint must satisfy two properties the property tests in
   window) changes the hash.
 
 Canonicalization is structural: dataclasses decompose into
-``(qualified-name, sorted field items)``, mappings and sets sort their
-items, sequences keep their order (device order shapes MAC assignment and
-is part of the closure), module-level functions reduce to ``(module,
-qualname)`` and partials to their function and arguments. Anything else —
-lambdas and closures included — is refused with ``TypeError`` rather than
-hashed by ``repr``: a memory address in a fingerprint disables every hit.
+``(qualified-name, sorted field items)``, MAC addresses reduce to their
+string, mappings and sets sort their items, sequences keep their order
+(device order is the order hosts join the LAN and schedule their timers,
+so it orders simultaneous events and is part of the closure), module-level
+functions reduce to ``(module, qualname)`` and partials to their function
+and arguments. Anything else — lambdas and closures included — is refused
+with ``TypeError`` rather than hashed by ``repr``: a memory address in a
+fingerprint disables every hit.
 
 The **code epoch**, a digest of the package source, is stamped into every
 cache entry and journal manifest, so state written by other code is never
@@ -34,6 +36,8 @@ import ipaddress
 import types
 from pathlib import Path
 from typing import Optional
+
+from repro.net.mac import MacAddress
 
 _PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,9 +72,11 @@ def canonical(value):
         return ("ip", str(value))
     if isinstance(value, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
         return ("net", str(value))
+    if isinstance(value, MacAddress):
+        return ("mac", str(value))
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Declared fields only: ad-hoc attributes attached after construction
-        # (e.g. a testbed-assigned .mac) are runtime state, not input.
+        # Declared fields only: an attribute set after construction is
+        # runtime state, not input.
         items = tuple(
             (field.name, canonical(getattr(value, field.name)))
             for field in dataclasses.fields(value)

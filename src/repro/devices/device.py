@@ -34,12 +34,14 @@ _SCOPE_BY_NAME = {scope.name: scope for scope in AddressScope}
 class IoTDevice:
     """One testbed device: a profile-driven stack plus behaviour timers."""
 
-    def __init__(self, sim, link, profile: DeviceProfile, internet, mac):
+    def __init__(self, sim, link, profile: DeviceProfile, internet):
         self.sim = sim
         self.profile = profile
         self.internet = internet
         self.plans: list[DomainPlan] = build_portfolio(profile)
-        self.stack = HostStack(sim, profile.slug, mac, link, config=StackConfig(ipv6_enabled=False, ndp_enabled=False))
+        self.stack = HostStack(
+            sim, profile.slug, profile.mac, link, config=StackConfig(ipv6_enabled=False, ndp_enabled=False)
+        )
         self.rng = sim.rng_for(f"device/{profile.slug}")
         self.phase: Phase = profile.v6only
         self.network: Optional[NetworkConfig] = None

@@ -13,8 +13,11 @@ choices made here are documented in DESIGN.md §4.
 
 from __future__ import annotations
 
+import functools
+import types
 import zlib
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.devices.profile import Category, DeviceProfile, Phase, PortfolioSpec
 from repro.net.mac import MacAddress
@@ -481,13 +484,19 @@ def _mac_for(index: int, manufacturer: str) -> MacAddress:
     return MacAddress(bytes([first, oui_seed & 0xFF, 0x30, 0x00, (index >> 8) & 0xFF, index & 0xFF]))
 
 
-def build_inventory() -> list[DeviceProfile]:
-    """Build the 93 curated device profiles (reconciled to category targets)."""
+@functools.cache
+def build_inventory() -> tuple[DeviceProfile, ...]:
+    """The 93 curated device profiles (reconciled to category targets).
+
+    The first call builds the catalog; every later call returns the same
+    tuple of frozen profiles, so every home in a process shares it.
+    """
     rows = _rows()
     if len(rows) != 93:
         raise AssertionError(f"inventory must hold 93 devices, found {len(rows)}")
 
     # Reconcile per-category: verify fixed counts, distribute destination fill.
+    fills: dict[str, int] = {}
     for cat, targets in CATEGORY_TARGETS.items():
         members = [row for row in rows if row.cat is cat]
         checks = {
@@ -504,11 +513,11 @@ def build_inventory() -> list[DeviceProfile]:
         if fill_total < 0:
             raise AssertionError(f"{cat.value}: structural destinations exceed target by {-fill_total}")
         for row, share in zip(members, _largest_remainder(fill_total, [r.wf for r in members])):
-            row._fill = share  # type: ignore[attr-defined]
+            fills[row.name] = share
 
     profiles: list[DeviceProfile] = []
     for index, row in enumerate(rows):
-        fill = getattr(row, "_fill", 0)
+        fill = fills.get(row.name, 0)
         spec = PortfolioSpec(
             total=row.dest_struct + fill + row.tel + (row.aonly - row.essAonly),
             essential=row.ess,
@@ -544,6 +553,7 @@ def build_inventory() -> list[DeviceProfile]:
                 platform=row.platform,
                 os=row.os,
                 purchase_year=row.year,
+                mac=_mac_for(index + 1, row.mfr),
                 iid_mode=row.iid,
                 gua_iid_mode=row.gua_iid,
                 form_lla=row.lla,
@@ -566,38 +576,39 @@ def build_inventory() -> list[DeviceProfile]:
                 portfolio=spec,
             )
         )
-    # attach deterministic MACs via a parallel list
-    for index, profile in enumerate(profiles):
-        profile.mac = _mac_for(index + 1, profile.manufacturer)  # type: ignore[attr-defined]
-    return profiles
+    return tuple(profiles)
+
+
+@functools.cache
+def inventory_by_name() -> Mapping[str, DeviceProfile]:
+    """The catalog keyed by device name, read-only."""
+    return types.MappingProxyType({profile.name: profile for profile in build_inventory()})
 
 
 def device_by_name(name: str) -> DeviceProfile:
-    for profile in build_inventory():
-        if profile.name == name:
-            return profile
-    raise KeyError(name)
+    return inventory_by_name()[name]
 
 
-def control_phones() -> list[DeviceProfile]:
+@functools.cache
+def control_phones() -> tuple[DeviceProfile, ...]:
     """The Pixel 7 and iPhone X used to validate each configuration (§4.1).
 
-    Fully IPv6-capable, not part of the 93 analyzed devices.
+    Fully IPv6-capable, not part of the 93 analyzed devices. Built once per
+    process, like the inventory.
     """
     full = _phase("ndp addr gua dns6 aaaa4 data6")
-    phones = []
-    for name, os_name in (("Pixel 7", "Android"), ("iPhone X", "iOS")):
-        profile = DeviceProfile(
+    return tuple(
+        DeviceProfile(
             name=f"control {name}",
             category=Category.SPEAKER,  # category is irrelevant for controls
             manufacturer="control",
             os=os_name,
             purchase_year=2023,
+            mac=_mac_for(200 + index, "control"),
             iid_mode="temporary",
             v6only=full,
             dual=full,
             portfolio=PortfolioSpec(total=4, essential=2, essential_aaaa=True, aaaa_names=2, aaaa_resp_names=2),
         )
-        profile.mac = _mac_for(200 + len(phones), "control")  # type: ignore[attr-defined]
-        phones.append(profile)
-    return phones
+        for index, (name, os_name) in enumerate((("Pixel 7", "Android"), ("iPhone X", "iOS")))
+    )

@@ -3,7 +3,8 @@
 A :class:`DeviceProfile` is the curated ground truth for one testbed device:
 
 - identity (category, manufacturer, platform, OS, purchase year — the
-  grouping keys of Tables 3, 5, 8, 12, 13);
+  grouping keys of Tables 3, 5, 8, 12, 13) and the MAC its EUI-64
+  addresses embed (§5.4.1);
 - addressing mechanics (interface-identifier mode, DAD policy, DHCPv6
   support, RDNSS support, address rotation counts);
 - two :class:`Phase` blocks describing observable behaviour in IPv6-only and
@@ -11,6 +12,11 @@ A :class:`DeviceProfile` is the curated ground truth for one testbed device:
   Table 4);
 - a :class:`PortfolioSpec` describing the structure of its destination-domain
   portfolio (the per-category counts of Tables 6, 7, 9 and Figures 3–5).
+
+Profiles are frozen. :func:`~repro.devices.inventory.build_inventory` builds
+the 93 of them once per process and every home shares those objects, so a
+variant (a firmware revision, an ablation) is a new profile made with
+``dataclasses.replace``.
 
 The analysis pipeline never reads profiles; they only drive the simulation.
 """
@@ -20,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.net.mac import MacAddress
 
 
 class Category(str, enum.Enum):
@@ -145,7 +153,7 @@ class DomainPlan:
     bytes_v6: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceProfile:
     """Ground truth for one testbed device."""
 
@@ -155,6 +163,8 @@ class DeviceProfile:
     platform: str = ""
     os: str = ""
     purchase_year: int = 2021
+    # the hardware address its EUI-64 identifiers embed (None: never on a LAN)
+    mac: Optional[MacAddress] = None
 
     # addressing mechanics
     iid_mode: str = "eui64"          # "eui64" | "temporary" | "stable"
@@ -206,10 +216,10 @@ class DeviceProfile:
 
     def __post_init__(self):
         if self.dual is None:
-            self.dual = self.v6only
+            object.__setattr__(self, "dual", self.v6only)
         if not self.vendor_zone:
             slug = self.manufacturer.split("/")[0].lower().replace(" ", "").replace(".", "")
-            self.vendor_zone = f"{slug}.example"
+            object.__setattr__(self, "vendor_zone", f"{slug}.example")
 
     @property
     def slug(self) -> str:

@@ -166,9 +166,7 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     )
 
     def compute_baseline() -> dict[str, DeviceObservation]:
-        study = run_home_study(
-            spec.sim_seed, config, spec.device_names, checkins=spec.checkins, profiles=profiles
-        )
+        study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins)
         # The captures are large; only the observations leave this frame.
         return observe_study(study, config.name)
 
@@ -185,14 +183,7 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     for fault_name, schedule in grid:
 
         def compute_arm(schedule=schedule):
-            study = run_home_study(
-                spec.sim_seed,
-                config,
-                spec.device_names,
-                checkins=spec.checkins,
-                fault_schedule=schedule,
-                profiles=profiles,
-            )
+            study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins, fault_schedule=schedule)
             observed = observe_study(study, config.name, after=schedule.last_end)
             return observed, study.testbed.faults.counters.total
 

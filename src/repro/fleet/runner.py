@@ -86,9 +86,7 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
     )
 
     def compute() -> HomeSummary:
-        study = run_home_study(
-            spec.sim_seed, config, spec.device_names, checkins=spec.checkins, profiles=profiles
-        )
+        study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins)
         return dataclasses.replace(summarize_home(study, spec), home_id=-1)
 
     fingerprint = study_fingerprint(

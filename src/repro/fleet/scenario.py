@@ -34,17 +34,6 @@ from repro.stack.config import ALL_CONFIGS
 
 _CONFIG_NAMES = {config.name for config in ALL_CONFIGS}
 
-# Sampling only reads identity fields (name/category/manufacturer), so one
-# shared inventory copy is safe to reuse across every generated home; the
-# runner builds fresh profile objects per home for the simulator itself.
-_SAMPLING_INVENTORY: list = []
-
-
-def _sampling_inventory() -> list:
-    if not _SAMPLING_INVENTORY:
-        _SAMPLING_INVENTORY.extend(build_inventory())
-    return _SAMPLING_INVENTORY
-
 # Relative household popularity of each device category (how likely a random
 # smart home is to own another device of this kind).
 CATEGORY_WEIGHTS = {
@@ -216,7 +205,7 @@ def generate_home(index: int, seed: int, scenario: RolloutScenario, *, fidelity:
     """
     rng = random.Random(f"{seed}/home/{index}")
     config_rng = random.Random(f"{seed}/config/{index}")
-    inventory = _sampling_inventory()
+    inventory = build_inventory()
     size = min(_draw_size(rng, scenario), len(inventory))
 
     picked = []

@@ -15,7 +15,6 @@ from repro.lifecycle.firmware import (
     REVISIONS,
     FirmwareRevision,
     apply_revisions,
-    evolve,
     get_revision,
     upgrade_path,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "WaveStage",
     "apply_revisions",
     "build_timeline",
-    "evolve",
     "get_revision",
     "get_wave",
     "run_home_epoch",

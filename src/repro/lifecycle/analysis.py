@@ -20,7 +20,7 @@ from typing import Optional
 from repro.cache import cached_artifact, study_fingerprint
 from repro.devices.profile import DeviceProfile
 from repro.faults.schedule import get_fault
-from repro.lifecycle.firmware import apply_revisions, evolve
+from repro.lifecycle.firmware import apply_revisions
 from repro.lifecycle.timeline import EpochSpec
 from repro.net.ip6 import AddressScope
 from repro.testbed.study import profiles_by_name, resolve_home_inputs, run_home_study
@@ -97,7 +97,7 @@ def epoch_profiles(spec: EpochSpec) -> list[DeviceProfile]:
             and (profile.gua_iid_mode or profile.iid_mode) == "temporary"
             and not profile.gua_rotate_out
         ):
-            profile = evolve(profile, gua_rotate_out=True)
+            profile = dataclasses.replace(profile, gua_rotate_out=True)
         profiles.append(profile)
     return profiles
 
@@ -143,14 +143,7 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
 
 def _simulate_epoch(spec: EpochSpec, config, profiles, schedule) -> EpochSummary:
     """The uncached body: one epoch study plus its optional WAN scan."""
-    study = run_home_study(
-        spec.sim_seed,
-        config,
-        spec.device_names,
-        checkins=spec.checkins,
-        fault_schedule=schedule,
-        profiles=profiles,
-    )
+    study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins, fault_schedule=schedule)
     result = study.experiment(config.name)
 
     functional = tuple(sorted(name for name, ok in result.functionality.items() if ok))

@@ -6,12 +6,9 @@ paper's brick/recover story in reverse: a v4-only device that ships a
 dual-stack firmware stops bricking when its ISP moves the home to
 IPv6-only. Revisions are pure profile→profile functions, so the same
 catalog drives a single lab study, the lifecycle timeline engine, and any
-future what-if sweep.
-
-Every transform goes through :func:`evolve`, which preserves the ``mac``
-attribute ``build_inventory`` attaches after construction —
-``dataclasses.replace`` alone would silently drop it and the testbed would
-refuse the profile.
+future what-if sweep. Profiles are frozen and shared by every home, so a
+revision never edits one: it returns a new profile made with
+``dataclasses.replace``, which keeps every other field, the MAC included.
 """
 
 from __future__ import annotations
@@ -21,13 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.devices.profile import DeviceProfile, Phase
-
-
-def evolve(profile: DeviceProfile, **changes) -> DeviceProfile:
-    """``dataclasses.replace`` that keeps the post-construction ``mac``."""
-    evolved = dataclasses.replace(profile, **changes)
-    evolved.mac = profile.mac
-    return evolved
 
 
 def _structural_aaaa_minimum(spec) -> int:
@@ -63,7 +53,7 @@ def _v6_stack(profile: DeviceProfile) -> DeviceProfile:
         aaaa_names=max(spec.aaaa_names, minimum),
         aaaa_resp_names=max(spec.aaaa_resp_names, minimum),
     )
-    return evolve(
+    return dataclasses.replace(
         profile,
         v6only=Phase(
             ndp=True,
@@ -84,7 +74,7 @@ def _v6_stack(profile: DeviceProfile) -> DeviceProfile:
 def _privacy_iid(profile: DeviceProfile) -> DeviceProfile:
     """Privacy update: MAC-derived global IIDs become RFC 8981 temporaries
     that rotate out (the exposure surface starts drifting)."""
-    return evolve(
+    return dataclasses.replace(
         profile,
         gua_iid_mode="temporary",
         gua_addr_count=max(profile.gua_addr_count, 2),
@@ -94,7 +84,7 @@ def _privacy_iid(profile: DeviceProfile) -> DeviceProfile:
 
 def _resolver_hardening(profile: DeviceProfile) -> DeviceProfile:
     """Reliability update: a deeper DNS retry budget with gentler backoff."""
-    return evolve(
+    return dataclasses.replace(
         profile,
         dns_retry_budget=max(profile.dns_retry_budget, 4),
         dns_backoff_base=min(profile.dns_backoff_base, 1.0),

@@ -27,11 +27,11 @@ and run any home without seeing the rest of the fleet.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.devices import build_inventory, device_by_name
 from repro.faults.schedule import get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.lifecycle.firmware import upgrade_path
@@ -103,13 +103,6 @@ class HomeTimeline:
     first_transition: Optional[int]  # epoch of the first config change (or None)
 
 
-@functools.cache
-def _inventory_names() -> tuple[str, ...]:
-    from repro.devices import build_inventory
-
-    return tuple(profile.name for profile in build_inventory())
-
-
 def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool: Sequence[str]) -> list[str]:
     """One epoch of membership churn; draws in sorted order for determinism."""
     survivors: list[str] = []
@@ -129,8 +122,7 @@ def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool
 def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeline:
     """Plan one home's timeline; fully determined by ``(seed, index, params)``."""
     wave = get_wave(params.wave)
-    pool = _inventory_names()
-    upgrade_paths = _stock_upgrade_paths()
+    pool = [profile.name for profile in build_inventory()]
 
     scenario = RolloutScenario(
         name="lifecycle",
@@ -153,7 +145,7 @@ def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeli
             for name in sorted(members):
                 if firmware_rng.random() < params.update_rate:
                     applied = history.get(name, ())
-                    pending = [r for r in upgrade_paths.get(name, ()) if r not in applied]
+                    pending = [r for r in upgrade_path(device_by_name(name)) if r not in applied]
                     if pending:
                         history[name] = applied + (pending[0],)
         config_name = wave.config_at(epoch, position)
@@ -182,15 +174,3 @@ def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeli
         epochs=tuple(specs),
         first_transition=wave.first_transition(position, params.epochs),
     )
-
-
-@functools.cache
-def _stock_upgrade_paths() -> dict[str, tuple[str, ...]]:
-    """Upgrade path per stock inventory profile, computed once per process.
-
-    Cached (callers only read) so sharded workers can plan timelines one
-    home at a time without rebuilding the inventory per home.
-    """
-    from repro.devices import build_inventory
-
-    return {profile.name: upgrade_path(profile) for profile in build_inventory()}

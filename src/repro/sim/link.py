@@ -65,19 +65,6 @@ class EthernetLink:
             self._promiscuous.append(nic)
         self._flood.clear()
 
-    def detach(self, nic: "Nic") -> None:
-        self._nics.remove(nic)
-        self._by_mac.pop(nic.mac.packed, None)
-        if nic in self._promiscuous:
-            self._promiscuous.remove(nic)
-        self._flood.clear()
-
-    def rebind(self, nic: "Nic", old_mac: bytes) -> None:
-        """Update the switching table after a NIC's MAC changes."""
-        self._by_mac.pop(old_mac, None)
-        self._by_mac[nic.mac.packed] = nic
-        self._flood.clear()
-
     def add_tap(self, tap: Tap) -> None:
         """Register a capture callback invoked for every transmitted frame."""
         self._taps.append(tap)
@@ -131,10 +118,11 @@ class EthernetLink:
         """Switch a frame to its receivers with the MAC filter inlined.
 
         The flood path runs once per NIC per multicast frame — the hottest
-        loop in the simulation — so the per-NIC accept check happens here
-        (same predicate as :meth:`Nic.deliver`) and accepted frames go
-        straight to ``node.handle_frame``. The decode fallback stays lazy:
-        a raw frame nobody accepts is never parsed.
+        loop in the simulation — so the per-NIC accept check (promiscuous,
+        own address, or a joined group, on the raw destination bytes)
+        happens here and accepted frames go straight to
+        ``node.handle_frame``. The decode fallback stays lazy: a raw frame
+        nobody accepts is never parsed.
         """
         if len(frame) < 14:
             return

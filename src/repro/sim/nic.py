@@ -12,9 +12,6 @@ if TYPE_CHECKING:
     from repro.sim.node import Node
 
 
-_BROADCAST_BYTES = b"\xff\xff\xff\xff\xff\xff"
-
-
 class Nic:
     """One interface of a node, attached to a link."""
 
@@ -23,23 +20,18 @@ class Nic:
         self.mac = MacAddress(mac)
         self.link = link
         self.promiscuous = promiscuous
-        self._multicast: set[MacAddress] = {MacAddress("33:33:00:00:00:01")}  # all-nodes
-        # Raw-byte mirrors of the filter state: delivery filters on frame
+        # The filter state as raw bytes: the link's delivery filters on frame
         # bytes directly, so rejected frames never construct a MacAddress.
         self._mac_bytes = self.mac.packed
-        self._multicast_bytes = {m.packed for m in self._multicast}
+        self._multicast_bytes = {MacAddress("33:33:00:00:00:01").packed}  # all-nodes
         link.attach(self)
 
     def join_multicast(self, mac: MacAddress) -> None:
-        mac = MacAddress(mac)
-        self._multicast.add(mac)
-        self._multicast_bytes.add(mac.packed)
+        self._multicast_bytes.add(MacAddress(mac).packed)
         self.link.invalidate_flood()
 
     def leave_multicast(self, mac: MacAddress) -> None:
-        mac = MacAddress(mac)
-        self._multicast.discard(mac)
-        self._multicast_bytes.discard(mac.packed)
+        self._multicast_bytes.discard(MacAddress(mac).packed)
         self.link.invalidate_flood()
 
     def send(self, frame: Ethernet, wire: "bytes | None" = None) -> None:
@@ -56,35 +48,6 @@ class Nic:
 
     def send_raw(self, frame: bytes) -> None:
         self.link.transmit(self, frame)
-
-    def accepts(self, dst: MacAddress) -> bool:
-        if self.promiscuous or dst == self.mac or dst.is_broadcast:
-            return True
-        return dst in self._multicast
-
-    def deliver(self, frame: bytes, decoded: "Ethernet | None" = None) -> None:
-        """Called by the link; filters by destination and hands up.
-
-        Filtering happens on the raw destination bytes, so a NIC that drops
-        a frame never pays for decoding it. The link passes the sender-primed
-        ``decoded`` object along; only raw transmissions (``send_raw``) fall
-        back to the shared :class:`~repro.net.framecache.FrameCache`.
-        """
-        if len(frame) < 14:
-            return
-        dst = frame[0:6]
-        if not (
-            self.promiscuous
-            or dst == self._mac_bytes
-            or dst in self._multicast_bytes
-            or dst == _BROADCAST_BYTES
-        ):
-            return
-        if decoded is None:
-            decoded = self.link.frames.decode(frame)
-            if decoded is None:
-                return
-        self.node.handle_frame(self, decoded)
 
     def __repr__(self) -> str:
         return f"Nic({self.mac} on {self.link.name})"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.cloud import DnsRegistry, Internet
 from repro.devices import IoTDevice, build_inventory
@@ -28,7 +28,7 @@ class Testbed:
     def __init__(
         self,
         seed: int = 42,
-        profiles: Optional[list[DeviceProfile]] = None,
+        profiles: Optional[Sequence[DeviceProfile]] = None,
         include_controls: bool = True,
     ):
         self.sim = Simulator(seed=seed)
@@ -37,15 +37,10 @@ class Testbed:
         self.internet = Internet(self.sim, self.registry)
         self.router = Router(self.sim, self.link, self.internet)
         self.profiles = profiles if profiles is not None else build_inventory()
-        self.devices = [
-            IoTDevice(self.sim, self.link, profile, self.internet, profile.mac) for profile in self.profiles
-        ]
+        self.devices = [IoTDevice(self.sim, self.link, profile, self.internet) for profile in self.profiles]
         self.controls = []
         if include_controls:
-            self.controls = [
-                IoTDevice(self.sim, self.link, profile, self.internet, profile.mac)
-                for profile in control_phones()
-            ]
+            self.controls = [IoTDevice(self.sim, self.link, profile, self.internet) for profile in control_phones()]
         self.internet.materialize_registry()
         # Hybrid-fidelity switchboard: wired into every host but disabled
         # until an experiment with flow fidelity flips it on.

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
+from repro.devices.inventory import inventory_by_name
+from repro.devices.profile import DeviceProfile
 from repro.net.pcap import PcapWriter
 from repro.stack.config import ALL_CONFIGS, DUAL_STACK, NetworkConfig, with_fidelity
 from repro.testbed.activedns import AaaaProbe, active_dns_queries
@@ -138,10 +140,8 @@ def resolve_config(config: Union[NetworkConfig, str]) -> NetworkConfig:
 
 
 def profiles_by_name(device_names: Sequence[str]):
-    """Resolve inventory device names to profiles, rejecting unknown names."""
-    from repro.devices import build_inventory
-
-    by_name = {profile.name: profile for profile in build_inventory()}
+    """Look inventory device names up in the catalog, rejecting unknown names."""
+    by_name = inventory_by_name()
     missing = [name for name in device_names if name not in by_name]
     if missing:
         raise KeyError(f"unknown inventory devices: {missing}")
@@ -158,10 +158,12 @@ def resolve_home_inputs(
     """Resolve a home spec's plain values into the simulator's real inputs.
 
     Returns ``(config, profiles)`` with the fidelity folded into the config
-    and inventory names replaced by concrete profiles. This is the exact
-    closure a home study is a pure function of (plus seed, checkins, and
-    fault schedule), which is why :mod:`repro.cache` fingerprints the
-    return value rather than the spec's spelling of it.
+    and inventory names replaced by the catalog's shared, frozen profiles
+    (or by ``profiles``, when the caller derived its own, such as a
+    firmware-upgraded lifecycle epoch). This is the exact closure a home
+    study is a pure function of (plus seed, checkins, and fault schedule),
+    which is why :mod:`repro.cache` fingerprints the return value rather
+    than the spec's spelling of it, and what :func:`run_home_study` takes.
     """
     config = resolve_config(config)
     if fidelity is not None:
@@ -173,36 +175,24 @@ def resolve_home_inputs(
 
 def run_home_study(
     seed: int,
-    config: Union[NetworkConfig, str],
-    device_names: Sequence[str],
+    config: NetworkConfig,
+    profiles: Sequence[DeviceProfile],
     *,
     checkins: int = 2,
     fault_schedule=None,
-    profiles=None,
-    progress: Optional[Callable[[float, int], None]] = None,
-    progress_interval: float = 100.0,
-    fidelity: Optional[str] = None,
 ) -> Study:
     """Run one synthetic *home*: a device subset under a single network config.
 
     This is the per-home entry point every population worker (e.g.
     :func:`repro.fleet.runner.simulate_home`) calls inside its shard
-    process — it takes only plain values (seed, config name, device names),
-    rebuilds the profiles from the inventory inside the worker, and returns a single-experiment
-    :class:`Study`. ``fault_schedule``, if given, is a
+    process, on the ``config`` and ``profiles`` that
+    :func:`resolve_home_inputs` resolved (the same values the worker
+    fingerprints), and returns a single-experiment :class:`Study`.
+    ``fault_schedule``, if given, is a
     :class:`~repro.faults.schedule.FaultSchedule` injected into the home's
     link and router for the whole run (the injector's counters are exposed
-    as ``study.testbed.faults``). ``profiles``, if given, overrides the
-    inventory lookup with pre-built (possibly transformed) profiles — the
-    lifecycle subsystem passes firmware-upgraded variants this way; callers
-    must keep it consistent with ``device_names``. ``progress``, if given,
-    is polled on a simulated timer with ``(virtual_time,
-    simulator.pending)``; the timer callbacks touch no device state, so
-    enabling progress does not perturb the simulation.
+    as ``study.testbed.faults``).
     """
-    config, profiles = resolve_home_inputs(
-        config, device_names, profiles=profiles, fidelity=fidelity
-    )
     testbed = Testbed(seed=seed, profiles=profiles, include_controls=False)
 
     if fault_schedule is not None:
@@ -211,14 +201,6 @@ def run_home_study(
         from repro.faults.inject import FaultInjector
 
         testbed.faults = FaultInjector.attach(testbed, fault_schedule)
-
-    if progress is not None:
-
-        def tick() -> None:
-            progress(testbed.sim.now, testbed.sim.pending)
-            testbed.sim.schedule(progress_interval, tick)
-
-        testbed.sim.schedule(progress_interval, tick)
 
     study = Study(testbed=testbed)
     study.experiments[config.name] = run_connectivity_experiment(testbed, config, checkins=checkins)

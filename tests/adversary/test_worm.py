@@ -32,6 +32,15 @@ def test_worm_params_validation():
     assert WormParams().removal_probability == 0.0
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["scan_rate", "dt", "horizon", "recovery"])
+def test_worm_params_reject_non_finite(field, value):
+    # nan passes every < / <= bound check, and an infinite horizon never ends
+    # the epidemic loop.
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        WormParams(**{field: value})
+
+
 def test_run_worm_is_deterministic():
     a = run_worm(population(), FAST, seed=3)
     b = run_worm(population(), FAST, seed=3)

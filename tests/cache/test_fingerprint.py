@@ -19,6 +19,7 @@ from repro.cache import canonical, code_epoch, digest, study_fingerprint
 from repro.cache import fingerprint as fp
 from repro.devices import build_inventory
 from repro.faults.schedule import FaultSchedule, FaultWindow, get_fault
+from repro.net.mac import MacAddress
 from repro.stack.config import with_fidelity, with_firewall
 from repro.testbed.study import profiles_by_name, resolve_config
 
@@ -59,8 +60,8 @@ def test_set_construction_order_is_invisible(values):
 
 @given(st.lists(scalars, max_size=10))
 def test_sequence_order_is_semantic(values):
-    # Device order shapes MAC assignment, so lists must NOT sort: reversing
-    # a non-palindromic sequence must change the canonical form.
+    # Device order orders simultaneous events on the LAN, so lists must NOT
+    # sort: reversing a non-palindromic sequence must change the canonical form.
     assert canonical(list(values)) == canonical(tuple(values))
     if list(values) != list(reversed(values)):
         assert canonical(values) != canonical(list(reversed(values)))
@@ -83,7 +84,10 @@ def test_fault_window_order_is_invisible(rng):
 
 def test_independently_rebuilt_profiles_hash_identically():
     base = _closure()
-    rebuilt = _closure(profiles=profiles_by_name(("Behmor Brewer", "Smarter IKettle")))
+    # The uncached build: build_inventory() returns the process's shared catalog.
+    fresh = {profile.name: profile for profile in build_inventory.__wrapped__()}
+    rebuilt = _closure(profiles=[fresh["Behmor Brewer"], fresh["Smarter IKettle"]])
+    assert rebuilt["profiles"][0] is not base["profiles"][0]
     assert study_fingerprint(**base) == study_fingerprint(**rebuilt)
 
 
@@ -120,6 +124,13 @@ def test_flipping_one_profile_attribute_changes_the_fingerprint():
     profiles = profiles_by_name(("Behmor Brewer", "Smarter IKettle"))
     mutated = [dataclasses.replace(profiles[0], gua_addr_count=profiles[0].gua_addr_count + 1), profiles[1]]
     assert study_fingerprint(**_closure()) != study_fingerprint(**_closure(profiles=mutated))
+
+
+def test_another_mac_changes_the_fingerprint():
+    # The MAC is what a device's EUI-64 addresses embed, so it is input.
+    profiles = profiles_by_name(("Behmor Brewer", "Smarter IKettle"))
+    moved = [dataclasses.replace(profiles[0], mac=MacAddress("02:00:5e:10:00:01")), profiles[1]]
+    assert study_fingerprint(**_closure()) != study_fingerprint(**_closure(profiles=moved))
 
 
 def test_flipping_one_fault_window_changes_the_fingerprint():

@@ -7,6 +7,7 @@ and 9. The full-pipeline tests then verify the same numbers are *recovered
 from captures*.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,9 +15,10 @@ import sys
 import pytest
 
 import repro
-from repro.devices import Category, build_inventory
+from repro.devices import Category, build_inventory, device_by_name
 from repro.devices.inventory import CATEGORY_TARGETS, control_phones
 from repro.devices.portfolio import build_portfolio
+from repro.testbed.study import profiles_by_name
 
 CATS = [
     Category.APPLIANCE,
@@ -387,6 +389,34 @@ class TestMetadata:
             ouis.setdefault(profile.manufacturer, set()).add(profile.mac.packed[:3])
         assert all(len(prefixes) == 1 for prefixes in ouis.values())
         assert len(set.union(*ouis.values())) == len(ouis)
+
+
+class TestCatalog:
+    """One frozen catalog per process, shared by every lookup."""
+
+    def test_every_lookup_shares_one_catalog(self):
+        assert build_inventory() is build_inventory()
+        assert control_phones() is control_phones()
+        assert profiles_by_name(["Google TV"])[0] is device_by_name("Google TV")
+        assert any(profile is device_by_name("Google TV") for profile in build_inventory())
+
+    def test_unknown_names_are_rejected(self):
+        with pytest.raises(KeyError, match="Toaster"):
+            profiles_by_name(["Google TV", "Toaster"])
+        with pytest.raises(KeyError):
+            device_by_name("Toaster")
+
+    def test_every_field_is_frozen(self, inventory):
+        profile = inventory[0]
+        for field in dataclasses.fields(profile):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(profile, field.name, getattr(profile, field.name))
+
+    def test_replace_keeps_the_mac(self, inventory):
+        profile = inventory[0]
+        variant = dataclasses.replace(profile, gua_addr_count=3)
+        assert variant.gua_addr_count == 3
+        assert variant.mac == profile.mac
 
 
 # Everything that identifies a host on the wire and derives from a name:

@@ -102,26 +102,3 @@ def test_invalid_jobs_rejected(capsys):
     assert "must be >= 1, got 0" in capsys.readouterr().err
     with pytest.raises(ValueError):
         run_homes(SMALL_HOMES, shards=0)
-
-
-def test_progress_polling_does_not_perturb_the_simulation():
-    """run_home_study's pending-poll timer must not change observable results."""
-    from repro.fleet.summary import summarize_home
-    from repro.testbed.study import run_home_study
-
-    spec = SMALL_HOMES[0]
-    plain = summarize_home(
-        run_home_study(spec.sim_seed, spec.config_name, spec.device_names), spec
-    )
-    ticks = []
-    polled = summarize_home(
-        run_home_study(
-            spec.sim_seed,
-            spec.config_name,
-            spec.device_names,
-            progress=lambda now, pending: ticks.append((now, pending)),
-        ),
-        spec,
-    )
-    assert ticks and all(pending >= 0 for _, pending in ticks)
-    assert polled == plain

@@ -7,7 +7,6 @@ from repro.devices.portfolio import build_portfolio
 from repro.lifecycle.firmware import (
     REVISIONS,
     apply_revisions,
-    evolve,
     get_revision,
     upgrade_path,
 )
@@ -16,18 +15,6 @@ from repro.lifecycle.firmware import (
 @pytest.fixture(scope="module")
 def inventory():
     return build_inventory()
-
-
-class TestEvolve:
-    def test_preserves_mac(self, inventory):
-        profile = inventory[0]
-        evolved = evolve(profile, dns_retry_budget=9)
-        assert evolved.dns_retry_budget == 9
-        assert evolved.mac == profile.mac
-
-    def test_returns_new_object(self, inventory):
-        profile = inventory[0]
-        assert evolve(profile) is not profile
 
 
 class TestCatalog:

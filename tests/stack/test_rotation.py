@@ -83,7 +83,6 @@ class TestExposureAfterRotation:
 
         profile = profiles_by_name(("Samsung TV",))[0]
         rotated = dataclasses.replace(profile, gua_addr_count=3, gua_rotation_fast=True, gua_rotate_out=True)
-        rotated.mac = profile.mac  # attached post-construction, replace() drops it
         config = resolve_config("dual-stack")
         testbed = Testbed(seed=7, profiles=[rotated], include_controls=False)
         testbed.router.configure(config)

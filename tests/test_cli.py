@@ -131,6 +131,13 @@ def test_adversary_unknown_scenario(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_adversary_infinite_horizon_exits_before_any_home(capsys):
+    assert main(["adversary", "--homes", "1", "--horizon", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon must be finite" in err
+    assert "attacking" not in err  # the run banner never printed
+
+
 def test_faults_worker_failure_exits_nonzero(capsys, monkeypatch):
     import repro.faults.population as population
 

@@ -24,17 +24,10 @@ NAMES = ["Echo Dot 3rd gen", "Apple TV"]
 
 def _profiles(volumes, fractions):
     base = {p.name: p for p in build_inventory() if p.name in NAMES}
-    profiles = []
-    for name, volume, fraction in zip(NAMES, volumes, fractions):
-        clone = replace(
-            base[name],
-            portfolio=replace(base[name].portfolio, volume=volume, v6_volume_fraction=fraction),
-        )
-        # The MAC is assigned by inventory reconciliation, not a dataclass
-        # field, so dataclasses.replace does not carry it over.
-        clone.mac = base[name].mac
-        profiles.append(clone)
-    return profiles
+    return [
+        replace(base[name], portfolio=replace(base[name].portfolio, volume=volume, v6_volume_fraction=fraction))
+        for name, volume, fraction in zip(NAMES, volumes, fractions)
+    ]
 
 
 def _data_bytes(profiles, fidelity):

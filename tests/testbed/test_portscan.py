@@ -1,5 +1,7 @@
 """Port scanner: UDP probe semantics and the report diff helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.testbed.lab import Testbed
@@ -20,8 +22,7 @@ def test_udp_diff_helpers():
 
 @pytest.fixture(scope="module")
 def udp_scan():
-    profiles = profiles_by_name(["Google TV"])
-    profiles[0].open_udp_v6 = (5683,)
+    profiles = [dataclasses.replace(profile, open_udp_v6=(5683,)) for profile in profiles_by_name(["Google TV"])]
     testbed = Testbed(seed=5, profiles=profiles, include_controls=False)
     config = resolve_config("dual-stack")
     testbed.router.configure(config)
