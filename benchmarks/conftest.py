@@ -112,10 +112,10 @@ def study():
     # them so no later timed stage (index build, table render, per-table
     # benchmarks) pays a gen-2 rescan of six experiments' worth of frames.
     gc.freeze()
-    # Emit-once economics for the run: how many frames entered the cache from
-    # the transmit side, how many ever needed an Ethernet.decode parse, and
-    # what fraction of transmissions installed a new object (the rest were
-    # byte-identical repeats of an earlier frame).
+    # Wire counters for the run: frames transmitted (each one its sender's
+    # structured object, never encoded on the wire), raw frames that needed
+    # an Ethernet.decode parse, and the fraction of transmissions that carried
+    # the sender's own object (1.0 on the structured wire).
     frames = result.testbed.link.frames
     PIPELINE_TIMINGS["encode_count"] = frames.encode_count
     PIPELINE_TIMINGS["decode_count"] = frames.decode_count

@@ -56,7 +56,7 @@ def profile_once(config_name: str, seed: int, top: int, fidelity: str = "packet"
     header = (
         f"one-config study profile: config={config_name} seed={seed} "
         f"fidelity={fidelity} devices={len(result.functionality)}\n"
-        f"frame cache: encode_count={frames.encode_count} "
+        f"wire: encode_count={frames.encode_count} "
         f"decode_count={frames.decode_count} "
         f"prime_rate={frames.prime_rate:.3f} errors={frames.decode_errors}\n"
         f"flow records elided from the wire: {len(result.flow_records)}\n"

@@ -127,12 +127,12 @@ def test_bench_pipeline_end_to_end(study, analysis, record):
     for name, text in tables.items():
         record(name, text)
 
-    # The emit-once invariant held end to end: every frame entered the cache
-    # from the transmit side, and no receiver ever paid an Ethernet.decode.
+    # The structured-wire invariant held end to end: every frame was its
+    # sender's own object, and nothing on the link parsed wire bytes.
     frames = study.testbed.link.frames
     assert frames.decode_errors == 0
     assert frames.encode_count > 0
-    assert frames.decode_count == 0, f"emit-once regressed: {frames.decode_count} receive-side parses"
+    assert frames.decode_count == 0, f"structured wire regressed: {frames.decode_count} raw-frame parses"
     assert 0.0 < frames.prime_rate <= 1.0
 
     end_to_end = sum(

@@ -91,7 +91,7 @@ class StudyAnalysis:
         if self.mac_table == self.study.mac_table:
             return self.study.shared_indexes()
         return {
-            name: CaptureIndex(result.records, self.mac_table)
+            name: CaptureIndex(result.records, self.mac_table, flow_records=result.flow_records)
             for name, result in self.study.experiments.items()
         }
 

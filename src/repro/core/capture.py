@@ -179,9 +179,8 @@ class CaptureIndex:
 
     def _ingest(self, record: PcapRecord) -> None:
         self.frame_count += 1
-        # Live captures carry the frame decoded once at tap time; only
-        # records read back from pcap files (or synthesized in tests) still
-        # need a parse here.
+        # Live captures carry the sender's frame; only records read back
+        # from pcap files (or synthesized in tests) still need a parse here.
         frame = record.frame
         if frame is None:
             try:
@@ -408,9 +407,9 @@ class CaptureIndex:
                 if isinstance(inner, TLSClientHello):
                     flow.sni = inner.server_name
                 elif isinstance(inner, Raw) and inner.data[:1] == b"\x16":
-                    # Sender-primed frames carry the hello as an opaque Raw
+                    # Sender-built frames carry the hello as an opaque Raw
                     # payload (the sender built it from bytes); decoded
-                    # frames parse it lazily. Treat both the same so primed
+                    # frames parse it lazily. Treat both the same so live
                     # and re-decoded captures index identically.
                     try:
                         flow.sni = TLSClientHello.decode(inner.data).server_name

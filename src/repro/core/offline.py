@@ -18,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from repro.net.pcap import PcapReader
+from repro.net.pcap import LINKTYPE_ETHERNET, PcapReader
 from repro.stack.config import ALL_CONFIGS
 from repro.testbed.experiments import ExperimentResult
 from repro.testbed.study import Study
@@ -63,7 +63,12 @@ def load_study_from_pcaps(
                 f"{path.name}: experiment name must be one of {sorted(_CONFIG_BY_NAME)}"
             )
         with open(path, "rb") as stream:
-            records = list(PcapReader(stream))
+            reader = PcapReader(stream)
+            if reader.linktype != LINKTYPE_ETHERNET:
+                raise ValueError(
+                    f"{path.name}: link type {reader.linktype} is not Ethernet ({LINKTYPE_ETHERNET})"
+                )
+            records = list(reader)
         study.experiments[name] = ExperimentResult(
             _CONFIG_BY_NAME[name],
             records=records,

@@ -330,7 +330,7 @@ class IoTDevice:
         if self.network is None or not self.phase.local_v6:
             return
         # The Matter beacon payload never varies per device, so build it once
-        # and let the emit-once path replay the same object every period.
+        # and send the same object every period.
         payload = self._matter_payload
         if payload is None:
             payload = Raw(b"\x05\x40" + self.profile.slug.encode()[:24].ljust(24, b"\x00"))

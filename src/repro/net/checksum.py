@@ -63,7 +63,7 @@ def transport_checksum(pseudo: bytes, segment: bytes) -> int:
 
 # -- incremental (template) checksums ----------------------------------------
 #
-# The emit-once wire path assembles a packet's checksum from cached partial
+# The template encoders assemble a packet's checksum from cached partial
 # sums instead of concatenating pseudo-header + segment and re-summing the
 # whole buffer. Because the word sum is additive mod 0xFFFF over even-length
 # pieces, sum(pseudo + segment) ≡ pseudo_sum + segment_sum, so the fixed

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass, field
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 MAGIC = 0xA1B2C3D4
@@ -23,24 +22,43 @@ _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
 
 
-@dataclass(frozen=True)
 class PcapRecord:
-    """One captured frame: a timestamp (seconds) and the raw bytes.
+    """One captured frame: a timestamp (seconds) and the frame.
 
-    ``frame`` optionally carries the already-decoded ``Ethernet`` view of
-    ``data`` (live captures attach it at tap time via the link's
-    :class:`~repro.net.framecache.FrameCache`), so the analysis pipeline
-    never re-parses a frame the simulation already decoded. It is a derived
-    cache: excluded from equality, dropped on pickling (workers re-decode
-    lazily), and always ``None`` for records read back from pcap files.
+    A live capture holds the sender's structured ``frame`` and no bytes:
+    ``data`` encodes it on every read and never keeps the result, so a
+    study's captures hold no encoded frames, even after an export. Records
+    read from pcap files hold their bytes and no frame. Equality compares
+    timestamp and bytes, and a record pickles as ``(timestamp, data)``: the
+    frame is dropped, and the receiving side decodes on demand.
     """
 
-    timestamp: float
-    data: bytes
-    frame: Optional[object] = field(default=None, compare=False, repr=False)
+    __slots__ = ("timestamp", "_data", "frame")
+
+    def __init__(self, timestamp: float, data: Optional[bytes] = None, frame=None):
+        if data is None and frame is None:
+            raise ValueError("a PcapRecord needs its bytes or its frame")
+        self.timestamp = timestamp
+        self._data = data
+        self.frame = frame
+
+    @property
+    def data(self) -> bytes:
+        return self._data if self._data is not None else self.frame.encode()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PcapRecord):
+            return NotImplemented
+        return self.timestamp == other.timestamp and self.data == other.data
+
+    def __hash__(self) -> int:
+        return hash((self.timestamp, self.data))
 
     def __reduce__(self):
         return (PcapRecord, (self.timestamp, self.data))
+
+    def __repr__(self) -> str:
+        return f"PcapRecord(timestamp={self.timestamp!r}, data={self.data!r})"
 
 
 class PcapWriter:

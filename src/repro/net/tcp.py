@@ -140,9 +140,9 @@ class TCP(Layer):
     def with_ports(self, sport: int | None = None, dport: int | None = None) -> "TCP":
         """A copy with rewritten ports, sharing the (lazy) payload state.
 
-        NAT-style translation must not mutate a decoded segment in place:
-        the decode-once pipeline shares one decoded object between every
-        consumer, including retained capture records.
+        NAT-style translation must not mutate a segment in place: the link
+        shares one object between every consumer, including retained
+        capture records.
         """
         clone = TCP.__new__(TCP)
         clone.sport = self.sport if sport is None else sport

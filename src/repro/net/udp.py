@@ -104,9 +104,9 @@ class UDP(Layer):
     def with_ports(self, sport: int | None = None, dport: int | None = None) -> "UDP":
         """A copy with rewritten ports, sharing the (lazy) payload state.
 
-        NAT-style translation must not mutate a decoded datagram in place:
-        the decode-once pipeline shares one decoded object between every
-        consumer, including retained capture records.
+        NAT-style translation must not mutate a datagram in place: the link
+        shares one object between every consumer, including retained
+        capture records.
         """
         clone = UDP.__new__(UDP)
         clone.sport = self.sport if sport is None else sport

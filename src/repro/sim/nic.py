@@ -6,6 +6,7 @@ from typing import TYPE_CHECKING
 
 from repro.net.ethernet import Ethernet
 from repro.net.mac import MacAddress
+from repro.net.packet import DecodeError
 
 if TYPE_CHECKING:
     from repro.sim.link import EthernetLink
@@ -20,8 +21,9 @@ class Nic:
         self.mac = MacAddress(mac)
         self.link = link
         self.promiscuous = promiscuous
-        # The filter state as raw bytes: the link's delivery filters on frame
-        # bytes directly, so rejected frames never construct a MacAddress.
+        # The filter state as raw bytes: the link's delivery filters on the
+        # destination's packed bytes, so rejected frames never compare
+        # MacAddress objects.
         self._mac_bytes = self.mac.packed
         self._multicast_bytes = {MacAddress("33:33:00:00:00:01").packed}  # all-nodes
         link.attach(self)
@@ -34,19 +36,25 @@ class Nic:
         self._multicast_bytes.discard(MacAddress(mac).packed)
         self.link.invalidate_flood()
 
-    def send(self, frame: Ethernet, wire: "bytes | None" = None) -> None:
-        """Serialize and put a frame on the wire.
+    def send(self, frame: Ethernet) -> None:
+        """Put a frame on the wire.
 
-        The structured ``frame`` rides along with its bytes so the link can
-        prime its :class:`~repro.net.framecache.FrameCache` before delivery:
-        receivers and taps share the sender's object and never re-parse.
-        Callers that resend an identical frame periodically (the router's
-        RAs) may pass the previously encoded ``wire`` bytes to skip even the
-        template-assisted encode.
+        The link carries this very object to every receiver and tap, and its
+        bytes are computed only at pcap export, so the frame must not be
+        changed after this call.
         """
-        self.link.transmit(self, frame.encode() if wire is None else wire, frame)
+        self.link.transmit(self, frame)
 
-    def send_raw(self, frame: bytes) -> None:
+    def send_raw(self, data: bytes) -> None:
+        """Parse ``data`` once and send the frame; bytes that do not parse
+        are dropped (counted in the link's ``decode_errors``)."""
+        counters = self.link.frames
+        counters.decode_count += 1
+        try:
+            frame = Ethernet.decode(data)
+        except DecodeError:
+            counters.decode_errors += 1
+            return
         self.link.transmit(self, frame)
 
     def __repr__(self) -> str:

@@ -140,11 +140,9 @@ class Router(Node):
         self._next_nat_port = 20000
 
         self._ra_event = None
-        # The RA is a pure function of the active config, so both the
-        # structured frame and its wire bytes are built once per configure()
-        # and replayed every tick (emit-once: the frame cache is primed with
-        # the same object each time).
-        self._ra_wire: Optional[tuple] = None
+        # The RA is a pure function of the active config, so its frame is
+        # built once per configure() and the same object is sent every tick.
+        self._ra_frame: Optional[Ethernet] = None
         internet.attach_router(self)
 
         self.nic.join_multicast(multicast_mac(as_ipv6("ff02::1:2")))
@@ -166,7 +164,7 @@ class Router(Node):
         self._nat_out.clear()
         self._nat_in.clear()
         self._v6_leases.clear()
-        self._ra_wire = None
+        self._ra_frame = None
         if self._ra_event is not None:
             self._ra_event.cancel()
             self._ra_event = None
@@ -182,7 +180,7 @@ class Router(Node):
             return
         if self.faults is not None and self.faults.ra_suppressed(self.sim.now):
             return
-        if self._ra_wire is None:
+        if self._ra_frame is None:
             options = [
                 SourceLinkLayerOption(self.mac),
                 MTUOption(1480),  # the IPv6-over-IPv4 tunnel MTU
@@ -196,10 +194,8 @@ class Router(Node):
                 options=options,
             )
             packet = IPv6(self.v6_lla, ALL_NODES, 58, ra, hop_limit=255)
-            frame = Ethernet(multicast_mac(ALL_NODES), self.mac, ETHERTYPE_IPV6, packet)
-            self._ra_wire = (frame, frame.encode())
-        frame, wire = self._ra_wire
-        self.nic.send(frame, wire)
+            self._ra_frame = Ethernet(multicast_mac(ALL_NODES), self.mac, ETHERTYPE_IPV6, packet)
+        self.nic.send(self._ra_frame)
 
     # ------------------------------------------------------------- frame intake
 
@@ -298,8 +294,8 @@ class Router(Node):
             self._next_nat_port += 1
             self._nat_out[key] = public_port
             self._nat_in[(proto, public_port)] = (packet.src, sport)
-        # Copy-on-translate: the decoded datagram is shared with the capture
-        # pipeline via the frame cache, so NAT must not rewrite it in place.
+        # Copy-on-translate: the datagram is shared with the capture
+        # records, so NAT must not rewrite it in place.
         translated_payload = payload.with_ports(sport=public_port)
         translated = IPv4(self.wan_v4_address, packet.dst, packet.proto, translated_payload, ttl=packet.ttl - 1)
         self.internet.deliver_v4(translated)

@@ -53,23 +53,22 @@ class Testbed:
     def start_capture(self) -> list[PcapRecord]:
         """Attach a tcpdump-style tap; returns the (live) record list.
 
-        Records retain the decoded frame alongside the raw bytes (decoded
-        once, via the link's frame cache), so the analysis pipeline never
-        re-parses the capture.
+        Records hold the sender's structured frame, so the analysis pipeline
+        never parses the capture; bytes are encoded only at pcap export.
         """
         records: list[PcapRecord] = []
 
-        def tap(timestamp: float, data: bytes, frame) -> None:
-            records.append(PcapRecord(timestamp, data, frame))
+        def tap(timestamp: float, frame) -> None:
+            records.append(PcapRecord(timestamp, frame=frame))
 
-        self.link.add_frame_tap(tap)
+        self.link.add_tap(tap)
         self._active_tap = tap
         return records
 
     def stop_capture(self) -> None:
         tap = getattr(self, "_active_tap", None)
         if tap is not None:
-            self.link.remove_frame_tap(tap)
+            self.link.remove_tap(tap)
             self._active_tap = None
 
     # -- identity -------------------------------------------------------------

@@ -55,9 +55,7 @@ class Study:
             mac_table = self.mac_table
             for name, result in self.experiments.items():
                 if name not in cache:
-                    cache[name] = CaptureIndex(
-                        result.records, mac_table, flow_records=getattr(result, "flow_records", ())
-                    )
+                    cache[name] = CaptureIndex(result.records, mac_table, flow_records=result.flow_records)
         return cache
 
     def export_pcaps(self, directory) -> list[Path]:

@@ -1,5 +1,7 @@
 """Offline (pcap-file) analysis must equal live in-memory analysis."""
 
+import struct
+
 import pytest
 
 from repro.core.analysis import StudyAnalysis
@@ -53,3 +55,16 @@ def test_unknown_experiment_name_rejected(mini_study, tmp_path):
     (tmp_path / "mystery.pcap").write_bytes((tmp_path / "ipv4-only.pcap").read_bytes())
     with pytest.raises(ValueError):
         load_study_from_pcaps(tmp_path, mini_study.mac_table)
+
+
+def test_non_ethernet_capture_rejected(tmp_path):
+    """A Linux cooked capture (``tcpdump -i any``, link type 113) would index
+    its 16-byte cooked header as Ethernet and read zero everywhere."""
+    body = b"\x00" * 60
+    (tmp_path / "ipv6-only.pcap").write_bytes(
+        struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 113)
+        + struct.pack("<IIII", 1, 0, len(body), len(body))
+        + body
+    )
+    with pytest.raises(ValueError, match="ipv6-only.pcap.*113"):
+        load_study_from_pcaps(tmp_path, {})

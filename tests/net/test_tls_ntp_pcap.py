@@ -1,6 +1,7 @@
 """Tests for the TLS ClientHello, NTP, and pcap codecs."""
 
 import io
+import pickle
 import struct
 
 import pytest
@@ -143,3 +144,27 @@ class TestPcap:
         assert [r.data for r in loaded] == [r.data for r in records]
         for got, want in zip(loaded, records):
             assert abs(got.timestamp - want.timestamp) < 1e-5
+
+
+class TestLiveRecord:
+    """A live capture record holds the sender's frame and encodes on read."""
+
+    @staticmethod
+    def _frame():
+        return Ethernet(MAC_B, MAC_A, 0x86DD) / IPv6("fe80::1", "ff02::1", 59)
+
+    def test_data_is_the_frames_encoding(self):
+        frame = self._frame()
+        assert PcapRecord(1.0, frame=frame).data == frame.encode()
+
+    def test_pickle_drops_the_frame_and_keeps_the_bytes(self):
+        frame = self._frame()
+        record = PcapRecord(1.0, frame=frame)
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored.frame is None
+        assert restored == record
+        assert restored.data == frame.encode()
+
+    def test_record_needs_bytes_or_a_frame(self):
+        with pytest.raises(ValueError):
+            PcapRecord(1.0)

@@ -121,7 +121,7 @@ class TestRebootHygiene:
         from repro.core.capture import CaptureIndex
         from repro.net.pcap import PcapRecord
 
-        index = CaptureIndex([PcapRecord(0.0, f) for f in captured], {host.mac: "h"})
+        index = CaptureIndex([PcapRecord(0.0, frame=f) for f in captured], {host.mac: "h"})
         observed = {str(a) for a in index.addresses.get("h", {})}
         assigned = {str(r.address) for r in host.addrs.assigned()}
         assert assigned <= observed

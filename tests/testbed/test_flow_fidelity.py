@@ -10,13 +10,17 @@ fidelity, so faulted runs stay equivalent too.
 
 import pytest
 
+from repro.core.analysis import StudyAnalysis
 from repro.core.capture import CaptureIndex
+from repro.core.meta import metadata_from_profiles
 from repro.devices import build_inventory
 from repro.faults.inject import FaultInjector
 from repro.faults.schedule import FaultSchedule, FaultWindow
+from repro.reports import render_table3, render_table6, render_table7
 from repro.stack.config import ALL_CONFIGS, DUAL_STACK, with_fidelity
 from repro.testbed import Testbed, run_connectivity_experiment
 from repro.testbed.study import run_full_study
+from tests.pipeline.test_goldens import pcap_sha256
 
 SUBSET = [
     "Samsung Fridge",
@@ -84,6 +88,18 @@ def _snapshot(index: CaptureIndex) -> dict:
     }
 
 
+# sha256 of each experiment's pcap from the flow-fidelity study, as
+# ``Study.export_pcaps`` writes it.
+FLOW_CAPTURE_SHA256 = {
+    "ipv4-only": "b02c0bb5a76dc0a2e612ec61f91748b58d922b77e06d369347b7a43403051545",
+    "ipv6-only": "50b51563346609fd2d97bc8bcfa713a0e5df519979e52660891b0459c9bd773e",
+    "ipv6-only-rdnss": "b02abcfce6ce77d87632a8fb3d37490b45df8c15e29f2fb21ffb7eeb72559bd6",
+    "ipv6-only-stateful": "7cb0bab58d2eb0553d955ffabebb8ff73a199f1b2d4902669bc47fb78ba8b143",
+    "dual-stack": "f004274ace0731559b267122140b5b888395b643550568da9ca3b6f71f671e7b",
+    "dual-stack-stateful": "c06f1158baee3ba952dacf9dd71e39ce3a5ba744b7b0c3aa8c8a0dc11d93604f",
+}
+
+
 class TestStudyEquivalence:
     def test_functionality_identical(self, packet_study, flow_study):
         for config in ALL_CONFIGS:
@@ -118,6 +134,22 @@ class TestStudyEquivalence:
     def test_active_phases_identical(self, packet_study, flow_study):
         assert flow_study.port_scan == packet_study.port_scan
         assert flow_study.active_dns == packet_study.active_dns
+
+    def test_custom_metadata_tables_identical(self, packet_study, flow_study):
+        """Metadata naming six of the seven devices indexes each capture with
+        its own MAC table, which must still count the flow records."""
+        metadata = metadata_from_profiles(_profiles()[:6])
+        packet_analysis = StudyAnalysis(packet_study, metadata)
+        flow_analysis = StudyAnalysis(flow_study, metadata)
+        for render in (render_table3, render_table6, render_table7):
+            assert render(flow_analysis) == render(packet_analysis), (
+                f"fidelity changed {render.__name__} under custom metadata"
+            )
+
+    @pytest.mark.parametrize("experiment", FLOW_CAPTURE_SHA256)
+    def test_capture_matches_pinned_digest(self, flow_study, experiment):
+        records = flow_study.experiment(experiment).records
+        assert pcap_sha256(records) == FLOW_CAPTURE_SHA256[experiment]
 
 
 # A link-loss window spanning the whole experiment: every frame the flow path
