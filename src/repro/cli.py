@@ -31,10 +31,11 @@ makes a run resumable and ``--cache`` reuses studies across runs.
 ``faults --list-presets`` and ``lifecycle --list-waves`` print the known
 preset/wave names one per line and exit 0 without running anything.
 
-Every simulation command accepts ``--fidelity {packet,flow}``: ``flow``
-advances steady-state data flows as aggregate records (DESIGN.md §13) and
-produces byte-identical analysis output several times faster; ``pcap``
-exports then contain control-plane frames only.
+Every simulation command but ``pcap`` accepts ``--fidelity {packet,flow}``:
+``flow`` advances steady-state data flows as aggregate records (DESIGN.md
+§13) and produces byte-identical analysis output several times faster.
+``pcap`` always runs packet fidelity, because a pcap file cannot hold the
+flow records.
 
 Population commands exit 2 when no work was generated (e.g. ``--homes 0``)
 or the arguments are invalid (negative seed, non-positive timeout, duplicate
@@ -180,7 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pcap = sub.add_parser("pcap", help="run the campaign, export pcap files")
     pcap.add_argument("directory")
     pcap.add_argument("--seed", type=int, default=42)
-    _add_fidelity(pcap)
 
     sub.add_parser("devices", help="print the 93-device inventory")
 
@@ -584,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "pcap":
-        study, _ = _run_study(args.seed, with_scan=False, fidelity=args.fidelity)
+        study, _ = _run_study(args.seed, with_scan=False)
         for path in study.export_pcaps(args.directory):
             print(path)
         return 0

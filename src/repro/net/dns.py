@@ -52,56 +52,32 @@ def _normalize(name: str) -> str:
     return name.rstrip(".").lower()
 
 
-@functools.lru_cache(maxsize=1 << 12)
-def _name_wire(name: str) -> tuple[bytes, tuple[tuple[str, int], ...]]:
-    """The uncompressed wire form of a normalized name, plus the (suffix,
-    relative offset) table compression needs — cached like ``_normalize``
-    because the simulated Internet encodes a small fixed set of names
-    millions of times."""
-    out = bytearray()
-    suffixes: list[tuple[str, int]] = []
-    labels = name.split(".")
-    for i in range(len(labels)):
-        suffixes.append((".".join(labels[i:]), len(out)))
-        label = labels[i].encode("ascii")
-        if not 0 < len(label) < 64:
-            raise ValueError(f"invalid DNS label in {name!r}")
-        out += bytes([len(label)]) + label
-    out += b"\x00"
-    return bytes(out), tuple(suffixes)
-
-
 def encode_name(name: str, compression: dict[str, int] | None = None, offset: int = 0) -> bytes:
-    """Encode a domain name, optionally using/recording compression pointers."""
+    """Encode a domain name, optionally using/recording compression pointers.
+
+    ``compression`` maps each name suffix already in the message to its
+    offset there; ``offset`` is where this name starts.
+    """
     name = _normalize(name)
     if not name:
         return b"\x00"
-    wire, suffixes = _name_wire(name)
-    if compression is None:
-        return wire
-    for suffix, rel in suffixes:
-        pointer = compression.get(suffix)
-        if pointer is not None:
-            return wire[:rel] + bytes([0xC0 | (pointer >> 8), pointer & 0xFF])
-        if offset + rel < 0x3FFF:
-            compression[suffix] = offset + rel
-    return wire
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def _query_tail(flags: int, name: str, qtype: int, qclass: int) -> bytes:
-    """The wire form of a single-question message after the transaction ID.
-
-    Every DNS lookup a device retries re-encodes the same question with a
-    fresh ID; the ID-independent remainder is cached per (flags, question).
-    """
-    return (
-        flags.to_bytes(2, "big")
-        + b"\x00\x01\x00\x00\x00\x00\x00\x00"  # QD=1, AN=NS=AR=0
-        + encode_name(name)
-        + qtype.to_bytes(2, "big")
-        + qclass.to_bytes(2, "big")
-    )
+    out = bytearray()
+    labels = name.split(".")
+    for i, label in enumerate(labels):
+        if compression is not None:
+            suffix = ".".join(labels[i:])
+            pointer = compression.get(suffix)
+            if pointer is not None:
+                out += bytes([0xC0 | (pointer >> 8), pointer & 0xFF])
+                return bytes(out)
+            if offset + len(out) < 0x3FFF:
+                compression[suffix] = offset + len(out)
+        raw = label.encode("ascii")
+        if not 0 < len(raw) < 64:
+            raise ValueError(f"invalid DNS label in {name!r}")
+        out += bytes([len(raw)]) + raw
+    out += b"\x00"
+    return bytes(out)
 
 
 def decode_name(data: bytes, offset: int) -> tuple[str, int]:
@@ -229,7 +205,6 @@ class DNS(Layer):
         "authorities",
         "additionals",
         "payload",
-        "_tail",
     )
 
     def __init__(
@@ -257,7 +232,6 @@ class DNS(Layer):
         self.authorities = authorities or []
         self.additionals = additionals or []
         self.payload = None
-        self._tail = None
 
     @classmethod
     def query(cls, txid: int, name: str, qtype: int) -> "DNS":
@@ -291,11 +265,8 @@ class DNS(Layer):
         """A shallow copy carrying a different transaction ID.
 
         The resolver answers the same question with the same section lists
-        for every client; copies share those lists and the encoded tail, so
-        only the 2-byte ID is assembled per response.
+        for every client; copies share those lists.
         """
-        if self._tail is None:
-            self.encode()  # populate the shared tail before cloning
         clone = DNS.__new__(DNS)
         clone.txid = txid
         clone.is_response = self.is_response
@@ -308,20 +279,9 @@ class DNS(Layer):
         clone.authorities = self.authorities
         clone.additionals = self.additionals
         clone.payload = None
-        clone._tail = self._tail
-        if self.wire_len is not None:
-            clone.wire_len = self.wire_len
         return clone
 
     def encode(self) -> bytes:
-        # Everything after the 2-byte transaction ID is a pure function of
-        # the message content. Compression pointers are offsets within the
-        # whole message, so the tail is position-independent of the ID value
-        # and memoizable: once per instance, and — for single-question
-        # queries, the per-lookup hot path — once per (flags, question).
-        txid_bytes = self.txid.to_bytes(2, "big")
-        if self._tail is not None:
-            return txid_bytes + self._tail
         flags = 0
         if self.is_response:
             flags |= 0x8000
@@ -332,13 +292,9 @@ class DNS(Layer):
         if self.recursion_available:
             flags |= 0x0080
         flags |= self.rcode & 0x0F
-        if len(self.questions) == 1 and not self.answers and not self.authorities and not self.additionals:
-            q = self.questions[0]
-            self._tail = _query_tail(flags, q.name, q.qtype, q.qclass)
-            return txid_bytes + self._tail
-        out = bytearray(b"\x00\x00")
-        out += (
-            flags.to_bytes(2, "big")
+        out = bytearray(
+            self.txid.to_bytes(2, "big")
+            + flags.to_bytes(2, "big")
             + len(self.questions).to_bytes(2, "big")
             + len(self.answers).to_bytes(2, "big")
             + len(self.authorities).to_bytes(2, "big")
@@ -354,8 +310,7 @@ class DNS(Layer):
             out += rr.ttl.to_bytes(4, "big")
             rdata = rr._rdata_bytes(compression, len(out) + 2)
             out += len(rdata).to_bytes(2, "big") + rdata
-        self._tail = bytes(out[2:])
-        return txid_bytes + self._tail
+        return bytes(out)
 
     @classmethod
     def decode(cls, data: bytes) -> "DNS":

@@ -2,22 +2,12 @@
 
 from __future__ import annotations
 
-import functools
-
 from repro.net.mac import MacAddress
 from repro.net.packet import ETHERTYPE_DECODERS, DecodeError, Layer, Raw
 
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETHERTYPE_IPV6 = 0x86DD
-
-
-# A LAN conversation reuses the same (dst, src, ethertype) triple for every
-# frame it sends, so the 14-byte header is a template keyed on the interned
-# address bytes rather than rebuilt per packet.
-@functools.lru_cache(maxsize=1 << 13)
-def _header_template(dst_packed: bytes, src_packed: bytes, ethertype: int) -> bytes:
-    return dst_packed + src_packed + ethertype.to_bytes(2, "big")
 
 
 class Ethernet(Layer):
@@ -33,9 +23,7 @@ class Ethernet(Layer):
 
     def encode(self) -> bytes:
         body = self.payload.encode() if self.payload is not None else b""
-        out = _header_template(self.dst.packed, self.src.packed, self.ethertype) + body
-        self.wire_len = len(out)
-        return out
+        return self.dst.packed + self.src.packed + self.ethertype.to_bytes(2, "big") + body
 
     @classmethod
     def decode(cls, data: bytes) -> "Ethernet":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import ipaddress
 from typing import Optional
 
-from repro.net.checksum import fold_checksum, ipv6_pseudo_header, partial_sum, pseudo_sum_v6, transport_checksum
+from repro.net.checksum import segment_checksum
 from repro.net.ip6 import as_ipv6
 from repro.net.mac import MacAddress
 from repro.net.ip6 import intern_ipv6
@@ -350,18 +350,13 @@ class ICMPv6(Layer):
         return self.data
 
     def encode_transport(self, src, dst) -> bytes:
-        body = self._message_body()
-        length = 4 + len(body)
-        checksum = (
-            fold_checksum(pseudo_sum_v6(src, dst, 58) + length + ((self.icmp_type << 8) | self.code) + partial_sum(body))
-            or 0xFFFF
-        )
-        self.wire_len = length
-        return bytes([self.icmp_type, self.code]) + checksum.to_bytes(2, "big") + body
+        message = self.encode()
+        return message[:2] + segment_checksum(src, dst, 58, message).to_bytes(2, "big") + message[4:]
 
     def encode(self) -> bytes:
-        body = self._message_body()
-        return bytes([self.icmp_type, self.code]) + b"\x00\x00" + body
+        """The message with its checksum field zero; ``encode_transport``
+        fills it in under the enclosing IPv6 addresses."""
+        return bytes([self.icmp_type, self.code]) + b"\x00\x00" + self._message_body()
 
     @classmethod
     def decode(cls, data: bytes, src=None, dst=None) -> "ICMPv6":
@@ -401,10 +396,8 @@ class ICMPv6(Layer):
         else:
             message.data = body
         if src is not None and dst is not None:
-            wire_checksum = int.from_bytes(data[2:4], "big")
-            pseudo = ipv6_pseudo_header(src, dst, 58, len(data))
-            recomputed = transport_checksum(pseudo, data[:2] + b"\x00\x00" + data[4:])
-            message.checksum_ok = recomputed == wire_checksum
+            recomputed = segment_checksum(src, dst, 58, data[:2] + b"\x00\x00" + data[4:])
+            message.checksum_ok = recomputed == int.from_bytes(data[2:4], "big")
         message.wire_len = len(data)
         return message
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import ipaddress
 
-from repro.net.checksum import fold_checksum
+from repro.net.checksum import internet_checksum
 from repro.net.packet import IP_PROTO_DECODERS, DecodeError, Layer, Raw, register_ethertype
 
 PROTO_ICMP = 1
@@ -48,19 +48,6 @@ def as_ipv4(value) -> ipaddress.IPv4Address:
     return intern_ipv4(ipaddress.IPv4Address(value).packed)
 
 
-# Within a flow only total_length (and therefore the header checksum)
-# varies, so the header is a template: fixed chunks plus the precomputed
-# word sum of every fixed field. The per-packet checksum is one fold of
-# ``fixed_sum + total_length`` — additivity of the 16-bit word sum mod
-# 0xFFFF over the header words.
-@functools.lru_cache(maxsize=1 << 13)
-def _header_template(src, dst, proto: int, ttl: int, identification: int):
-    mid = identification.to_bytes(2, "big") + b"\x00\x00" + bytes([ttl, proto])
-    addrs = src.packed + dst.packed
-    fixed_sum = (0x4500 + identification + ((ttl << 8) | proto) + int.from_bytes(addrs, "big")) % 0xFFFF
-    return mid, addrs, fixed_sum
-
-
 class IPv4(Layer):
     """An IPv4 header (no options) plus payload."""
 
@@ -84,17 +71,17 @@ class IPv4(Layer):
 
     def encode(self) -> bytes:
         body = self._payload_bytes()
-        total_length = 20 + len(body)
-        mid, addrs, fixed_sum = _header_template(self.src, self.dst, self.proto, self.ttl, self.identification)
-        checksum = fold_checksum(fixed_sum + total_length)
-        self.wire_len = total_length
-        return (
-            (0x45000000 | total_length).to_bytes(4, "big")
-            + mid
-            + checksum.to_bytes(2, "big")
-            + addrs
-            + body
+        header = (
+            bytes([0x45, 0])  # version 4, 5-word header; DSCP/ECN 0
+            + (20 + len(body)).to_bytes(2, "big")
+            + self.identification.to_bytes(2, "big")
+            + b"\x00\x00"  # flags and fragment offset
+            + bytes([self.ttl, self.proto])
+            + b"\x00\x00"  # header checksum, computed over this header
+            + self.src.packed
+            + self.dst.packed
         )
+        return header[:10] + internet_checksum(header).to_bytes(2, "big") + header[12:] + body
 
     @classmethod
     def decode(cls, data: bytes) -> "IPv4":

@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-import functools
-
 from repro.net.ip6 import as_ipv6, intern_ipv6
 from repro.net.packet import IP_PROTO_DECODERS, DecodeError, Layer, Raw, register_ethertype
 
 NEXT_HEADER_TCP = 6
 NEXT_HEADER_UDP = 17
 NEXT_HEADER_ICMPV6 = 58
-
-
-# Only the 2-byte payload length varies within a flow; the other 38 header
-# bytes are a template keyed on the (interned) field tuple. Split around the
-# length so encode() is two concatenations.
-@functools.lru_cache(maxsize=1 << 13)
-def _header_template(src, dst, next_header: int, hop_limit: int, traffic_class: int, flow_label: int):
-    first_word = (6 << 28) | (traffic_class << 20) | flow_label
-    head = first_word.to_bytes(4, "big")
-    tail = bytes([next_header, hop_limit]) + src.packed + dst.packed
-    return head, tail
 
 
 class IPv6(Layer):
@@ -58,11 +45,15 @@ class IPv6(Layer):
 
     def encode(self) -> bytes:
         body = self._payload_bytes()
-        head, tail = _header_template(
-            self.src, self.dst, self.next_header, self.hop_limit, self.traffic_class, self.flow_label
+        first_word = (6 << 28) | (self.traffic_class << 20) | self.flow_label
+        return (
+            first_word.to_bytes(4, "big")
+            + len(body).to_bytes(2, "big")
+            + bytes([self.next_header, self.hop_limit])
+            + self.src.packed
+            + self.dst.packed
+            + body
         )
-        self.wire_len = 40 + len(body)
-        return head + len(body).to_bytes(2, "big") + tail + body
 
     @classmethod
     def decode(cls, data: bytes) -> "IPv6":

@@ -117,11 +117,6 @@ def register_tcp_port(port: int, decoder: Callable) -> None:
     TCP_PORT_DECODERS[port] = decoder
 
 
-def has_udp_decoder(sport: int, dport: int) -> bool:
-    """True when either port has a registered application decoder."""
-    return sport in UDP_PORT_DECODERS or dport in UDP_PORT_DECODERS
-
-
 def has_tcp_decoder(sport: int, dport: int) -> bool:
     """True when either port has a registered application decoder."""
     return sport in TCP_PORT_DECODERS or dport in TCP_PORT_DECODERS

@@ -8,30 +8,8 @@ exchanges the analysis pipeline (and the port scanner) can interpret.
 
 from __future__ import annotations
 
-import functools
-import ipaddress
-
-from repro.net.checksum import (
-    fold_checksum,
-    ipv4_pseudo_header,
-    ipv6_pseudo_header,
-    partial_sum,
-    pseudo_sum_v4,
-    pseudo_sum_v6,
-    transport_checksum,
-)
+from repro.net.checksum import segment_checksum
 from repro.net.packet import UNPARSED, DecodeError, Layer, decode_tcp_payload, register_ip_proto
-
-
-@functools.lru_cache(maxsize=1 << 13)
-def _port_prefix(sport: int, dport: int) -> bytes:
-    return sport.to_bytes(2, "big") + dport.to_bytes(2, "big")
-
-
-@functools.lru_cache(maxsize=256)
-def _flags_window(flags: int, window: int) -> bytes:
-    return bytes([(5 << 4), flags & 0x3F]) + window.to_bytes(2, "big")
-
 
 FLAG_FIN = 0x01
 FLAG_SYN = 0x02
@@ -107,13 +85,8 @@ class TCP(Layer):
         if ctx is not None:
             src, dst, data = ctx
             self._cksum_ctx = None
-            wire_checksum = int.from_bytes(data[16:18], "big")
-            if isinstance(src, ipaddress.IPv6Address):
-                pseudo = ipv6_pseudo_header(src, dst, 6, len(data))
-            else:
-                pseudo = ipv4_pseudo_header(src, dst, 6, len(data))
-            recomputed = transport_checksum(pseudo, data[:16] + b"\x00\x00" + data[18:])
-            self._cksum_ok = recomputed == wire_checksum
+            recomputed = segment_checksum(src, dst, 6, data[:16] + b"\x00\x00" + data[18:])
+            self._cksum_ok = recomputed == int.from_bytes(data[16:18], "big")
         return self._cksum_ok
 
     @checksum_ok.setter
@@ -159,10 +132,13 @@ class TCP(Layer):
             clone.wire_len = self.wire_len
         return clone
 
-    def _payload_bytes(self) -> bytes:
-        return self.payload_bytes
+    def encode_transport(self, src, dst) -> bytes:
+        segment = self.encode()
+        return segment[:16] + segment_checksum(src, dst, 6, segment).to_bytes(2, "big") + segment[18:]
 
-    def _header(self, checksum: int = 0) -> bytes:
+    def encode(self) -> bytes:
+        """The segment with its checksum field zero; ``encode_transport``
+        fills it in under the enclosing IP addresses."""
         return (
             self.sport.to_bytes(2, "big")
             + self.dport.to_bytes(2, "big")
@@ -170,44 +146,10 @@ class TCP(Layer):
             + (self.ack & 0xFFFFFFFF).to_bytes(4, "big")
             + bytes([(5 << 4), self.flags & 0x3F])
             + self.window.to_bytes(2, "big")
-            + checksum.to_bytes(2, "big")
+            + b"\x00\x00"  # checksum
             + b"\x00\x00"  # urgent pointer
+            + self.payload_bytes
         )
-
-    def encode_transport(self, src, dst) -> bytes:
-        body = self._payload_bytes()
-        length = 20 + len(body)
-        if isinstance(src, ipaddress.IPv6Address):
-            fixed = pseudo_sum_v6(src, dst, 6)
-        else:
-            fixed = pseudo_sum_v4(src, dst, 6)
-        seq = self.seq & 0xFFFFFFFF
-        ack = self.ack & 0xFFFFFFFF
-        header_sum = (
-            self.sport
-            + self.dport
-            + (seq >> 16)
-            + (seq & 0xFFFF)
-            + (ack >> 16)
-            + (ack & 0xFFFF)
-            + ((5 << 12) | (self.flags & 0x3F))
-            + self.window
-        )
-        checksum = fold_checksum(fixed + length + header_sum + partial_sum(body)) or 0xFFFF
-        self.wire_len = length
-        payload = self._payload
-        if payload is not None and payload is not UNPARSED and payload.wire_len is None:
-            payload.wire_len = len(body)
-        return (
-            _port_prefix(self.sport, self.dport)
-            + ((seq << 32) | ack).to_bytes(8, "big")
-            + _flags_window(self.flags, self.window)
-            + (checksum << 16).to_bytes(4, "big")  # checksum + zero urgent pointer
-            + body
-        )
-
-    def encode(self) -> bytes:
-        return self._header(0) + self._payload_bytes()
 
     @classmethod
     def decode(cls, data: bytes, src=None, dst=None) -> "TCP":

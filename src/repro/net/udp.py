@@ -8,24 +8,8 @@ filters — read ``payload_wire_len`` and never pay the application parse.
 
 from __future__ import annotations
 
-import functools
-import ipaddress
-
-from repro.net.checksum import (
-    fold_checksum,
-    ipv4_pseudo_header,
-    ipv6_pseudo_header,
-    partial_sum,
-    pseudo_sum_v4,
-    pseudo_sum_v6,
-    transport_checksum,
-)
+from repro.net.checksum import segment_checksum
 from repro.net.packet import UNPARSED, DecodeError, Layer, decode_udp_payload, register_ip_proto
-
-
-@functools.lru_cache(maxsize=1 << 13)
-def _port_prefix(sport: int, dport: int) -> bytes:
-    return sport.to_bytes(2, "big") + dport.to_bytes(2, "big")
 
 
 class UDP(Layer):
@@ -82,18 +66,9 @@ class UDP(Layer):
         if ctx is not None:
             src, dst, wire_checksum = ctx
             self._cksum_ctx = None
-            length = self.wire_len
-            if isinstance(src, ipaddress.IPv6Address):
-                pseudo = ipv6_pseudo_header(src, dst, 17, length)
-            else:
-                pseudo = ipv4_pseudo_header(src, dst, 17, length)
-            header = (
-                self.sport.to_bytes(2, "big")
-                + self.dport.to_bytes(2, "big")
-                + length.to_bytes(2, "big")
-                + b"\x00\x00"
-            )
-            self._cksum_ok = transport_checksum(pseudo, header + self._body) == wire_checksum
+            # The header fields and body were all parsed from the received
+            # bytes, so this rebuilds them with the checksum field zeroed.
+            self._cksum_ok = segment_checksum(src, dst, 17, self._datagram(self._body)) == wire_checksum
         return self._cksum_ok
 
     @checksum_ok.setter
@@ -119,37 +94,24 @@ class UDP(Layer):
             clone.wire_len = self.wire_len
         return clone
 
-    def _payload_bytes(self) -> bytes:
-        return self.payload_bytes
-
-    def encode_transport(self, src, dst) -> bytes:
-        body = self._payload_bytes()
-        length = 8 + len(body)
-        if isinstance(src, ipaddress.IPv6Address):
-            fixed = pseudo_sum_v6(src, dst, 17)
-        else:
-            fixed = pseudo_sum_v4(src, dst, 17)
-        # The length word appears twice in the covered data: once in the
-        # pseudo-header and once in the UDP header itself.
-        checksum = fold_checksum(fixed + 2 * length + self.sport + self.dport + partial_sum(body)) or 0xFFFF
-        self.wire_len = length
-        payload = self._payload
-        if payload is not None and payload is not UNPARSED and payload.wire_len is None:
-            payload.wire_len = len(body)
-        return _port_prefix(self.sport, self.dport) + ((length << 16) | checksum).to_bytes(4, "big") + body
-
-    def encode(self) -> bytes:
-        """Encode without a pseudo-header (checksum zeroed); used only when a
-        UDP datagram is serialized outside an IP layer."""
-        body = self._payload_bytes()
-        length = 8 + len(body)
+    def _datagram(self, body: bytes) -> bytes:
+        """The datagram around ``body``, with its checksum field zero."""
         return (
             self.sport.to_bytes(2, "big")
             + self.dport.to_bytes(2, "big")
-            + length.to_bytes(2, "big")
+            + (8 + len(body)).to_bytes(2, "big")
             + b"\x00\x00"
             + body
         )
+
+    def encode_transport(self, src, dst) -> bytes:
+        datagram = self.encode()
+        return datagram[:6] + segment_checksum(src, dst, 17, datagram).to_bytes(2, "big") + datagram[8:]
+
+    def encode(self) -> bytes:
+        """The datagram with its checksum field zero; ``encode_transport``
+        fills it in under the enclosing IP addresses."""
+        return self._datagram(self.payload_bytes)
 
     @classmethod
     def decode(cls, data: bytes, src=None, dst=None) -> "UDP":

@@ -59,7 +59,18 @@ class Study:
         return cache
 
     def export_pcaps(self, directory) -> list[Path]:
-        """Write each experiment's capture as a standard pcap file."""
+        """Write each experiment's capture as a standard pcap file.
+
+        Raises ``ValueError``, before writing anything, when an experiment
+        holds flow records: the exchanges that flow fidelity elided are not
+        frames, so its captures alone would analyse to other tables.
+        """
+        for name, result in self.experiments.items():
+            if result.flow_records:
+                raise ValueError(
+                    f"experiment {name!r} holds {len(result.flow_records)} flow records that a pcap "
+                    "cannot carry; run the study in packet fidelity to export it"
+                )
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         paths = []

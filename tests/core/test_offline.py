@@ -1,18 +1,27 @@
 """Offline (pcap-file) analysis must equal live in-memory analysis."""
 
 import struct
+from collections import Counter
 
 import pytest
 
+from repro import reports
 from repro.core.analysis import StudyAnalysis
 from repro.core.meta import metadata_from_profiles
 from repro.core.offline import load_study_from_pcaps
 from repro.core.readiness import table3
 from repro.devices import build_inventory
+from repro.net.checksum import internet_checksum
+from repro.net.ethernet import Ethernet
+from repro.net.ipv4 import IPv4
 from repro.testbed import Testbed
 from repro.testbed.study import run_full_study
 
 SUBSET = ["Samsung Fridge", "Google Home Mini", "Echo Dot 3rd gen", "Wemo Plug"]
+
+# Every table and figure rendered from captures (Table 2 is the static
+# experiment matrix).
+RENDERS = [f"table{n}" for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 13)] + [f"figure{n}" for n in (2, 3, 4, 5)]
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +45,27 @@ def test_pcap_round_trip_preserves_analysis(mini_study, tmp_path):
     live = StudyAnalysis(mini_study, metadata)
     offline = StudyAnalysis(reloaded, metadata)
     assert table3(offline) == table3(live)
+    for name in RENDERS:
+        render = getattr(reports, f"render_{name}")
+        assert render(offline) == render(live), f"{name} differs offline"
+
+
+def test_exported_checksums_verify(mini_study, tmp_path):
+    """Every checksum the encoders wrote into an export verifies on decode."""
+    mini_study.export_pcaps(tmp_path)
+    reloaded = load_study_from_pcaps(tmp_path, mini_study.mac_table)
+    verified = Counter()
+    for result in reloaded.experiments.values():
+        for record in result.records:
+            for layer in Ethernet.decode(record.data).layers():
+                if isinstance(layer, IPv4):
+                    # No IPv4 options are modelled: the header is 20 bytes.
+                    assert internet_checksum(record.data[14:34]) == 0
+                    verified["IPv4 header"] += 1
+                if hasattr(layer, "checksum_ok"):
+                    assert layer.checksum_ok is True, f"{layer!r} at t={record.timestamp}"
+                    verified[type(layer).__name__] += 1
+    assert all(verified[kind] for kind in ("IPv4 header", "TCP", "UDP", "ICMPv6")), verified
 
 
 def test_reloaded_frame_counts_match(mini_study, tmp_path):

@@ -1,11 +1,10 @@
-"""Property tests: template-path ``encode()`` bytes equal a fresh naive encode.
+"""Property tests: every layer's ``encode()`` bytes equal a reference encode.
 
-The emit-once wire path (DESIGN.md §10) replaces full header rebuilds with
-cached templates and whole-buffer checksums with incremental folds. These
-tests pin every layer's template encoder against a reference implementation
-that mirrors the pre-template code (explicit header construction, checksum
-over the concatenated pseudo-header + segment), so a checksum-delta bug or a
-template keyed on too few fields fails here rather than in a golden diff.
+The reference encoders below build each header field by field and compute
+every checksum over the concatenated pseudo-header + segment, independently
+of ``repro.net``'s encoders, so a checksum bug or a header field written at
+the wrong offset fails here rather than in a golden diff. Encoders also
+write nothing onto the frame they encode (DESIGN.md §8, §10).
 """
 
 import ipaddress
@@ -14,14 +13,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.checksum import internet_checksum, ipv4_pseudo_header, ipv6_pseudo_header, transport_checksum
-from repro.net.dns import _normalize, encode_name
+from repro.net.dns import DNS, RCODE_NXDOMAIN, TYPE_A, TYPE_AAAA, ResourceRecord, _normalize, encode_name
 from repro.net.ethernet import Ethernet
 from repro.net.icmpv6 import ICMPv6
+from repro.net.ip6 import multicast_mac, solicited_node_multicast
 from repro.net.ipv4 import IPv4
 from repro.net.ipv6 import IPv6
 from repro.net.mac import MacAddress
 from repro.net.packet import Raw
-from repro.net.tcp import TCP
+from repro.net.tcp import FLAG_ACK, FLAG_PSH, TCP
 from repro.net.udp import UDP
 
 macs = st.binary(min_size=6, max_size=6).map(MacAddress)
@@ -31,7 +31,7 @@ ports = st.integers(min_value=0, max_value=0xFFFF)
 bodies = st.binary(max_size=256)
 
 
-# -- reference encoders (the pre-template implementations) --------------------
+# -- reference encoders --------------------------------------------------------
 
 
 def ref_ethernet(frame: Ethernet) -> bytes:
@@ -238,7 +238,7 @@ def test_icmpv6_ndp_incremental_checksum_matches_naive(src, dst, target, mac):
         assert message.encode_transport(src, dst) == ref_icmpv6_transport(message, src, dst)
 
 
-# -- full chain + DNS name cache ---------------------------------------------
+# -- full chain + DNS names -------------------------------------------------
 
 
 @given(macs, macs, v6_addrs, v6_addrs, ports, ports, bodies)
@@ -251,7 +251,7 @@ def test_full_frame_chain_matches_naive_composition(dst, src, v6src, v6dst, spor
         frame.dst.packed + frame.src.packed + b"\x86\xdd" + ref_ipv6(packet, transport)
     )
     assert frame.encode() == expected
-    assert frame.wire_len == len(expected)
+    assert frame.wire_length() == len(expected)
 
 
 _labels = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=10)
@@ -261,7 +261,7 @@ _names = st.lists(_labels, min_size=1, max_size=4).map(".".join)
 @given(st.lists(_names, min_size=1, max_size=6))
 def test_encode_name_cached_path_matches_naive(names):
     """A message's worth of names, encoded with a shared compression dict,
-    must produce the same bytes (and the same dict) as the uncached loop."""
+    must produce the same bytes (and the same dict) as the reference loop."""
     fast_dict: dict = {}
     slow_dict: dict = {}
     fast_out = bytearray()
@@ -276,3 +276,72 @@ def test_encode_name_cached_path_matches_naive(names):
 @given(_names)
 def test_encode_name_without_compression_matches_naive(name):
     assert encode_name(name) == ref_encode_name(name)
+
+
+# -- encoding leaves the frame as it was ----------------------------------------
+
+
+def _sender_frames() -> list[Ethernet]:
+    """Frames as a sender builds them: no layer has been encoded or decoded."""
+    host = MacAddress("02:00:00:00:00:02")
+    router = MacAddress("02:00:00:00:00:01")
+    group = solicited_node_multicast("fe80::1")
+    lookup = UDP(40000, 53, DNS.query(7, "cdn.example.com", TYPE_AAAA))
+    hello = TCP(40001, 443, FLAG_ACK | FLAG_PSH, seq=1, ack=2, payload=Raw(b"\x16\x03\x01hello"))
+    solicit = ICMPv6.neighbor_solicit("fe80::1", host)
+    return [
+        Ethernet(router, host, 0x86DD, IPv6("2001:db8::2", "2001:db8::53", 17, lookup)),
+        Ethernet(router, host, 0x0800, IPv4("192.168.1.2", "93.184.216.34", 6, hello)),
+        Ethernet(multicast_mac(group), host, 0x86DD, IPv6("fe80::2", group, 58, solicit, hop_limit=255)),
+    ]
+
+
+def test_encoding_writes_nothing_on_the_frame():
+    for frame in _sender_frames():
+        layers = frame.layers()
+        before = [layer.wire_len for layer in layers]
+        assert before == [len(layer) if isinstance(layer, Raw) else None for layer in layers]
+        wire = frame.encode()
+        assert frame.encode() == wire
+        assert [layer.wire_len for layer in frame.layers()] == before
+        assert frame.wire_length() == len(wire)
+
+
+# -- DNS.with_txid ---------------------------------------------------------------
+
+
+def _response_templates() -> list[DNS]:
+    """Resolver answers whose names compress against the question name."""
+    answers = [
+        ResourceRecord.a("cdn.example.com", "93.184.216.34"),
+        ResourceRecord.a("cdn.example.com", "93.184.216.35"),
+    ]
+    soa = ResourceRecord.soa("example.net", "ns1.gtld.example", "hostmaster.gtld.example")
+    return [
+        DNS.query(0x1111, "cdn.example.com", TYPE_A).response(answers),
+        DNS.query(0x2222, "missing.example.net", TYPE_AAAA).response(rcode=RCODE_NXDOMAIN, authorities=[soa]),
+    ]
+
+
+def _records(section) -> list[tuple]:
+    return [(rr.name, rr.rtype, rr.rclass, rr.ttl, rr.rdata) for rr in section]
+
+
+def test_with_txid_changes_only_the_transaction_id():
+    a_response, nxdomain = _response_templates()
+    # Both answer names point at the question name (offset 12); the SOA
+    # owner "example.net" points into it, after the 8 bytes of "\x07missing".
+    assert a_response.encode().count(b"\xc0\x0c") == 2
+    assert b"\xc0\x14" in nxdomain.encode()
+    for template in (a_response, nxdomain):
+        wire = template.encode()
+        copy = template.with_txid(0xBEEF)
+        assert copy.answers is template.answers and copy.authorities is template.authorities
+        assert copy.encode() == b"\xbe\xef" + wire[2:]
+        assert template.encode() == wire
+        decoded = DNS.decode(copy.encode())
+        assert decoded.txid == 0xBEEF
+        assert (decoded.is_response, decoded.rcode) == (template.is_response, template.rcode)
+        assert decoded.questions == template.questions
+        for section in ("answers", "authorities", "additionals"):
+            assert _records(getattr(decoded, section)) == _records(getattr(template, section))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -212,7 +213,7 @@ def test_lifecycle_worker_failure_exits_nonzero(capsys, monkeypatch):
     assert "epoch worker crashed" in captured.err
 
 
-FIDELITY_COMMANDS = ("study", "tables", "pcap", "fleet", "exposure", "faults", "lifecycle", "adversary")
+FIDELITY_COMMANDS = ("study", "tables", "fleet", "exposure", "faults", "lifecycle", "adversary")
 
 
 @pytest.mark.parametrize("command", FIDELITY_COMMANDS)
@@ -221,6 +222,16 @@ def test_fidelity_rejects_unknown_mode(command, capsys):
         main([command, "--fidelity", "frame"])
     assert excinfo.value.code == 2
     assert "--fidelity" in capsys.readouterr().err
+
+
+def test_pcap_has_no_fidelity_option(tmp_path, capsys, monkeypatch):
+    """A pcap cannot hold flow records, so ``pcap`` always runs packet
+    fidelity and refuses the option before any study runs."""
+    monkeypatch.setattr(cli, "_run_study", lambda *args, **kwargs: pytest.fail("a study ran"))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["pcap", str(tmp_path), "--fidelity", "flow"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fleet_flow_fidelity_runs(capsys):

@@ -88,8 +88,9 @@ def _snapshot(index: CaptureIndex) -> dict:
     }
 
 
-# sha256 of each experiment's pcap from the flow-fidelity study, as
-# ``Study.export_pcaps`` writes it.
+# sha256 of each experiment's frame records from the flow-fidelity study,
+# written as a pcap through ``PcapWriter``. ``Study.export_pcaps`` refuses
+# this study, whose flow records a pcap cannot hold.
 FLOW_CAPTURE_SHA256 = {
     "ipv4-only": "b02c0bb5a76dc0a2e612ec61f91748b58d922b77e06d369347b7a43403051545",
     "ipv6-only": "50b51563346609fd2d97bc8bcfa713a0e5df519979e52660891b0459c9bd773e",
@@ -150,6 +151,13 @@ class TestStudyEquivalence:
     def test_capture_matches_pinned_digest(self, flow_study, experiment):
         records = flow_study.experiment(experiment).records
         assert pcap_sha256(records) == FLOW_CAPTURE_SHA256[experiment]
+
+    def test_export_refuses_flow_records(self, flow_study, tmp_path):
+        """Captures without the elided exchanges would analyse to other
+        tables, so the export writes nothing, not even the directory."""
+        with pytest.raises(ValueError, match="flow records"):
+            flow_study.export_pcaps(tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 # A link-loss window spanning the whole experiment: every frame the flow path
