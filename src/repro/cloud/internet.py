@@ -42,12 +42,24 @@ if TYPE_CHECKING:
 SERVER_HELLO = b"\x16\x03\x03" + (1200).to_bytes(2, "big") + b"\x02" * 1200
 
 
+@functools.lru_cache(maxsize=256)
+def app_data_record(size: int) -> bytes:
+    """A TLS application-data record with a ``size``-byte all-zero body.
+
+    One shared object per size: a device's request and the service's echo
+    of it are the same object, so a capture holds one body per record
+    length instead of one per record. Bytes are immutable and a frame never
+    changes after ``Nic.send``, so no one can observe the sharing.
+    """
+    return b"\x17\x03\x03" + size.to_bytes(2, "big") + bytes(size)
+
+
 def default_tcp_service(payload: bytes) -> bytes:
     """The generic cloud service: TLS-ish handshake, then echo-sized data."""
     try:
         TLSClientHello.decode(payload)
     except Exception:
-        return b"\x17\x03\x03" + max(0, len(payload) - 5).to_bytes(2, "big") + b"\x00" * max(0, len(payload) - 5)
+        return app_data_record(max(0, len(payload) - 5))
     return SERVER_HELLO
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.cloud.internet import app_data_record
 from repro.devices.portfolio import build_portfolio
 from repro.devices.profile import DeviceProfile, DomainPlan, Phase
 from repro.net.dns import TYPE_A, TYPE_AAAA
@@ -287,7 +288,7 @@ class IoTDevice:
         remaining = volume
         while remaining > 0:
             chunk = min(remaining, 30_000)
-            requests.append(b"\x17\x03\x03" + chunk.to_bytes(2, "big") + bytes(chunk))
+            requests.append(app_data_record(chunk))
             remaining -= chunk
         metrics = self.stack.metrics
         metrics.flow_attempts += 1

@@ -27,8 +27,9 @@ The equivalence argument leans on three substrate invariants:
   carries no timestamps.
 
 Client-visible TCP state (seq/ack on both connection halves) is advanced by
-the skipped byte totals so the FIN teardown — which stays packet-level — is
-byte- and time-identical to the per-segment exchange.
+the skipped byte totals, and the completion time is the clock advanced by
+one link latency per skipped transit, so the FIN teardown — which stays
+packet-level — is byte- and time-identical to the per-segment exchange.
 """
 
 from __future__ import annotations
@@ -182,7 +183,12 @@ class FlowFastPath:
                 # timeout. That wire behaviour needs real segments.
                 return False
             responses.append(response)
-        self.sim.schedule(complete_delay, self._complete_tcp, conn, server, responses, family)
+        # Each skipped transit advances the packet path's clock by one
+        # latency: sum them the same way so the FIN lands on the same float.
+        complete_at = self.sim.now
+        for _ in range(2 * len(conn.requests)):
+            complete_at += latency
+        self.sim.schedule_at(complete_at, self._complete_tcp, conn, server, responses, family)
         return True
 
     def _complete_tcp(self, conn: "TcpConnection", server, responses: list[bytes], family: int) -> None:

@@ -132,3 +132,10 @@ class TestEndpoints:
         blob = b"\x17\x03\x03" + (100).to_bytes(2, "big") + bytes(100)
         response = default_tcp_service(blob)
         assert len(response) == len(blob)
+
+    def test_equal_length_echoes_share_one_object(self):
+        from repro.cloud.internet import app_data_record, default_tcp_service
+
+        first, second = (b"\x17\x03\x03" + (100).to_bytes(2, "big") + bytes(100) for _ in range(2))
+        assert first is not second
+        assert default_tcp_service(first) is default_tcp_service(second) is app_data_record(100)

@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.capture import CaptureIndex
 from repro.devices import build_inventory
+from repro.net.packet import Raw
 from repro.net.pcap import PcapReader
-from repro.stack.config import ALL_CONFIGS, DUAL_STACK
+from repro.stack.config import ALL_CONFIGS, DUAL_STACK, with_fidelity
 from repro.testbed import Testbed, run_connectivity_experiment
-from repro.testbed.study import observed_domains, run_full_study
+from repro.testbed.study import observed_domains, profiles_by_name, run_full_study
 
 SUBSET = [
     "Samsung Fridge",
@@ -114,3 +115,20 @@ class TestDeterminism:
             result = run_connectivity_experiment(testbed, DUAL_STACK)
             runs.append([(r.timestamp, r.data) for r in result.records])
         assert runs[0] == runs[1]
+
+
+class TestSharedPayloads:
+    def test_app_data_records_are_one_object_per_length(self):
+        """Every zero-bodied TLS application-data record of one length is one
+        object, whether a device sent it or a cloud service echoed it."""
+        testbed = Testbed(seed=23, profiles=profiles_by_name(["Echo Dot 3rd gen", "Apple TV"]), include_controls=False)
+        result = run_connectivity_experiment(testbed, with_fidelity(DUAL_STACK, "packet"), checkins=1)
+        payloads = [
+            layer.data
+            for record in result.records
+            for layer in record.frame.layers()
+            if isinstance(layer, Raw) and layer.data[:1] == b"\x17"
+        ]
+        lengths = {len(payload) for payload in payloads}
+        assert len(payloads) > len(lengths) > 1
+        assert len({id(payload) for payload in payloads}) == len(lengths)

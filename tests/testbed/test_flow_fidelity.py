@@ -8,6 +8,8 @@ Fault windows overlapping a flow's lifetime force that flow back to packet
 fidelity, so faulted runs stay equivalent too.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.analysis import StudyAnalysis
@@ -74,18 +76,36 @@ def _snapshot(index: CaptureIndex) -> dict:
         ),
         "addresses": {
             device: {
-                str(addr): (obs.used_at_all, obs.used_for_data)
+                str(addr): (obs.dad_seen, obs.used_for_data, obs.used_for_dns, obs.used_at_all)
                 for addr, obs in obs_map.items()
             }
             for device, obs_map in index.addresses.items()
         },
         "ntp_v6_devices": sorted(index.ntp_v6_devices),
-        "dns_queries": len(index.dns_queries),
-        "dns_responses": len(index.dns_responses),
-        "ndp_events": len(index.ndp_events),
-        "dhcp_events": len(index.dhcp_events),
+        "dns_queries": sorted(
+            (q.device, q.name, q.qtype, q.family, str(q.src_ip)) for q in index.dns_queries
+        ),
+        "dns_responses": sorted(
+            (r.device, r.name, r.qtype, r.family, r.rcode, tuple(map(str, r.answers)))
+            for r in index.dns_responses
+        ),
+        "ndp_events": sorted(
+            (e.device, e.kind, str(e.target), str(e.src_ip)) for e in index.ndp_events
+        ),
+        "dhcp_events": sorted(
+            (e.device, e.protocol, e.msg_type, e.stateful) for e in index.dhcp_events
+        ),
         "decode_errors": index.decode_errors,
     }
+
+
+def assert_frames_kept_in_place(flow_records, packet_records) -> None:
+    """Every flow-capture record equals a distinct packet-capture record in
+    timestamp and bytes: the flow path elides frames and moves none of
+    those it keeps."""
+    unmatched = Counter(flow_records) - Counter(packet_records)
+    first = sorted(record.timestamp for record in unmatched)[:3]
+    assert sum(unmatched.values()) == 0, f"flow-capture frames unmatched, first at {first}"
 
 
 # sha256 of each experiment's frame records from the flow-fidelity study,
@@ -146,6 +166,14 @@ class TestStudyEquivalence:
             assert render(flow_analysis) == render(packet_analysis), (
                 f"fidelity changed {render.__name__} under custom metadata"
             )
+
+    @pytest.mark.parametrize("experiment", FLOW_CAPTURE_SHA256)
+    def test_flow_capture_is_packet_capture_minus_elided_frames(self, packet_study, flow_study, experiment):
+        """The frames the flow path keeps, its FIN teardowns included, are
+        the packet path's frames at the very same float timestamps."""
+        assert_frames_kept_in_place(
+            flow_study.experiment(experiment).records, packet_study.experiment(experiment).records
+        )
 
     @pytest.mark.parametrize("experiment", FLOW_CAPTURE_SHA256)
     def test_capture_matches_pinned_digest(self, flow_study, experiment):
