@@ -83,13 +83,16 @@ class Endpoint:
         if isinstance(payload, TCP):
             self.tcp.on_segment(packet.dst, packet.src, payload)
         elif isinstance(payload, UDP):
-            handler = self.udp_handlers.get(payload.dport)
-            if handler is None:
-                return
-            response = handler(packet.src, payload.payload)
+            response = self.answer_udp(packet.src, payload.dport, payload.payload)
             if response is not None:
                 reply = UDP(payload.dport, payload.sport, response)
                 self.internet.send_to_lan(packet.dst, packet.src, 17, reply)
+
+    def answer_udp(self, src, port: int, message: Layer) -> Optional[Layer]:
+        """The service on UDP ``port``'s answer to ``message`` from ``src``
+        (None: no service, or no answer)."""
+        handler = self.udp_handlers.get(port)
+        return None if handler is None else handler(src, message)
 
 
 class Internet:

@@ -39,6 +39,7 @@ from repro.net.pcap import PcapRecord
 from repro.net.tcp import TCP
 from repro.net.tls import TLSClientHello
 from repro.net.udp import UDP
+from repro.stack.flowpath import DnsRecord
 
 # Ports excluded from "data transmission" (§5.2.3 excludes DNS and DHCPv6;
 # we also exclude DHCPv4 and mDNS noise). NTP counts as data.
@@ -198,10 +199,10 @@ class CaptureIndex:
     def _ingest_merged(self, records: Iterable[PcapRecord], flow_records: Iterable) -> None:
         """Interleave packet records and flow-path records by timestamp.
 
-        Flow records land in the same :class:`Flow` objects the packet path
-        would have produced, so analyses are fidelity-invariant. Packets sort
-        first on timestamp ties: the fast path emits its aggregate record at
-        completion time, after any frame stamped at the same instant.
+        Flow records land in the same DNS events, :class:`Flow` objects and
+        address observations the packet path would have produced, so
+        analyses are fidelity-invariant. Each record carries the capture time
+        of the frame it stands for; packets sort first on timestamp ties.
         """
         flows = list(flow_records)
         i = 0
@@ -214,22 +215,30 @@ class CaptureIndex:
             self._ingest_flow_record(rec)
 
     def _ingest_flow_record(self, rec) -> None:
-        """Index one aggregate data exchange from the flow-level fast path.
+        """Index one record from the flow-level fast path.
 
         Mirrors the per-frame bookkeeping the elided packets would have
-        triggered: address-use observations, the NTP-over-v6 signal, and the
-        byte counters/SNI on the attributed :class:`Flow`.
+        triggered: DNS query and response events, address-use observations,
+        the NTP-over-v6 signal, and the byte counters/SNI on the attributed
+        :class:`Flow`.
         """
         self.flow_record_count += 1
         ts = rec.timestamp
         sender = self._device_for(rec.src_mac)
         if sender is None:
             return
+        dns = type(rec) is DnsRecord
+        if dns and rec.message.is_response:
+            self._dns_response(ts, sender, rec.family, rec.message)
+            return
         if rec.family == 6 and rec.src_ip != UNSPECIFIED:
             scope = classify_address(rec.src_ip)
             if scope not in (AddressScope.MULTICAST, AddressScope.UNSPECIFIED):
                 obs = self._address_obs(sender, rec.src_ip, ts)
                 obs.used_at_all = True
+        if dns:
+            self._dns_query(ts, sender, rec.family, rec.src_ip, rec.message)
+            return
         if rec.proto == "udp":
             if rec.dport in NON_DATA_UDP_PORTS or rec.sport in NON_DATA_UDP_PORTS:
                 return
@@ -348,24 +357,12 @@ class CaptureIndex:
         if dport == 53 and sender is not None:
             inner = datagram.payload
             if isinstance(inner, DNS) and not inner.is_response:
-                question = inner.question
-                if question is not None:
-                    self.dns_queries.append(DnsQuery(sender, question.name, question.qtype, family, ts, src_ip))
-                    if family == 6:
-                        obs = self._address_obs(sender, src_ip, ts)
-                        obs.used_for_dns = True
+                self._dns_query(ts, sender, family, src_ip, inner)
                 return
         if sport == 53 and receiver is not None:
             inner = datagram.payload
             if isinstance(inner, DNS) and inner.is_response:
-                question = inner.question
-                if question is not None:
-                    answers = tuple(
-                        rr.rdata for rr in inner.answers if rr.rtype in (TYPE_A, TYPE_AAAA, TYPE_HTTPS, TYPE_SVCB)
-                    )
-                    self.dns_responses.append(
-                        DnsResponse(receiver, question.name, question.qtype, family, inner.rcode, answers, ts)
-                    )
+                self._dns_response(ts, receiver, family, inner)
                 return
         # DHCP
         if dport == 547 and sender is not None:
@@ -384,6 +381,24 @@ class CaptureIndex:
         if family == 6 and dport == 123 and sender is not None:
             self.ntp_v6_devices.add(sender)
         self._record_flow(ts, sender, receiver, src_ip, dst_ip, sport, dport, "udp", family, datagram)
+
+    def _dns_query(self, ts, device: str, family: int, src_ip, message: DNS) -> None:
+        question = message.question
+        if question is not None:
+            self.dns_queries.append(DnsQuery(device, question.name, question.qtype, family, ts, src_ip))
+            if family == 6:
+                obs = self._address_obs(device, src_ip, ts)
+                obs.used_for_dns = True
+
+    def _dns_response(self, ts, device: str, family: int, message: DNS) -> None:
+        question = message.question
+        if question is not None:
+            answers = tuple(
+                rr.rdata for rr in message.answers if rr.rtype in (TYPE_A, TYPE_AAAA, TYPE_HTTPS, TYPE_SVCB)
+            )
+            self.dns_responses.append(
+                DnsResponse(device, question.name, question.qtype, family, message.rcode, answers, ts)
+            )
 
     def _ingest_tcp(self, ts, sender, receiver, src_ip, dst_ip, segment: TCP, family: int) -> None:
         self._record_flow(ts, sender, receiver, src_ip, dst_ip, segment.sport, segment.dport, "tcp", family, segment)

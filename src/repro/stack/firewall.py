@@ -152,16 +152,15 @@ class FirewallV6:
             return
         key = self._outbound_key(packet)
         if key is not None:
-            self._flows[key] = self._clock()
-            self._gc()
+            self.note_flow(*key)
 
     def note_flow(self, proto: int, lan_ip, lan_port: int, remote_ip, remote_port: int) -> None:
-        """Record one flow-level data exchange as live flow state.
+        """Record one outbound packet of a flow, by its header fields.
 
-        The conntrack-parity call for exchanges the hybrid-fidelity fast
-        path (:mod:`repro.stack.flowpath`) advances without frames: the
-        flow table ends up in the same state the per-segment refreshes
-        would have left it in."""
+        :meth:`note_outbound` reads the fields off a forwarded packet; the
+        hybrid-fidelity fast path (:mod:`repro.stack.flowpath`) calls this
+        directly for the packets it elides, at the instant each would have
+        reached the router."""
         if not self.stateful:
             return
         self._flows[self._key(proto, lan_ip, lan_port, remote_ip, remote_port)] = self._clock()
@@ -169,32 +168,35 @@ class FirewallV6:
 
     def permits_inbound(self, packet: IPv6) -> bool:
         """Decide one unsolicited-or-not WAN->LAN packet; counts the verdict."""
+        return self._verdict(self._inbound_key(packet) if self.stateful else None)
+
+    def permits_flow(self, proto: int, lan_ip, lan_port: int, remote_ip, remote_port: int) -> bool:
+        """:meth:`permits_inbound` for a TCP or UDP packet given by its header
+        fields (the fast path's elided replies)."""
+        return self._verdict(self._key(proto, lan_ip, lan_port, remote_ip, remote_port) if self.stateful else None)
+
+    def _verdict(self, key: Optional[FlowKey]) -> bool:
         if not self.stateful:
             self.passed += 1
             self.passed_open += 1
             return True
-        key = self._inbound_key(packet)
         if key is not None and self._alive(key):
             self._flows[key] = self._clock()  # refresh on inbound activity
             self.passed += 1
             self.passed_flow += 1
             return True
-        if self.mode == "pinhole" and self._permitted_pinhole(packet):
+        if self.mode == "pinhole" and key is not None and self._permitted_pinhole(key):
             self.passed += 1
             self.passed_pinhole += 1
             return True
         self.dropped += 1
         return False
 
-    def _permitted_pinhole(self, packet: IPv6) -> bool:
-        payload = packet.payload
-        if isinstance(payload, TCP):
-            proto, port = 6, payload.dport
-        elif isinstance(payload, UDP):
-            proto, port = 17, payload.dport
-        else:
+    def _permitted_pinhole(self, key: FlowKey) -> bool:
+        proto, lan_ip, lan_port = key[:3]
+        if proto not in (6, 17):
             return False
-        mac = self._lookup_mac(packet.dst)
+        mac = self._lookup_mac(lan_ip)
         if mac is None:
             return False
-        return (mac, proto, port) in self._pinholes
+        return (mac, proto, lan_port) in self._pinholes

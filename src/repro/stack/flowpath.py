@@ -1,44 +1,56 @@
 """Hybrid-fidelity fast path: flow-level simulation where packets don't matter.
 
 In ``flow`` fidelity (see :class:`repro.stack.config.NetworkConfig`), the
-steady-state *data plane* — TCP payload exchanges against cloud endpoints,
-IPv6 NTP, and periodic local multicast beacons — advances as one scheduled
-completion per flow instead of per-segment events, emitting an aggregate
-:class:`FlowRecord` with the same byte accounting the per-packet capture
-would have produced. Everything load-bearing for the paper's observables
-stays packet-level: NDP/SLAAC, DHCPv4/v6, DNS, TCP handshake and teardown,
-and ICMPv6 all hit the wire exactly as before, so the capture index, the
-firewall conntrack, fault injection, and WAN scanning see identical control
-traffic in both modes.
+exchanges that carry most of a home's traffic run without frames:
 
-The equivalence argument leans on three substrate invariants:
+- a first-attempt DNS lookup over a clean path to its resolver;
+- a whole TCP connection to a cloud endpoint over a clean path: handshake,
+  every request/response round and the FIN teardown;
+- an IPv6 NTP round trip;
+- a local multicast beacon.
 
-- **No RNG draws in skipped regions.** Client ISNs, ports, and TLS hello
-  randoms are drawn before the handshake; server handlers are pure; NTP and
-  beacons use fixed ports. Skipping data segments therefore cannot shift any
-  seeded stream.
-- **Idle fault schedules are wire-invisible.** Impairments only draw
-  randomness while a window is active (``repro.faults.inject``), so frames
-  may be elided outside windows; any window overlapping a flow's lifetime
-  forces a fall back to packet fidelity for that flow (:meth:`_hazard`).
-- **Neighbor state is idempotent.** Every assigned address announces itself
-  with an unsolicited NA at assignment time, so caches the skipped frames
-  would have refreshed are already populated, and ``ResolutionCache.learn``
-  carries no timestamps.
+Each leaves a record (:class:`FlowRecord`, :class:`DnsRecord`) that
+:class:`~repro.core.capture.CaptureIndex` credits to the same DNS events,
+flows and address observations the frames would have produced. NDP/SLAAC,
+DAD, DHCPv4/v6, ARP, ICMP, DNS retransmissions, the active experiments and
+every exchange that is not clean stay packet-level, so the capture index,
+the firewall, fault injection and WAN scanning see the same control traffic
+in both modes.
 
-Client-visible TCP state (seq/ack on both connection halves) is advanced by
-the skipped byte totals, and the completion time is the clock advanced by
-one link latency per skipped transit, so the FIN teardown — which stays
-packet-level — is byte- and time-identical to the per-segment exchange.
+The equivalence argument:
+
+- **Same instants.** Each elided packet's effects happen in an event at the
+  float time the packet path reaches by adding ``link.latency`` (L) once per
+  transit. The router and Internet leg of an exchange started at t0 runs at
+  t0 + L, when its first packet would reach the router; a lookup answers at
+  t0 + 2L; a connection with n requests completes at t0 + (2n + 4)L and its
+  final ACK reaches the router at t0 + (2n + 5)L.
+- **Same draws and state changes.** Those events call the methods the frame
+  path runs: neighbour learning, the NAT44 mapping, the firewall's stamps
+  and verdicts, and the server's ISN draw from the shared Internet stream.
+  Client ISNs, ports, txids and TLS hello randoms are drawn before the fast
+  path is asked. Service and resolver handlers are pure, so asking them when
+  the exchange starts changes nothing.
+- **Idle fault schedules are wire-invisible.** Impairments draw per-frame
+  randomness only inside windows (``repro.faults.inject``), so frames may be
+  elided outside them; any window that could touch an exchange keeps it on
+  the wire (:meth:`FlowFastPath._hazard`).
+- **Decided once, at the start.** An exchange is taken only when every hop
+  of it would go straight through: the host routes it to the router at once
+  and takes the answer in, the router forwards it and routes the answer
+  back without resolving anything, and the endpoint answers. The state these
+  checks read only changes when an experiment reconfigures the home, never
+  within an exchange's few milliseconds.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from repro.net.ip6 import AddressScope, as_ipv6, classify_address
+from repro.net.dns import DNS
+from repro.net.ip6 import as_ipv6
+from repro.net.ipv4 import as_ipv4
 from repro.net.ntp import MODE_SERVER, NTP
 
 if TYPE_CHECKING:
@@ -49,19 +61,21 @@ if TYPE_CHECKING:
 NTP_REQUEST_LEN = len(NTP().encode())
 NTP_REPLY_LEN = len(NTP(MODE_SERVER, stratum=2).encode())
 
-# Fault kinds that perturb LAN frames (force packet fidelity while active).
+# Fault kinds that perturb LAN frames (force packet fidelity while active),
+# and those that drop WAN traffic of each family, lookups included.
 _LINK_HAZARDS = ("loss", "latency", "reorder")
+_WAN_HAZARDS = {4: ("uplink-down",), 6: ("uplink-down", "v6-blackhole")}
+_DNS_HAZARDS = {family: kinds + ("dns-outage",) for family, kinds in _WAN_HAZARDS.items()}
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One aggregate data exchange, as the capture tap would have summed it.
+class FlowRecord(NamedTuple):
+    """One TCP or UDP exchange, as the capture tap would have summed it.
 
-    ``timestamp`` is the emission time used to merge the record into the
-    packet stream (``CaptureIndex`` ingests packets first on ties); byte
-    totals use the same payload wire lengths the per-segment path reports.
-    ``tls_hello`` carries the first request of a TLS-shaped TCP flow so SNI
-    extraction matches the packet-level capture.
+    ``timestamp`` is when the exchange's first frame would have been
+    captured; ``CaptureIndex`` merges records into the frame stream by it,
+    frames first on ties. Byte totals use the payload wire lengths the
+    per-segment path reports. ``tls_hello`` carries the first request of a
+    TLS-shaped TCP flow so SNI extraction matches the packet-level capture.
     """
 
     timestamp: float
@@ -75,6 +89,21 @@ class FlowRecord:
     bytes_out: int
     bytes_in: int
     tls_hello: Optional[bytes] = None
+
+
+class DnsRecord(NamedTuple):
+    """One half of an elided DNS lookup: the query at the instant the host
+    sends it, or the answer at the instant the router sends it on.
+
+    ``src_mac`` and ``src_ip`` are the querying host's; ``message`` is the
+    query or the resolver's response.
+    """
+
+    timestamp: float
+    src_mac: object
+    family: int
+    src_ip: object
+    message: DNS
 
 
 class FlowFastPath:
@@ -93,36 +122,33 @@ class FlowFastPath:
         self.router = router
         self.internet = internet
         self.enabled = False
-        self.records: list[FlowRecord] = []
+        self.records: list = []
 
     def attach(self, stack: "HostStack") -> None:
         """Wire this fast path into one host's send paths."""
         stack.flow_path = self
         for engine in (stack.tcp6, stack.tcp4):
             engine.flow_path = self
-            engine.flow_mac = stack.mac
+            engine.flow_host = stack
 
-    def begin(self) -> list[FlowRecord]:
+    def begin(self) -> list:
         """Start a fresh record list for one experiment and return it live."""
         self.records = []
         return self.records
 
-    # ------------------------------------------------------------ fault guard
+    # ------------------------------------------------------------ path guards
 
-    def _hazard(self, horizon: float, *, family: int, wan: bool) -> bool:
+    def _hazard(self, horizon: float, *, family: int, wan: bool, dns: bool = False) -> bool:
         """Would any fault window overlap frames sent in the next ``horizon``
         seconds? Impairments draw per-frame randomness only inside windows,
         so eliding frames is stream-invisible exactly when this is False."""
         now = self.sim.now
-        impairment = getattr(self.link, "impairment", None)
+        impairment = self.link.impairment
         if impairment is not None and self._overlaps(impairment.schedule, _LINK_HAZARDS, now, horizon):
             return True
-        if wan:
-            faults = getattr(self.router, "faults", None)
-            if faults is not None:
-                kinds = ("uplink-down", "v6-blackhole") if family == 6 else ("uplink-down",)
-                if self._overlaps(faults.schedule, kinds, now, horizon):
-                    return True
+        faults = self.router.faults if wan else None
+        if faults is not None:
+            return self._overlaps(faults.schedule, (_DNS_HAZARDS if dns else _WAN_HAZARDS)[family], now, horizon)
         return False
 
     @staticmethod
@@ -133,100 +159,170 @@ class FlowFastPath:
                 return True
         return False
 
+    def _routes(self, stack: "HostStack", family: int, lan_ip, remote_ip) -> bool:
+        """Would a packet from ``stack`` at ``lan_ip`` go straight through the
+        router to ``remote_ip`` on the WAN, and the answer straight back?
+
+        The v6 answer finds the host through the neighbour entry the request
+        itself teaches the router, so it never waits on a solicitation; a
+        source outside the LAN /64 gets no answer at all.
+        """
+        router = self.router
+        config = router.config
+        if config is None or stack.wan_gateway(family, remote_ip) != router.mac:
+            return False
+        if family == 6:
+            return config.ipv6 and router.wan_bound_v6(remote_ip) and router.lan_bound_v6(lan_ip)
+        return config.ipv4 and router.nats_v4(lan_ip, remote_ip) and router.lan_mac_v4(lan_ip) == stack.mac
+
+    def _router_leg(
+        self, family: int, mac, proto: int, src, sport: int, dst, dport: int, answered: bool = True
+    ) -> None:
+        """What one elided request does at the router as it arrives, with the
+        WAN answer that comes back at the same instant: v6 learns the source
+        neighbour and stamps the firewall, v4 maps the flow through NAT44."""
+        router = self.router
+        if family == 4:
+            router.nat_map(proto, src, sport)
+            return
+        router.hear_v6(src, mac)
+        router.firewall.note_flow(proto, src, sport, dst, dport)
+        if answered:
+            router.firewall.permits_flow(proto, src, sport, dst, dport)
+
+    # ------------------------------------------------------------------- DNS
+
+    def try_dns(self, stack: "HostStack", family: int, server, query: DNS, sport: int) -> bool:
+        """Run a first-attempt lookup without frames.
+
+        Called by ``HostStack._dns_attempt`` after its txid and port draws.
+        On success the router leg runs at t0 + L and the resolver's answer
+        reaches ``HostStack._handle_dns_response`` at t0 + 2L, so the lookup
+        needs no timeout. Returns False when a fault window (``dns-outage``
+        included) could touch the lookup, when the path is not clean (no
+        default router, no ARP entry for the v4 gateway, a source outside the
+        LAN /64), or when the resolver would not answer.
+        """
+        if not self.enabled:
+            return False
+        if self._hazard(2.0 * self.link.latency, family=family, wan=True, dns=True):
+            return False
+        if family == 6:
+            server = as_ipv6(server)
+            source = stack.addrs.best_source(server)
+            src = source.address if source is not None else None
+        else:
+            server = as_ipv4(server)
+            src = stack.ipv4_address
+        if src is None or not self._routes(stack, family, src, server):
+            return False
+        endpoint = self.internet.tcp_endpoint(server)
+        if endpoint is None:
+            return False
+        answer = endpoint.answer_udp(src if family == 6 else self.router.wan_v4_address, 53, query)
+        if answer is None:
+            return False
+        if family == 6:
+            source.used = True
+        self.records.append(DnsRecord(self.sim.now, stack.mac, family, src, query))
+        self.sim.schedule(self.link.latency, self._dns_at_router, stack, family, src, sport, server, answer)
+        return True
+
+    def _dns_at_router(self, stack: "HostStack", family: int, src, sport: int, server, answer: DNS) -> None:
+        self._router_leg(family, stack.mac, 17, src, sport, server, 53)
+        self.records.append(DnsRecord(self.sim.now, stack.mac, family, src, answer))
+        self.sim.schedule(self.link.latency, stack._handle_dns_response, answer)
+
     # ------------------------------------------------------------------- TCP
 
     def try_tcp(self, conn: "TcpConnection") -> bool:
-        """Take over an ESTABLISHED client connection's payload exchange.
+        """Run a whole client connection without frames.
 
-        Called where the packet path would send its first request. On
-        success the full request/response exchange is resolved against the
-        cloud endpoint's (pure) service handler, both connection halves'
-        counters advance by the skipped byte totals, and the FIN teardown is
-        scheduled for exactly when the per-segment exchange would have
-        reached it. Returns False — leaving the connection untouched —
-        whenever per-frame behaviour could diverge: fault windows, non-cloud
-        destinations, missing NAT/server state, or a service response the
-        packet path would stall on.
+        Called by ``TcpConnection.start`` after the port and ISN draws. On
+        success the connection's request/response rounds are resolved
+        against the endpoint's (pure) service handler, one record carries
+        the byte totals, the router and Internet leg of the SYN (and the
+        server's ISN draw) runs at t0 + L, and ``on_complete`` runs at
+        t0 + (2n + 4)L; no SYN is sent and no timeout is armed. Returns
+        False — leaving the connection untouched — when a fault window could
+        touch the connection, when the path is not clean, when the host
+        monitors raw segments or its source address is tentative, when no
+        reachable endpoint listens on the port, or when the service would
+        answer a request with nothing (the packet path stalls into the
+        client timeout).
         """
         if not self.enabled or not conn.requests:
             return False
+        stack = conn.engine.flow_host
         local_ip, local_port, remote_ip, remote_port = conn.key
         family = 6 if isinstance(remote_ip, ipaddress.IPv6Address) else 4
         latency = self.link.latency
-        # Request i is acked 2*latency later; the FIN goes out with the last
-        # ack, two link transits per remaining exchange away.
-        complete_delay = 2.0 * len(conn.requests) * latency
-        if self._hazard(complete_delay + 4.0 * latency, family=family, wan=True):
+        # SYN, SYN-ACK, each request and its answer, FIN and FIN-ACK; the
+        # final ACK is one transit more.
+        transits = 2 * len(conn.requests) + 4
+        if self._hazard((transits + 1) * latency, family=family, wan=True):
             return False
-        endpoint = self.internet.tcp_endpoint(remote_ip)
-        if endpoint is None:
-            return False
-        handler = endpoint.tcp.listeners.get(remote_port)
-        if handler is None:
+        if stack.tcp_monitor is not None or not self._routes(stack, family, local_ip, remote_ip):
             return False
         if family == 6:
-            server_key = (remote_ip, remote_port, local_ip, local_port)
-        else:
-            public_port = self.router.nat_public_port(6, local_ip, local_port)
-            if public_port is None:
+            source = stack.addrs.get(local_ip)
+            if source is None or source.tentative:
                 return False
-            server_key = (remote_ip, remote_port, self.router.wan_v4_address, public_port)
-        server = endpoint.tcp.server_conn(server_key)
-        if server is None:
+        endpoint = self.internet.tcp_endpoint(remote_ip)
+        handler = endpoint.tcp.listeners.get(remote_port) if endpoint is not None else None
+        if handler is None:
             return False
         responses = []
         for request in conn.requests:
             response = handler(request)
             if not response:
-                # The packet path answers an empty response with an empty
-                # PSH|ACK the client ignores — a stall into the client
-                # timeout. That wire behaviour needs real segments.
                 return False
             responses.append(response)
-        # Each skipped transit advances the packet path's clock by one
-        # latency: sum them the same way so the FIN lands on the same float.
-        complete_at = self.sim.now
-        for _ in range(2 * len(conn.requests)):
-            complete_at += latency
-        self.sim.schedule_at(complete_at, self._complete_tcp, conn, server, responses, family)
-        return True
-
-    def _complete_tcp(self, conn: "TcpConnection", server, responses: list[bytes], family: int) -> None:
-        from repro.net.tcp import FLAG_ACK, FLAG_FIN
-
-        if conn.state != "ESTABLISHED":
-            return
-        local_ip, local_port, remote_ip, remote_port = conn.key
-        total_out = sum(len(request) for request in conn.requests)
-        total_in = sum(len(response) for response in responses)
         hello = conn.requests[0]
-        conn.responses.extend(responses)
-        conn.requests.clear()
-        # Advance both halves past the skipped payload bytes so the FIN
-        # exchange carries the exact seq/ack the per-segment path would.
-        conn.seq = (conn.seq + total_out) & 0xFFFFFFFF
-        conn.ack = (conn.ack + total_in) & 0xFFFFFFFF
-        server.seq = (server.seq + total_in) & 0xFFFFFFFF
-        server.ack = (server.ack + total_out) & 0xFFFFFFFF
-        if family == 6:
-            self.router.firewall.note_flow(6, local_ip, local_port, remote_ip, remote_port)
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,
-                src_mac=conn.engine.flow_mac,
+                src_mac=stack.mac,
                 proto="tcp",
                 family=family,
                 src_ip=local_ip,
                 dst_ip=remote_ip,
                 sport=local_port,
                 dport=remote_port,
-                bytes_out=total_out,
-                bytes_in=total_in,
+                bytes_out=sum(len(request) for request in conn.requests),
+                bytes_in=sum(len(response) for response in responses),
                 tls_hello=hello if hello[:1] == b"\x16" else None,
             )
         )
-        conn._send(FLAG_FIN | FLAG_ACK)
-        conn.state = "FIN_WAIT"
+        self.sim.schedule(latency, self._tcp_at_router, conn, endpoint, responses, transits)
+        return True
+
+    def _tcp_at_router(self, conn: "TcpConnection", endpoint, responses: list[bytes], transits: int) -> None:
+        local_ip, local_port, remote_ip, remote_port = conn.key
+        family = 6 if isinstance(remote_ip, ipaddress.IPv6Address) else 4
+        self._router_leg(family, conn.engine.flow_host.mac, 6, local_ip, local_port, remote_ip, remote_port)
+        endpoint.tcp.draw_isn()  # the SYN-ACK's sequence number
+        # The rest of the connection, summed one transit at a time the way
+        # the packet path's deliveries sum it, so completion lands on the
+        # same float.
+        done_at = self.sim.now
+        for _ in range(transits - 1):
+            done_at += self.link.latency
+        self.sim.schedule_at(done_at, self._tcp_done, conn, responses)
+
+    def _tcp_done(self, conn: "TcpConnection", responses: list[bytes]) -> None:
+        local_ip, local_port, remote_ip, remote_port = conn.key
+        if isinstance(remote_ip, ipaddress.IPv6Address):
+            firewall = self.router.firewall
+            for _ in range(len(responses) + 1):  # the answers and the FIN-ACK
+                firewall.permits_flow(6, local_ip, local_port, remote_ip, remote_port)
+            mac = conn.engine.flow_host.mac
+            self.sim.schedule(
+                self.link.latency, self._router_leg, 6, mac, 6, local_ip, local_port, remote_ip, remote_port, False
+            )
+        conn.requests.clear()
+        conn.responses.extend(responses)
+        conn._finish(None)
 
     # ------------------------------------------------------------------- NTP
 
@@ -235,8 +331,10 @@ class FlowFastPath:
 
         Replicates the packet path's routing decisions: source selection
         (marking the source address used), the off-link default route, the
-        router's forwarding policy, and the WAN endpoint's reachability. A
-        request the router would drop still emits its one-sided record.
+        router's forwarding policy, and the WAN endpoint's reachability; the
+        router leg runs when the request would reach the router. A request
+        the router would drop still emits its one-sided record, and so does
+        one whose answer the router would not route back to its source.
         """
         if not self.enabled:
             return False
@@ -251,12 +349,18 @@ class FlowFastPath:
         record.used = True
         if stack.default_router_mac is None:
             return True  # off-link with no route: no frame leaves the host
-        forwarded = self.router.config.ipv6 and classify_address(dst) == AddressScope.GUA
-        if forwarded:
+        router = self.router
+        answered = False
+        if router.config.ipv6 and router.wan_bound_v6(dst):
             endpoint = self.internet.tcp_endpoint(dst)
             if endpoint is None or endpoint.udp_handlers.get(123) is None:
                 return False  # not the modelled NTP service; keep packets
-            self.router.firewall.note_flow(17, record.address, 123, dst, 123)
+            answered = router.lan_bound_v6(record.address)
+            self.sim.schedule(
+                self.link.latency, self._router_leg, 6, stack.mac, 17, record.address, 123, dst, 123, answered
+            )
+        else:
+            self.sim.schedule(self.link.latency, router.hear_v6, record.address, stack.mac)
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,
@@ -268,7 +372,7 @@ class FlowFastPath:
                 sport=123,
                 dport=123,
                 bytes_out=NTP_REQUEST_LEN,
-                bytes_in=NTP_REPLY_LEN if forwarded else 0,
+                bytes_in=NTP_REPLY_LEN if answered else 0,
             )
         )
         return True
@@ -276,8 +380,11 @@ class FlowFastPath:
     # -------------------------------------------------------- local multicast
 
     def try_local_multicast(self, stack: "HostStack", group, port: int, payload_len: int) -> bool:
-        """Advance one local multicast beacon (and the fan-out of per-device
-        port-unreachable replies it provokes) as a single flow record."""
+        """Advance one local multicast beacon as a single flow record.
+
+        The router learns the sender's neighbour entry when the beacon would
+        have reached it. Hosts ignore it, and none answers a multicast
+        datagram with an ICMP error (RFC 1122 §3.2.2, RFC 4443 §2.4)."""
         if not self.enabled:
             return False
         if self._hazard(4.0 * self.link.latency, family=6, wan=False):
@@ -289,6 +396,8 @@ class FlowFastPath:
         if record is None:
             return True
         record.used = True
+        # Every NIC takes all-nodes traffic, the router's too.
+        self.sim.schedule(self.link.latency, self.router.hear_v6, record.address, stack.mac)
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,

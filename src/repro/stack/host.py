@@ -770,6 +770,18 @@ class HostStack(Node):
     def _tx_ipv4(self, packet: IPv4, dst_mac: MacAddress) -> None:
         self.nic.send(Ethernet(dst_mac, self.mac, ETHERTYPE_IPV4, packet))
 
+    def wan_gateway(self, family: int, dst) -> Optional[MacAddress]:
+        """The MAC a unicast packet to off-link ``dst`` goes to at once, with
+        the answer taken in; None when the send path would drop it, keep it
+        on the link, or queue it behind address resolution."""
+        if family == 6:
+            if not self.config.ipv6_enabled or self.ipv6_shutdown or not self._ipv6_active or self._on_link(dst):
+                return None
+            return self.default_router_mac
+        if self.ipv4_address is None or not self.config.ipv4_enabled or self.ipv4_gateway is None:
+            return None
+        return None if self._v4_on_link(dst) else self.arp.lookup(self.ipv4_gateway)
+
     # ---------------------------------------------------------------- TCP glue
 
     def _tcp6_send(self, local_ip, remote_ip, segment: TCP) -> None:
@@ -833,11 +845,16 @@ class HostStack(Node):
             txid = (txid + 1) & 0xFFFF
         query = DNS.query(txid, name, qtype)
         sport = rng.randint(32768, 60999)
-        timeout_event = self.sim.schedule(self.config.dns_timeout, self._dns_timeout, txid)
-        self._dns_pending[txid] = (callback, timeout_event, Question(name, qtype), family, attempt)
         self.metrics.dns_queries += 1
         if attempt:
             self.metrics.dns_retries += 1
+        flow_path = self.flow_path
+        elided = attempt == 0 and flow_path is not None and flow_path.try_dns(self, family, servers[0], query, sport)
+        # The fast path takes only lookups it answers: they need no timeout.
+        timeout_event = None if elided else self.sim.schedule(self.config.dns_timeout, self._dns_timeout, txid)
+        self._dns_pending[txid] = (callback, timeout_event, Question(name, qtype), family, attempt)
+        if elided:
+            return True
         sent = self.udp_send(servers[0], 53, query, sport=sport)
         if not sent:
             timeout_event.cancel()
@@ -867,7 +884,8 @@ class HostStack(Node):
         if entry is None:
             return
         callback, timeout_event, question = entry[0], entry[1], entry[2]
-        timeout_event.cancel()
+        if timeout_event is not None:
+            timeout_event.cancel()
         if message.question is not None and message.question != question:
             callback(None)
             return

@@ -115,6 +115,7 @@ class Router(Node):
         self.lan_v6_prefix = ipaddress.IPv6Network(lan_v6_prefix)
         self.v6_gua = as_ipv6(int(self.lan_v6_prefix.network_address) + 1)
         self.v6_lla = link_local_from_mac(self.mac)
+        self._own_v6 = frozenset((self.v6_lla, self.v6_gua))
         self.dns_v4 = as_ipv4(dns_v4)
         self.dns_v6 = as_ipv6(dns_v6)
 
@@ -225,10 +226,13 @@ class Router(Node):
         if isinstance(payload, UDP) and payload.dport == DHCP4_SERVER_PORT and isinstance(payload.payload, DHCPv4):
             self._handle_dhcpv4(src_mac, payload.payload)
             return
-        if packet.dst == self.v4_address or packet.dst == BROADCAST_V4:
-            return  # no services on the router's own v4 address
-        if packet.src in self.lan_v4_network and packet.dst not in self.lan_v4_network:
+        if self.nats_v4(packet.src, packet.dst):
             self._nat44_outbound(packet)
+
+    def nats_v4(self, src, dst) -> bool:
+        """Does a LAN packet from ``src`` to ``dst`` leave through NAT44?
+        (The router offers no services on its own v4 address.)"""
+        return dst != BROADCAST_V4 and src in self.lan_v4_network and dst not in self.lan_v4_network
 
     def _handle_dhcpv4(self, src_mac: MacAddress, message: DHCPv4) -> None:
         if message.msg_type == DHCP4_DISCOVER:
@@ -268,12 +272,18 @@ class Router(Node):
     def _nat_key(self, proto: int, src, sport: int) -> tuple:
         return (proto, src, sport)
 
-    def nat_public_port(self, proto: int, src, sport: int) -> Optional[int]:
-        """The public port of an established outbound NAT44 mapping (or None).
-
-        The flow-level fast path uses this to locate the server-side TCP
-        state for a NATted connection without replaying data segments."""
-        return self._nat_out.get(self._nat_key(proto, src, sport))
+    def nat_map(self, proto: int, src, sport: int) -> int:
+        """The public port of ``src:sport``'s NAT44 mapping; a new flow takes
+        the next free port. The flow-level fast path calls this at the
+        instant an elided packet would have reached the router."""
+        key = self._nat_key(proto, src, sport)
+        public_port = self._nat_out.get(key)
+        if public_port is None:
+            public_port = self._next_nat_port
+            self._next_nat_port += 1
+            self._nat_out[key] = public_port
+            self._nat_in[(proto, public_port)] = (src, sport)
+        return public_port
 
     def _nat44_outbound(self, packet: IPv4) -> None:
         payload = packet.payload
@@ -287,13 +297,7 @@ class Router(Node):
             dns = isinstance(payload, UDP) and payload.dport == 53
             if self.faults.drops_wan(self.sim.now, family=4, dns=dns):
                 return
-        key = self._nat_key(proto, packet.src, sport)
-        public_port = self._nat_out.get(key)
-        if public_port is None:
-            public_port = self._next_nat_port
-            self._next_nat_port += 1
-            self._nat_out[key] = public_port
-            self._nat_in[(proto, public_port)] = (packet.src, sport)
+        public_port = self.nat_map(proto, packet.src, sport)
         # Copy-on-translate: the datagram is shared with the capture
         # records, so NAT must not rewrite it in place.
         translated_payload = payload.with_ports(sport=public_port)
@@ -321,22 +325,45 @@ class Router(Node):
         device_ip, device_port = mapping
         translated_payload = payload.with_ports(dport=device_port)
         translated = IPv4(packet.src, device_ip, packet.proto, translated_payload, ttl=packet.ttl - 1)
-        mac = self.arp.lookup(device_ip)
-        if mac is None:
-            mac = next((m for m, ip in self._v4_leases.items() if ip == device_ip), None)
+        mac = self.lan_mac_v4(device_ip)
         if mac is not None:
             self.nic.send(Ethernet(mac, self.mac, ETHERTYPE_IPV4, translated))
+
+    def lan_mac_v4(self, address) -> Optional[MacAddress]:
+        """Where a LAN packet for ``address`` goes: its ARP entry, else the
+        owner of its DHCP lease (None: nowhere)."""
+        mac = self.arp.lookup(address)
+        if mac is None:
+            mac = next((m for m, ip in self._v4_leases.items() if ip == address), None)
+        return mac
 
     # ------------------------------------------------------------------- IPv6
 
     def _owns_v6(self, addr: ipaddress.IPv6Address) -> bool:
-        return addr in (self.v6_lla, self.v6_gua)
+        return addr in self._own_v6
+
+    def lan_bound_v6(self, dst: ipaddress.IPv6Address) -> bool:
+        """Is ``dst`` a LAN host the router delivers to (from either side)?"""
+        return dst in self.lan_v6_prefix and not self._owns_v6(dst)
+
+    def wan_bound_v6(self, dst: ipaddress.IPv6Address) -> bool:
+        """Does a LAN packet to ``dst`` leave through the WAN? (The router's
+        own addresses are link-local or inside the LAN prefix.)"""
+        return classify_address(dst) == AddressScope.GUA and dst not in self.lan_v6_prefix
+
+    def hear_v6(self, src, src_mac: MacAddress) -> bool:
+        """Take in a LAN IPv6 packet's source address: learn the neighbour
+        behind a unicast source. False when IPv6 is off and the packet dies
+        here."""
+        if not self.config.ipv6:
+            return False
+        if src != UNSPECIFIED and classify_address(src) != AddressScope.MULTICAST:
+            self.neighbors.learn(src, src_mac)
+        return True
 
     def _rx_ipv6(self, src_mac: MacAddress, packet: IPv6) -> None:
-        if not self.config.ipv6:
+        if not self.hear_v6(packet.src, src_mac):
             return
-        if packet.src != UNSPECIFIED and classify_address(packet.src) != AddressScope.MULTICAST:
-            self.neighbors.learn(packet.src, src_mac)
         payload = packet.payload
         dst = packet.dst
         if isinstance(payload, ICMPv6):
@@ -345,22 +372,21 @@ class Router(Node):
         if isinstance(payload, UDP) and payload.dport == DHCP6_SERVER_PORT and isinstance(payload.payload, DHCPv6):
             self._handle_dhcpv6(src_mac, packet.src, payload.payload)
             return
-        if self._owns_v6(dst):
-            return
-        dst_scope = classify_address(dst)
-        if dst_scope == AddressScope.MULTICAST:
-            return
         # Forwarding decision
-        if dst in self.lan_v6_prefix:
+        if self.wan_bound_v6(dst):
+            self._forward_wan_v6(packet)
+        elif self.lan_bound_v6(dst):
             self._deliver_lan_v6(packet)
-        elif dst_scope == AddressScope.GUA:
-            if self.faults is not None:
-                dns = isinstance(payload, UDP) and payload.dport == 53
-                if self.faults.drops_wan(self.sim.now, family=6, dns=dns):
-                    return
-            forwarded = IPv6(packet.src, dst, packet.next_header, payload, hop_limit=packet.hop_limit - 1)
-            self.firewall.note_outbound(forwarded)
-            self.internet.deliver_v6(forwarded)
+
+    def _forward_wan_v6(self, packet: IPv6) -> None:
+        payload = packet.payload
+        if self.faults is not None:
+            dns = isinstance(payload, UDP) and payload.dport == 53
+            if self.faults.drops_wan(self.sim.now, family=6, dns=dns):
+                return
+        forwarded = IPv6(packet.src, packet.dst, packet.next_header, payload, hop_limit=packet.hop_limit - 1)
+        self.firewall.note_outbound(forwarded)
+        self.internet.deliver_v6(forwarded)
 
     def _rx_icmpv6(self, src_mac: MacAddress, packet: IPv6, message: ICMPv6) -> None:
         t = message.icmp_type
@@ -385,16 +411,12 @@ class Router(Node):
             self._send_v6(packet.src, 58, reply, src=packet.dst)
         elif t == TYPE_ECHO_REPLY and (self._owns_v6(packet.dst) or packet.dst in self.lan_v6_prefix):
             pass  # neighbor learned above; the scanner reads the table
-        elif packet.dst in self.lan_v6_prefix and not self._owns_v6(packet.dst):
+        elif self.lan_bound_v6(packet.dst):
             self._deliver_lan_v6(packet)
-        elif classify_address(packet.dst) == AddressScope.GUA and not self._owns_v6(packet.dst):
+        elif self.wan_bound_v6(packet.dst):
             # Off-link ICMPv6 (echo replies to Internet pingers, Port
             # Unreachables for WAN probes) forwards like any other traffic.
-            if self.faults is not None and self.faults.drops_wan(self.sim.now, family=6, dns=False):
-                return
-            forwarded = IPv6(packet.src, packet.dst, packet.next_header, message, hop_limit=packet.hop_limit - 1)
-            self.firewall.note_outbound(forwarded)
-            self.internet.deliver_v6(forwarded)
+            self._forward_wan_v6(packet)
 
     def _send_v6(self, dst, next_header: int, transport, *, src=None, hop_limit: int = 64) -> None:
         src = src if src is not None else (self.v6_gua if classify_address(dst) == AddressScope.GUA else self.v6_lla)
@@ -429,7 +451,7 @@ class Router(Node):
         forwarded: ``open`` passes everything, ``stateful`` only established
         flows, ``pinhole`` additionally whatever holes devices registered.
         """
-        if packet.dst in self.lan_v6_prefix and not self._owns_v6(packet.dst):
+        if self.lan_bound_v6(packet.dst):
             if self.faults is not None:
                 dns = isinstance(packet.payload, UDP) and packet.payload.sport == 53
                 if self.faults.drops_wan(self.sim.now, family=6, dns=dns):

@@ -39,7 +39,7 @@ class TcpConnection:
         self.on_complete = on_complete
         self.on_fail = on_fail
         self.state = "SYN_SENT"
-        self.seq = engine.rng.getrandbits(32)
+        self.seq = engine.draw_isn()
         self.ack = 0
         self.timeout_event = None
 
@@ -57,6 +57,9 @@ class TcpConnection:
         self.seq = (self.seq + len(payload) + (1 if flags & (FLAG_SYN | FLAG_FIN) else 0)) & 0xFFFFFFFF
 
     def start(self, timeout: float) -> None:
+        flow_path = self.engine.flow_path
+        if flow_path is not None and flow_path.try_tcp(self):
+            return
         self.timeout_event = self.engine.schedule(timeout, self._timeout)
         self._send(FLAG_SYN)
 
@@ -93,14 +96,10 @@ class TcpConnection:
             self.ack = (segment.seq + 1) & 0xFFFFFFFF
             self._send(FLAG_ACK)
             self.state = "ESTABLISHED"
-            flow_path = self.engine.flow_path
-            if flow_path is not None and flow_path.try_tcp(self):
-                return
             self._next_request()
             return
         payload = segment.payload_bytes
         if payload:
-            self.ack = (segment.ack and self.ack or self.ack)  # keep simple accounting
             self.ack = (segment.seq + len(payload)) & 0xFFFFFFFF
         if self.state == "AWAIT_RESPONSE" and payload:
             self.responses.append(payload)
@@ -133,12 +132,11 @@ class TcpEngine:
     timeouts to the simulator.
     """
 
-    # Hybrid-fidelity hook (repro.stack.flowpath): when set, ESTABLISHED
-    # client connections offer their payload exchange to the flow-level fast
-    # path before sending any data segment. ``flow_mac`` attributes emitted
-    # flow records to the owning host for capture indexing.
+    # Hybrid-fidelity hook (repro.stack.flowpath): when set, every client
+    # connection offers itself to the flow-level fast path before its SYN.
+    # ``flow_host`` is the owning host stack.
     flow_path = None
-    flow_mac = None
+    flow_host = None
 
     def __init__(self, send: SendFn, schedule, rng):
         self.send = send
@@ -148,9 +146,10 @@ class TcpEngine:
         self._clients: dict[ConnKey, TcpConnection] = {}
         self._server_conns: dict[ConnKey, _ServerConn] = {}
 
-    def server_conn(self, key: ConnKey) -> Optional[_ServerConn]:
-        """The live server-side connection state for ``key`` (or None)."""
-        return self._server_conns.get(key)
+    def draw_isn(self) -> int:
+        """An initial sequence number: a client's at connect, a server's when
+        a SYN reaches an open port."""
+        return self.rng.getrandbits(32)
 
     # -- server role ----------------------------------------------------------
 
@@ -216,7 +215,7 @@ class TcpEngine:
                 # Closed port: RST-ACK, exactly what a SYN scan records.
                 self._reply(local_ip, remote_ip, segment, FLAG_RST | FLAG_ACK, 0, (segment.seq + 1) & 0xFFFFFFFF)
                 return
-            conn = _ServerConn(self.rng.getrandbits(32))
+            conn = _ServerConn(self.draw_isn())
             conn.ack = (segment.seq + 1) & 0xFFFFFFFF
             self._server_conns[key] = conn
             conn.seq = self._reply(local_ip, remote_ip, segment, FLAG_SYN | FLAG_ACK, conn.seq, conn.ack)

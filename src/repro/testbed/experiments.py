@@ -31,8 +31,8 @@ class ExperimentResult:
     functionality: dict[str, bool] = field(default_factory=dict)
     started_at: float = 0.0
     finished_at: float = 0.0
-    # Aggregate data exchanges emitted by the flow-level fast path (empty in
-    # packet fidelity); CaptureIndex merges them with the frame records.
+    # Records of the exchanges the flow-level fast path ran without frames
+    # (empty in packet fidelity); CaptureIndex merges them with the frames.
     flow_records: list = field(default_factory=list)
 
     @property

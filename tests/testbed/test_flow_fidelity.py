@@ -3,11 +3,13 @@
 The contract (DESIGN.md §13): a ``flow``-fidelity run must produce the same
 *analysis* output as the ``packet``-fidelity run bit for bit — same flows,
 same byte totals, same address-usage observations, same DNS/NDP/DHCP event
-streams — while eliding the steady-state data-plane frames from the wire.
-Fault windows overlapping a flow's lifetime force that flow back to packet
-fidelity, so faulted runs stay equivalent too.
+streams at the same timestamps — and leave the home in the same state,
+while eliding the frames of clean DNS lookups, TCP connections, NTP and
+beacons from the wire. Fault windows overlapping an exchange's lifetime
+force it back to packet fidelity, so faulted runs stay equivalent too.
 """
 
+import functools
 from collections import Counter
 
 import pytest
@@ -18,8 +20,23 @@ from repro.core.meta import metadata_from_profiles
 from repro.devices import build_inventory
 from repro.faults.inject import FaultInjector
 from repro.faults.schedule import FaultSchedule, FaultWindow
+from repro.net.arp import ARP, OP_REPLY as ARP_REPLY
+from repro.net.dhcpv6 import DHCPv6
+from repro.net.dns import DNS
+from repro.net.ip6 import as_ipv6
+from repro.net.ipv6 import IPv6
+from repro.net.tcp import TCP
+from repro.net.udp import UDP
 from repro.reports import render_table3, render_table6, render_table7
-from repro.stack.config import ALL_CONFIGS, DUAL_STACK, with_fidelity
+from repro.stack.config import (
+    ALL_CONFIGS,
+    DUAL_STACK,
+    IPV6_ONLY,
+    IPV6_ONLY_RDNSS,
+    IPV6_ONLY_STATEFUL,
+    with_fidelity,
+    with_firewall,
+)
 from repro.testbed import Testbed, run_connectivity_experiment
 from repro.testbed.study import run_full_study
 from tests.pipeline.test_goldens import pcap_sha256
@@ -55,7 +72,8 @@ def flow_study():
 
 
 def _snapshot(index: CaptureIndex) -> dict:
-    """Everything the analysis layer reads from an index, canonically ordered."""
+    """Everything the analysis layer reads from an index, timestamps
+    included, canonically ordered."""
     return {
         "flows": sorted(
             (
@@ -71,32 +89,73 @@ def _snapshot(index: CaptureIndex) -> dict:
                 flow.sni,
                 flow.is_local,
                 flow.is_data,
+                flow.first_seen,
             )
             for flow in index.flows
         ),
         "addresses": {
             device: {
-                str(addr): (obs.dad_seen, obs.used_for_data, obs.used_for_dns, obs.used_at_all)
+                str(addr): (obs.dad_seen, obs.used_for_data, obs.used_for_dns, obs.used_at_all, obs.first_seen)
                 for addr, obs in obs_map.items()
             }
             for device, obs_map in index.addresses.items()
         },
         "ntp_v6_devices": sorted(index.ntp_v6_devices),
         "dns_queries": sorted(
-            (q.device, q.name, q.qtype, q.family, str(q.src_ip)) for q in index.dns_queries
+            (q.device, q.name, q.qtype, q.family, str(q.src_ip), q.timestamp) for q in index.dns_queries
         ),
         "dns_responses": sorted(
-            (r.device, r.name, r.qtype, r.family, r.rcode, tuple(map(str, r.answers)))
+            (r.device, r.name, r.qtype, r.family, r.rcode, tuple(map(str, r.answers)), r.timestamp)
             for r in index.dns_responses
         ),
         "ndp_events": sorted(
-            (e.device, e.kind, str(e.target), str(e.src_ip)) for e in index.ndp_events
+            (e.device, e.kind, str(e.target), str(e.src_ip), e.timestamp) for e in index.ndp_events
         ),
         "dhcp_events": sorted(
-            (e.device, e.protocol, e.msg_type, e.stateful) for e in index.dhcp_events
+            (e.device, e.protocol, e.msg_type, e.stateful, e.timestamp) for e in index.dhcp_events
         ),
         "decode_errors": index.decode_errors,
     }
+
+
+def _end_state(testbed) -> dict:
+    """The state a run leaves in the home: router tables, firewall,
+    shared and per-host random streams, address use, caches, the clock."""
+    router = testbed.router
+    firewall = router.firewall
+    state = {
+        "nat44": (dict(router._nat_out), dict(router._nat_in), router._next_nat_port),
+        "firewall flows": dict(firewall._flows),
+        "firewall verdicts": (
+            firewall.passed,
+            firewall.passed_open,
+            firewall.passed_flow,
+            firewall.passed_pinhole,
+            firewall.dropped,
+        ),
+        "router neighbours": list(router.neighbors.entries().items()),
+        "router arp": list(router.arp.entries().items()),
+        "internet rng": testbed.internet.rng.getstate(),
+        "clock": testbed.sim.now,
+    }
+    for device in testbed.everyone:
+        stack = device.stack
+        state[f"host {device.name}"] = (
+            stack.rng.getstate(),
+            device.rng.getstate(),
+            stack._retry_rng.getstate(),
+            [(record.address, record.used) for record in stack.addrs.records],
+            list(stack.neighbors.entries().items()),
+            list(stack.arp.entries().items()),
+        )
+    return state
+
+
+def assert_same_end_state(flow_testbed, packet_testbed) -> None:
+    """The flow run leaves the home exactly as the packet run does."""
+    flow, packet = _end_state(flow_testbed), _end_state(packet_testbed)
+    for part, value in packet.items():
+        assert flow[part] == value, f"fidelity changed the end state of {part}"
 
 
 def assert_frames_kept_in_place(flow_records, packet_records) -> None:
@@ -112,12 +171,12 @@ def assert_frames_kept_in_place(flow_records, packet_records) -> None:
 # written as a pcap through ``PcapWriter``. ``Study.export_pcaps`` refuses
 # this study, whose flow records a pcap cannot hold.
 FLOW_CAPTURE_SHA256 = {
-    "ipv4-only": "b02c0bb5a76dc0a2e612ec61f91748b58d922b77e06d369347b7a43403051545",
-    "ipv6-only": "50b51563346609fd2d97bc8bcfa713a0e5df519979e52660891b0459c9bd773e",
-    "ipv6-only-rdnss": "b02abcfce6ce77d87632a8fb3d37490b45df8c15e29f2fb21ffb7eeb72559bd6",
-    "ipv6-only-stateful": "7cb0bab58d2eb0553d955ffabebb8ff73a199f1b2d4902669bc47fb78ba8b143",
-    "dual-stack": "f004274ace0731559b267122140b5b888395b643550568da9ca3b6f71f671e7b",
-    "dual-stack-stateful": "c06f1158baee3ba952dacf9dd71e39ce3a5ba744b7b0c3aa8c8a0dc11d93604f",
+    "ipv4-only": "38a69d5e404f2a3bef72d4b397b0a85df1fba3adad57154879f18f0620e3938b",
+    "ipv6-only": "7b43438c6bf631d614ed143b8e4e5fd4d02029ef2af0419f0a50895d0c9b1603",
+    "ipv6-only-rdnss": "be7fb92dd0d85379e2b578b5a81429dfa8846a270f0b29b29ee85c30e3055fe9",
+    "ipv6-only-stateful": "fda0c1c800f3d201c0c95d56ee9ac9d2eb1fa0f43853c87b77f0ba4afc868e4a",
+    "dual-stack": "3406c9db1b7d703a0071408cc02ec51f554971c2589fea2949f9d6cae7bc0c98",
+    "dual-stack-stateful": "3731e6d44ba3aea36a84faa84457b5ca6b0f6ee7722f78bbb4d25c188bbc1a67",
 }
 
 
@@ -155,6 +214,49 @@ class TestStudyEquivalence:
     def test_active_phases_identical(self, packet_study, flow_study):
         assert flow_study.port_scan == packet_study.port_scan
         assert flow_study.active_dns == packet_study.active_dns
+
+    def test_end_state_identical(self, packet_study, flow_study):
+        assert_same_end_state(flow_study.testbed, packet_study.testbed)
+
+    def test_only_declined_exchanges_stay_on_the_wire(self, flow_study):
+        """No frame of a cloud TCP connection is left, and every DNS frame
+        left belongs to a lookup the fast path declines by rule: a device's
+        first v4 lookups, which queue behind ARP, or a lease probe, a raw
+        query sourced from a DHCPv6 lease."""
+        latency = flow_study.testbed.link.latency
+        for config in ALL_CONFIGS:
+            leases: dict = {}
+            first_arp_reply: dict = {}
+            queries, responses = set(), []
+            for record in flow_study.experiment(config.name).records:
+                frame = record.frame
+                if isinstance(frame.payload, ARP):
+                    if frame.payload.op == ARP_REPLY:
+                        first_arp_reply.setdefault(frame.dst, record.timestamp)
+                    continue
+                transport = frame.payload.payload
+                if isinstance(transport, TCP):
+                    assert not {transport.sport, transport.dport} & {443, 8883}, (
+                        f"{config.name}: a cloud TCP frame at {record.timestamp}"
+                    )
+                if not isinstance(transport, UDP):
+                    continue
+                message = transport.payload
+                if isinstance(message, DHCPv6):
+                    leases.setdefault(frame.dst, set()).update(ia.address for ia in message.ia_addresses)
+                elif isinstance(message, DNS) and message.is_response:
+                    responses.append((frame.dst, transport.dport, message.txid))
+                elif isinstance(message, DNS):
+                    if isinstance(frame.payload, IPv6):
+                        assert frame.payload.src in leases.get(frame.src, ()), (
+                            f"{config.name}: a v6 lookup at {record.timestamp} is not a lease probe"
+                        )
+                    else:
+                        assert record.timestamp == first_arp_reply.get(frame.src, -1.0) + latency, (
+                            f"{config.name}: a v4 lookup at {record.timestamp} did not wait on ARP"
+                        )
+                    queries.add((frame.src, transport.sport, message.txid))
+            assert all(response in queries for response in responses), config.name
 
     def test_custom_metadata_tables_identical(self, packet_study, flow_study):
         """Metadata naming six of the seven devices indexes each capture with
@@ -202,12 +304,24 @@ MID_RUN_BLACKHOLE = FaultSchedule(
     windows=(FaultWindow("v6-blackhole", 200.0, 400.0),),
 )
 
+# An upstream DNS outage over the whole run: every lookup stays on the wire.
+FULL_RUN_DNS_OUTAGE = FaultSchedule(
+    name="full-run-dns-outage",
+    windows=(FaultWindow("dns-outage", 0.0, 100_000.0),),
+)
 
+
+@functools.cache
 def _faulted_experiment(fidelity, schedule):
     testbed = Testbed(seed=11, profiles=_profiles(), include_controls=False)
     FaultInjector.attach(testbed, schedule)
     config = with_fidelity(DUAL_STACK, fidelity)
     return testbed, run_connectivity_experiment(testbed, config, checkins=1)
+
+
+def _is_dns(record) -> bool:
+    transport = getattr(record.frame.payload, "payload", None)
+    return isinstance(transport, UDP) and 53 in (transport.sport, transport.dport)
 
 
 class TestFaultFallback:
@@ -217,7 +331,7 @@ class TestFaultFallback:
             "a loss window covering the run must disable the fast path entirely"
         )
 
-    @pytest.mark.parametrize("schedule", [FULL_RUN_LOSS, MID_RUN_BLACKHOLE], ids=lambda s: s.name)
+    @pytest.mark.parametrize("schedule", [FULL_RUN_LOSS, MID_RUN_BLACKHOLE, FULL_RUN_DNS_OUTAGE], ids=lambda s: s.name)
     def test_faulted_capture_equivalent(self, schedule):
         packet_testbed, packet_result = _faulted_experiment("packet", schedule)
         flow_testbed, flow_result = _faulted_experiment("flow", schedule)
@@ -228,6 +342,15 @@ class TestFaultFallback:
             flow_records=flow_result.flow_records,
         )
         assert _snapshot(flow_index) == _snapshot(packet_index)
+        assert_same_end_state(flow_testbed, packet_testbed)
+        assert_frames_kept_in_place(flow_result.records, packet_result.records)
+
+    def test_dns_outage_keeps_every_lookup_on_the_wire(self):
+        _, packet_result = _faulted_experiment("packet", FULL_RUN_DNS_OUTAGE)
+        _, flow_result = _faulted_experiment("flow", FULL_RUN_DNS_OUTAGE)
+        packet_dns = Counter(record for record in packet_result.records if _is_dns(record))
+        assert packet_dns
+        assert Counter(record for record in flow_result.records if _is_dns(record)) == packet_dns
 
     def test_full_run_hazard_captures_identical_bytes(self):
         # With the fast path fully suppressed the two fidelities run the very
@@ -238,3 +361,67 @@ class TestFaultFallback:
         packet_frames = [(r.timestamp, r.data) for r in packet_result.records]
         flow_frames = [(r.timestamp, r.data) for r in flow_result.records]
         assert flow_frames == packet_frames
+
+
+def _stateful_firewall_flows(fidelity, config):
+    testbed = Testbed(seed=11, profiles=_profiles(), include_controls=False)
+    run_connectivity_experiment(testbed, with_fidelity(with_firewall(config, "stateful"), fidelity), checkins=1)
+    return testbed.router.firewall._flows
+
+
+@pytest.mark.parametrize("config", [IPV6_ONLY, IPV6_ONLY_RDNSS, IPV6_ONLY_STATEFUL], ids=lambda c: c.name)
+def test_stateful_firewall_stamps_match_packet_fidelity(config):
+    """A stateful firewall's flow table ends with the packet run's stamps:
+    an elided NTP request refreshes its entry when it would have reached the
+    router, one link latency after it was sent."""
+    packet_flows = _stateful_firewall_flows("packet", config)
+    assert any(key[0] == 17 and key[2] == 123 for key in packet_flows)
+    assert _stateful_firewall_flows("flow", config) == packet_flows
+
+
+def _syn_ack_before_a_collapsed_connection(fidelity):
+    """Open a connection the fast path declines (its service answers
+    nothing) and, half a link latency later, one it takes, to the same
+    endpoint. Returns the first connection's SYN-ACKs and the second's
+    frames."""
+    apple_tv = [profile for profile in _profiles() if profile.name == "Apple TV"]  # has a GUA in dual-stack
+    testbed = Testbed(seed=11, profiles=apple_tv, include_controls=False)
+    config = with_fidelity(DUAL_STACK, fidelity)
+    testbed.router.configure(config)
+    records = testbed.start_capture()
+    testbed.flow_path.enabled = fidelity == "flow"
+    testbed.flow_path.begin()
+    (device,) = testbed.devices
+    device.prepare(config)
+    testbed.sim.run(60.0)
+    server = as_ipv6("2001:db8:cafe::1")
+    testbed.internet.endpoint(server).tcp.listen(9000, lambda request: b"")
+    stack = device.stack
+
+    def ignore(_):
+        return None
+
+    testbed.sim.schedule(1.0, stack.tcp_request, server, 9000, [b"stall"], ignore, ignore)
+    testbed.sim.schedule(1.0 + testbed.link.latency / 2, stack.tcp_request, server, 443, [b"ping"], ignore, ignore)
+    testbed.sim.run(2.0)
+    syn_acks, collapsible = [], []
+    for record in records:
+        segment = record.frame.payload.payload
+        if not isinstance(segment, TCP):
+            continue
+        if segment.sport == 9000 and segment.syn and segment.ack_flag:
+            syn_acks.append(record)
+        if 443 in (segment.sport, segment.dport):
+            collapsible.append(record)
+    return syn_acks, collapsible
+
+
+def test_collapsed_connection_draws_the_server_isn_when_its_syn_arrives():
+    """The server's ISN comes from one stream shared by every endpoint, so a
+    collapsed connection must draw it when its SYN would have arrived, after
+    an earlier connection's SYN, or that connection's SYN-ACK changes."""
+    packet_syn_acks, packet_collapsible = _syn_ack_before_a_collapsed_connection("packet")
+    flow_syn_acks, flow_collapsible = _syn_ack_before_a_collapsed_connection("flow")
+    assert len(packet_syn_acks) == 1 and packet_collapsible
+    assert flow_collapsible == []
+    assert flow_syn_acks == packet_syn_acks
