@@ -102,10 +102,6 @@ class HomeSusceptibility:
     def susceptible(self, strategy: str) -> bool:
         return not self.immune and self.entries(strategy) > 0
 
-    @property
-    def exploitable_devices(self) -> tuple[str, ...]:
-        return tuple(d.device for d in self.devices if d.exploitable)
-
 
 def _immune_home(spec: "AdversarySpec") -> HomeSusceptibility:
     return HomeSusceptibility(
@@ -184,12 +180,10 @@ def _measure_home(
 
         injector = FaultInjector.attach(testbed, schedule)
 
-    testbed.router.configure(config)
-    # No capture runs here either (see run_home_exposure): only the enable
-    # bit matters, the accrued records are never read.
-    testbed.flow_path.enabled = config.fidelity == "flow"
+    # No capture runs here either (see run_home_exposure): the fast path's
+    # records are never read.
+    testbed.configure(config)
     for device in testbed.devices:
-        device.prepare(config)
         # One cloud check-in before the census, so the addresses devices
         # actually use have leaked by the time the hitlist is compiled.
         testbed.sim.schedule(min(CHECKIN_AT, spec.settle * 0.8), device.checkin)

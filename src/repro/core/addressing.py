@@ -147,16 +147,6 @@ def eui64_usage(analysis: StudyAnalysis) -> dict[str, dict]:
     return result
 
 
-def unused_addresses(analysis: StudyAnalysis) -> dict[str, int]:
-    """Devices with assigned-but-never-used addresses (§5.2.1)."""
-    summaries = collect_addresses(analysis)
-    return {
-        device: sum(1 for obs in summary.records.values() if not obs.used_at_all)
-        for device, summary in summaries.items()
-        if any(not obs.used_at_all for obs in summary.records.values())
-    }
-
-
 def lla_rotators(analysis: StudyAnalysis) -> list[str]:
     """Devices observed with more than one link-local address."""
     summaries = collect_addresses(analysis)

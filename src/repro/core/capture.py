@@ -50,6 +50,24 @@ DEFAULT_LAN_V4 = ipaddress.IPv4Network("192.168.10.0/24")
 BROADCAST_V4 = as_ipv4("255.255.255.255")
 
 
+def _server_name(payload) -> Optional[str]:
+    """The SNI of a first TCP payload that is a TLS ClientHello.
+
+    Sender-built frames and flow records carry the hello as an opaque Raw
+    payload (the sender built it from bytes); decoded frames parse it
+    lazily. Both are read the same, so live and re-decoded captures index
+    identically.
+    """
+    if isinstance(payload, TLSClientHello):
+        return payload.server_name
+    if isinstance(payload, Raw) and payload.data[:1] == b"\x16":
+        try:
+            return TLSClientHello.decode(payload.data).server_name
+        except DecodeError:
+            pass
+    return None
+
+
 @dataclass(frozen=True)
 class DnsQuery:
     device: str
@@ -160,7 +178,6 @@ class CaptureIndex:
         self.ntp_v6_devices: set[str] = set()
         self._flows: dict[tuple, Flow] = {}
         self.frame_count = 0
-        self.flow_record_count = 0
         self.decode_errors = 0
 
         if flow_records:
@@ -215,14 +232,8 @@ class CaptureIndex:
             self._ingest_flow_record(rec)
 
     def _ingest_flow_record(self, rec) -> None:
-        """Index one record from the flow-level fast path.
-
-        Mirrors the per-frame bookkeeping the elided packets would have
-        triggered: DNS query and response events, address-use observations,
-        the NTP-over-v6 signal, and the byte counters/SNI on the attributed
-        :class:`Flow`.
-        """
-        self.flow_record_count += 1
+        """Index one record of the flow fast path through the helpers the
+        frames it stands for go through: the request's, then the answer's."""
         ts = rec.timestamp
         sender = self._device_for(rec.src_mac)
         if sender is None:
@@ -231,44 +242,17 @@ class CaptureIndex:
         if dns and rec.message.is_response:
             self._dns_response(ts, sender, rec.family, rec.message)
             return
-        if rec.family == 6 and rec.src_ip != UNSPECIFIED:
-            scope = classify_address(rec.src_ip)
-            if scope not in (AddressScope.MULTICAST, AddressScope.UNSPECIFIED):
-                obs = self._address_obs(sender, rec.src_ip, ts)
-                obs.used_at_all = True
+        if rec.family == 6:
+            self._note_source(ts, sender, rec.src_ip)
         if dns:
             self._dns_query(ts, sender, rec.family, rec.src_ip, rec.message)
-            return
-        if rec.proto == "udp":
-            if rec.dport in NON_DATA_UDP_PORTS or rec.sport in NON_DATA_UDP_PORTS:
-                return
-            if rec.family == 6 and rec.dport == 123:
-                self.ntp_v6_devices.add(sender)
-        key = (sender, rec.proto, rec.family, rec.src_ip, rec.dst_ip, rec.sport, rec.dport)
-        reverse = (sender, rec.proto, rec.family, rec.dst_ip, rec.src_ip, rec.dport, rec.sport)
-        flow = self._flows.get(key) or self._flows.get(reverse)
-        if flow is None:
-            flow = Flow(
-                sender, rec.proto, rec.family, rec.src_ip, rec.dst_ip, rec.sport, rec.dport,
-                is_local=self._is_local_dst(rec.dst_ip, rec.family), first_seen=ts,
+        elif rec.proto == "tcp" or self._udp_data(sender, rec.family, rec.sport, rec.dport):
+            self._sent(
+                ts, sender, rec.proto, rec.family, rec.src_ip, rec.dst_ip, rec.sport, rec.dport, rec.bytes_out, rec
             )
-            self._flows[key] = flow
-        flow.bytes_out += rec.bytes_out
-        flow.bytes_in += rec.bytes_in
-        if (
-            rec.proto == "tcp"
-            and rec.bytes_out
-            and flow.sni is None
-            and rec.tls_hello is not None
-            and has_tcp_decoder(rec.sport, rec.dport)
-        ):
-            try:
-                flow.sni = TLSClientHello.decode(rec.tls_hello).server_name
-            except DecodeError:
-                pass
-        if rec.family == 6 and rec.bytes_out and not flow.is_local:
-            obs = self._address_obs(sender, rec.src_ip, ts)
-            obs.used_for_data = True
+            self._received(
+                ts, sender, rec.proto, rec.family, rec.dst_ip, rec.src_ip, rec.dport, rec.sport, rec.bytes_in
+            )
 
     # -- IPv6 -------------------------------------------------------------------
 
@@ -280,6 +264,11 @@ class CaptureIndex:
             table[address] = obs
         return obs
 
+    def _note_source(self, ts: float, device: str, src) -> None:
+        """A non-ICMP packet from ``device`` used its unicast source ``src``."""
+        if src != UNSPECIFIED and classify_address(src) not in (AddressScope.MULTICAST, AddressScope.UNSPECIFIED):
+            self._address_obs(device, src, ts).used_at_all = True
+
     def _ingest_v6(self, ts: float, frame: Ethernet) -> None:
         packet: IPv6 = frame.payload
         sender = self._device_for(frame.src)
@@ -290,11 +279,8 @@ class CaptureIndex:
             self._ingest_icmpv6(ts, sender, packet, payload)
             return
 
-        if sender is not None and packet.src != UNSPECIFIED:
-            scope = classify_address(packet.src)
-            if scope not in (AddressScope.MULTICAST, AddressScope.UNSPECIFIED):
-                obs = self._address_obs(sender, packet.src, ts)
-                obs.used_at_all = True
+        if sender is not None:
+            self._note_source(ts, sender, packet.src)
 
         if isinstance(payload, UDP):
             self._ingest_udp(ts, sender, receiver, packet.src, packet.dst, payload, family=6)
@@ -375,12 +361,17 @@ class CaptureIndex:
             if isinstance(inner, DHCPv4):
                 self.dhcp_events.append(DhcpEvent(sender, "dhcpv4", inner.msg_type, False, ts))
                 return
+        if self._udp_data(sender, family, sport, dport):
+            self._record_flow(ts, sender, receiver, src_ip, dst_ip, sport, dport, "udp", family, datagram)
+
+    def _udp_data(self, sender: Optional[str], family: int, sport: int, dport: int) -> bool:
+        """Does a datagram between these ports count toward flows?"""
         if dport in NON_DATA_UDP_PORTS or sport in NON_DATA_UDP_PORTS:
-            return
+            return False
         # NTP over IPv6 is the canonical "data without DNS" signal
         if family == 6 and dport == 123 and sender is not None:
             self.ntp_v6_devices.add(sender)
-        self._record_flow(ts, sender, receiver, src_ip, dst_ip, sport, dport, "udp", family, datagram)
+        return True
 
     def _dns_query(self, ts, device: str, family: int, src_ip, message: DNS) -> None:
         question = message.question
@@ -407,43 +398,42 @@ class CaptureIndex:
         # The wire length captured at decode time — no per-packet re-encode.
         payload_len = transport.payload_wire_len
         if sender is not None:
-            key = (sender, proto, family, src_ip, dst_ip, sport, dport)
-            reverse = (sender, proto, family, dst_ip, src_ip, dport, sport)
-            flow = self._flows.get(key) or self._flows.get(reverse)
-            if flow is None:
-                flow = Flow(
-                    sender, proto, family, src_ip, dst_ip, sport, dport,
-                    is_local=self._is_local_dst(dst_ip, family), first_seen=ts,
-                )
-                self._flows[key] = flow
-            flow.bytes_out += payload_len
-            if proto == "tcp" and payload_len and flow.sni is None and has_tcp_decoder(sport, dport):
-                inner = transport.payload
-                if isinstance(inner, TLSClientHello):
-                    flow.sni = inner.server_name
-                elif isinstance(inner, Raw) and inner.data[:1] == b"\x16":
-                    # Sender-built frames carry the hello as an opaque Raw
-                    # payload (the sender built it from bytes); decoded
-                    # frames parse it lazily. Treat both the same so live
-                    # and re-decoded captures index identically.
-                    try:
-                        flow.sni = TLSClientHello.decode(inner.data).server_name
-                    except DecodeError:
-                        pass
-            if family == 6 and payload_len and not flow.is_local:
-                obs = self._address_obs(sender, src_ip, ts)
-                obs.used_for_data = True
+            self._sent(ts, sender, proto, family, src_ip, dst_ip, sport, dport, payload_len, transport)
+        elif receiver is not None:
+            self._received(ts, receiver, proto, family, src_ip, dst_ip, sport, dport, payload_len)
+
+    def _sent(self, ts, device, proto, family, src_ip, dst_ip, sport, dport, payload_len, transport) -> None:
+        """Credit ``payload_len`` bytes ``device`` sent from ``src_ip`` to its
+        flow, made at its first packet; an outbound packet also matches a
+        flow keyed from the other end. ``transport.payload``, parsed lazily
+        on decoded frames, is read only while the flow lacks an SNI."""
+        key = (device, proto, family, src_ip, dst_ip, sport, dport)
+        flow = self._flows.get(key) or self._flows.get((device, proto, family, dst_ip, src_ip, dport, sport))
+        if flow is None:
+            flow = Flow(
+                device, proto, family, src_ip, dst_ip, sport, dport,
+                is_local=self._is_local_dst(dst_ip, family), first_seen=ts,
+            )
+            self._flows[key] = flow
+        flow.bytes_out += payload_len
+        if not payload_len:
             return
-        if receiver is not None:
-            key = (receiver, proto, family, dst_ip, src_ip, dport, sport)
-            flow = self._flows.get(key)
-            if flow is None:
-                flow = Flow(
-                    receiver, proto, family, dst_ip, src_ip, dport, sport,
-                    is_local=self._is_local_dst(src_ip, family), first_seen=ts,
-                )
-                self._flows[key] = flow
-            flow.bytes_in += payload_len
+        if proto == "tcp" and flow.sni is None and has_tcp_decoder(sport, dport):
+            flow.sni = _server_name(transport.payload)
+        if family == 6 and not flow.is_local:
+            self._address_obs(device, src_ip, ts).used_for_data = True
+
+    def _received(self, ts, device, proto, family, src_ip, dst_ip, sport, dport, payload_len) -> None:
+        """Credit ``payload_len`` bytes ``device`` received at ``dst_ip``."""
+        key = (device, proto, family, dst_ip, src_ip, dport, sport)
+        flow = self._flows.get(key)
+        if flow is None:
+            flow = Flow(
+                device, proto, family, dst_ip, src_ip, dport, sport,
+                is_local=self._is_local_dst(src_ip, family), first_seen=ts,
+            )
+            self._flows[key] = flow
+        flow.bytes_in += payload_len
 
     # --------------------------------------------------------------- summaries
 
@@ -452,12 +442,6 @@ class CaptureIndex:
 
     def devices_with_address(self) -> set[str]:
         return {device for device, table in self.addresses.items() if table}
-
-    def device_addresses(self, device: str) -> list[AddressRecordObs]:
-        return list(self.addresses.get(device, {}).values())
-
-    def data_flows(self, device: Optional[str] = None) -> list[Flow]:
-        return [f for f in self.flows if f.is_data and (device is None or f.device == device)]
 
     def internet_data_devices(self, family: int) -> set[str]:
         return {f.device for f in self.flows if f.is_data and not f.is_local and f.family == family}

@@ -32,17 +32,8 @@ class DeviceDnsSummary:
         return self.aaaa_v4
 
     @property
-    def aaaa_v4_only(self) -> set:
-        """Names never queried over an IPv6 transport."""
-        return self.aaaa_v4 - self.aaaa_v6
-
-    @property
     def a_only_v6(self) -> set:
         return self.a_v6 - self.aaaa_all
-
-    @property
-    def unanswered_aaaa(self) -> set:
-        return self.aaaa_all - self.answered_aaaa
 
 
 def collect_dns(analysis: StudyAnalysis, experiments=V6_ENABLED_EXPERIMENTS) -> dict[str, DeviceDnsSummary]:
@@ -96,8 +87,3 @@ def figure3_query_cdf(analysis: StudyAnalysis) -> list[tuple[str, int]]:
     summaries = collect_dns(analysis)
     counts = [(d, len(s.aaaa_all)) for d, s in summaries.items() if s.aaaa_all]
     return sorted(counts, key=lambda item: item[1])
-
-
-def https_svcb_devices(analysis: StudyAnalysis) -> set[str]:
-    """Devices issuing HTTPS/SVCB queries (HTTP/3 support signal, §5.2.2)."""
-    return {d for d, s in collect_dns(analysis).items() if s.https_svcb}

@@ -126,7 +126,6 @@ class IoTDevice:
             dhcpv6_stateful=p.dhcpv6_stateful,
             use_dhcpv6_address=p.use_dhcpv6_address,
             accept_rdnss=p.accept_rdnss,
-            dns_over_ipv6=phase.dns_v6,
             dns_retry_budget=p.dns_retry_budget,
             dns_backoff_base=p.dns_backoff_base,
             dns_backoff_jitter=p.dns_backoff_jitter,
@@ -134,8 +133,6 @@ class IoTDevice:
             open_tcp_ports_v6=p.open_tcp_v6,
             open_udp_ports_v4=p.open_udp_v4,
             open_udp_ports_v6=p.open_udp_v6,
-            pinhole_tcp_ports_v6=p.pinhole_tcp_v6,
-            pinhole_udp_ports_v6=p.pinhole_udp_v6,
         )
 
     def prepare(self, network: NetworkConfig) -> None:

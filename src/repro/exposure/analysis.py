@@ -170,12 +170,9 @@ def run_home_exposure(spec: "ExposureSpec") -> HomeExposure:
 def _scan_home(spec: "ExposureSpec", config, profiles) -> WanScanResult:
     """The uncached body: build, settle, pinhole, scan."""
     testbed = Testbed(seed=spec.sim_seed, profiles=profiles, include_controls=False)
-    testbed.router.configure(config)
-    # No capture runs here, so the fast path only needs the enable bit; the
-    # records it accrues are never read (the scanner probes from the WAN).
-    testbed.flow_path.enabled = config.fidelity == "flow"
-    for device in testbed.devices:
-        device.prepare(config)
+    # No capture runs here, so the fast path's records are never read (the
+    # scanner probes from the WAN).
+    testbed.configure(config)
     testbed.sim.run(spec.settle)
 
     if spec.firewall == "pinhole":

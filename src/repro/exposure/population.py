@@ -77,10 +77,6 @@ class FirewallStats:
     def fraction_homes_reachable(self) -> float:
         return self.homes_with_reachable / self.homes if self.homes else 0.0
 
-    @property
-    def fraction_homes_discoverable(self) -> float:
-        return self.homes_with_discoverable / self.homes if self.homes else 0.0
-
 
 @dataclass(frozen=True)
 class ExposureAggregate:

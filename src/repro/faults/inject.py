@@ -14,7 +14,10 @@ Both are *pull* hooks: the link/router consult them at the moment a frame or
 service event happens, so attaching an injector schedules no events of its
 own and a schedule with no active windows is provably wire-invisible (no RNG
 draws, no latency change, no drops — the property tests in
-``tests/faults/test_noop_property.py`` pin this down).
+``tests/faults/test_noop_property.py`` pin this down). Each hook also says
+whether a span of time is quiet for the traffic it acts on, which is how the
+flow fast path (:mod:`repro.stack.flowpath`) knows that eliding frames then
+is invisible.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.faults.schedule import FaultSchedule
+from repro.faults.schedule import LINK_FAULT_KINDS, FaultSchedule
 
 if TYPE_CHECKING:
     from repro.testbed.lab import Testbed
@@ -66,6 +69,11 @@ class LinkImpairment:
         self.schedule = schedule
         self.rng = rng
         self.counters = counters if counters is not None else FaultCounters()
+
+    def quiet(self, now: float, horizon: float) -> bool:
+        """True when no window ``transit_delay`` acts on is active at any
+        instant of ``[now, now + horizon]``: every link kind perturbs frames."""
+        return not self.schedule.touches(LINK_FAULT_KINDS, now, now + horizon)
 
     def transit_delay(self, now: float, base: float) -> Optional[float]:
         """The delivery delay for a frame sent at ``now`` (None = lost).
@@ -122,6 +130,14 @@ class RouterFaultState:
             self.counters.dns_dropped += 1
             return True
         return False
+
+    def wan_quiet(self, now: float, horizon: float, *, family: int, dns: bool) -> bool:
+        """True when no window ``drops_wan`` drops this traffic for is active
+        at any instant of ``[now, now + horizon]``."""
+        kinds = ("uplink-down", "v6-blackhole") if family == 6 else ("uplink-down",)
+        if dns:
+            kinds += ("dns-outage",)
+        return not self.schedule.touches(kinds, now, now + horizon)
 
 
 @dataclass

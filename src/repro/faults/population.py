@@ -99,10 +99,6 @@ class CellStats:
     ttr: TtrStats
 
     @property
-    def affected(self) -> int:
-        return self.devices - self.unaffected
-
-    @property
     def bricked_fraction(self) -> float:
         return self.bricked / self.devices if self.devices else 0.0
 

@@ -124,6 +124,14 @@ class FaultSchedule:
         ends = [w.end for w in self.windows if w.duration > 0]
         return max(ends) if ends else None
 
+    def touches(self, kinds, start: float, end: float) -> bool:
+        """Is a non-empty window of one of ``kinds`` active at some instant
+        of the closed interval ``[start, end]``?"""
+        for window in self.windows:
+            if window.kind in kinds and window.duration > 0 and window.start <= end and start < window.end:
+                return True
+        return False
+
     def overlaps(self, horizon: float) -> bool:
         """Does any non-empty window intersect simulated time [0, horizon)?"""
         return any(w.duration > 0 and w.start < horizon for w in self.windows)

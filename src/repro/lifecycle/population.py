@@ -49,10 +49,6 @@ class EpochStats:
     def brick_rate(self) -> float:
         return self.bricked / self.devices if self.devices else 0.0
 
-    @property
-    def ready_rate(self) -> float:
-        return self.ready / self.devices if self.devices else 0.0
-
 
 @dataclass(frozen=True)
 class LifecycleAggregate:

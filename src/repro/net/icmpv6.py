@@ -11,6 +11,7 @@ because UDP port scanning interprets Port Unreachable responses.
 from __future__ import annotations
 
 import ipaddress
+from functools import cached_property
 from typing import Optional
 
 from repro.net.checksum import segment_checksum
@@ -98,6 +99,12 @@ class PrefixInfoOption(NDOption):
         self.autonomous = autonomous
         self.valid_lifetime = valid_lifetime
         self.preferred_lifetime = preferred_lifetime
+
+    @cached_property
+    def network(self) -> ipaddress.IPv6Network:
+        """The advertised prefix as a network, built once per option: the
+        router sends the same RA object until it is reconfigured."""
+        return ipaddress.IPv6Network((self.prefix, self.prefix_length))
 
     def body(self) -> bytes:
         flags = (0x80 if self.on_link else 0) | (0x40 if self.autonomous else 0)
@@ -310,10 +317,6 @@ class ICMPv6(Layer):
 
     def prefixes(self) -> list[PrefixInfoOption]:
         return [o for o in self.options if isinstance(o, PrefixInfoOption)]
-
-    @property
-    def is_ndp(self) -> bool:
-        return TYPE_ROUTER_SOLICIT <= self.icmp_type <= TYPE_NEIGHBOR_ADVERT + 1
 
     # -- codec ---------------------------------------------------------------
 

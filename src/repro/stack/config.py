@@ -90,12 +90,10 @@ class StackConfig:
     ipv6_enabled: bool = True       # emits any IPv6 traffic at all
     ndp_enabled: bool = True        # participates in Neighbor Discovery
     forms_addresses: bool = True    # False: multicasts NDP from "::" only
-    ndp_in_dual_stack: bool = True  # False: skips NDP when IPv4 is available
 
     # SLAAC
     form_lla: bool = True
     accept_gua_prefix: bool = True      # autoconfigure from RA PIO
-    gua_in_ipv6_only: bool = True       # False: completes GUA SLAAC only in dual-stack
     iid_mode: str = "eui64"             # "eui64" | "temporary" | "stable"
     gua_iid_mode: str = ""              # override for global addresses (e.g.
                                         # Android: EUI-64 LLA, privacy GUA)
@@ -129,14 +127,13 @@ class StackConfig:
 
     # DNS
     accept_rdnss: bool = True           # learns resolvers from RA RDNSS
-    dns_over_ipv6: bool = True          # can use an IPv6 resolver transport
 
-    # DNS retry behaviour (repro.faults): a timed-out query is retransmitted
-    # up to ``dns_retry_budget`` more times with exponential backoff
+    # DNS retry behaviour (repro.faults): a query unanswered after
+    # ``repro.stack.host.DNS_TIMEOUT`` is retransmitted up to
+    # ``dns_retry_budget`` more times with exponential backoff
     # (``dns_backoff_base * 2**attempt`` plus uniform seeded jitter). Clean
     # runs never hit a timeout, so these defaults are wire-invisible without
     # faults; under an outage they produce the paper's query storms.
-    dns_timeout: float = 3.0
     dns_retry_budget: int = 2
     dns_backoff_base: float = 2.0
     dns_backoff_jitter: float = 0.5
@@ -147,11 +144,6 @@ class StackConfig:
     open_tcp_ports_v6: tuple = ()
     open_udp_ports_v4: tuple = ()
     open_udp_ports_v6: tuple = ()
-
-    # Inbound IPv6 holes the device asks its router for (UPnP/PCP-style);
-    # only honoured when the router firewall runs in ``pinhole`` mode.
-    pinhole_tcp_ports_v6: tuple = ()
-    pinhole_udp_ports_v6: tuple = ()
 
     def copy(self) -> "StackConfig":
         from dataclasses import replace

@@ -1,21 +1,22 @@
 """Hybrid-fidelity fast path: flow-level simulation where packets don't matter.
 
 In ``flow`` fidelity (see :class:`repro.stack.config.NetworkConfig`), the
-exchanges that carry most of a home's traffic run without frames:
+exchanges that carry most of a home's traffic run without frames when all
+of the exchange runs clean:
 
-- a first-attempt DNS lookup over a clean path to its resolver;
-- a whole TCP connection to a cloud endpoint over a clean path: handshake,
-  every request/response round and the FIN teardown;
+- a first-attempt DNS lookup;
+- a whole TCP connection to a cloud endpoint: handshake, every
+  request/response round and the FIN teardown;
 - an IPv6 NTP round trip;
 - a local multicast beacon.
 
 Each leaves a record (:class:`FlowRecord`, :class:`DnsRecord`) that
-:class:`~repro.core.capture.CaptureIndex` credits to the same DNS events,
-flows and address observations the frames would have produced. NDP/SLAAC,
-DAD, DHCPv4/v6, ARP, ICMP, DNS retransmissions, the active experiments and
-every exchange that is not clean stay packet-level, so the capture index,
-the firewall, fault injection and WAN scanning see the same control traffic
-in both modes.
+:class:`~repro.core.capture.CaptureIndex` credits through the helpers its
+frame path uses, to the same DNS events, flows and address observations
+the frames would have produced. NDP/SLAAC, DAD, DHCPv4/v6, ARP, ICMP, DNS
+retransmissions, the active experiments and every exchange that is not
+clean stay packet-level, so the capture index, the firewall, fault
+injection and WAN scanning see the same control traffic in both modes.
 
 The equivalence argument:
 
@@ -32,15 +33,16 @@ The equivalence argument:
   path is asked. Service and resolver handlers are pure, so asking them when
   the exchange starts changes nothing.
 - **Idle fault schedules are wire-invisible.** Impairments draw per-frame
-  randomness only inside windows (``repro.faults.inject``), so frames may be
-  elided outside them; any window that could touch an exchange keeps it on
-  the wire (:meth:`FlowFastPath._hazard`).
+  randomness only inside windows, so frames may be elided outside them. The
+  fault hooks (:mod:`repro.faults.inject`) say which windows can touch which
+  traffic, and any window that could touch an exchange keeps it on the wire.
 - **Decided once, at the start.** An exchange is taken only when every hop
   of it would go straight through: the host routes it to the router at once
   and takes the answer in, the router forwards it and routes the answer
-  back without resolving anything, and the endpoint answers. The state these
-  checks read only changes when an experiment reconfigures the home, never
-  within an exchange's few milliseconds.
+  back without resolving anything, and the endpoint answers. Otherwise
+  ``try_*`` returns False and the unchanged frame path runs. The state
+  these checks read only changes when an experiment reconfigures the home,
+  never within an exchange's few milliseconds.
 """
 
 from __future__ import annotations
@@ -52,20 +54,16 @@ from repro.net.dns import DNS
 from repro.net.ip6 import as_ipv6
 from repro.net.ipv4 import as_ipv4
 from repro.net.ntp import MODE_SERVER, NTP
+from repro.net.packet import Raw
 
 if TYPE_CHECKING:
     from repro.stack.host import HostStack
     from repro.stack.tcpflows import TcpConnection
 
 # NTP messages are a fixed 48-byte wire format in both directions.
-NTP_REQUEST_LEN = len(NTP().encode())
+NTP_REQUEST = NTP()
+NTP_REQUEST_LEN = len(NTP_REQUEST.encode())
 NTP_REPLY_LEN = len(NTP(MODE_SERVER, stratum=2).encode())
-
-# Fault kinds that perturb LAN frames (force packet fidelity while active),
-# and those that drop WAN traffic of each family, lookups included.
-_LINK_HAZARDS = ("loss", "latency", "reorder")
-_WAN_HAZARDS = {4: ("uplink-down",), 6: ("uplink-down", "v6-blackhole")}
-_DNS_HAZARDS = {family: kinds + ("dns-outage",) for family, kinds in _WAN_HAZARDS.items()}
 
 
 class FlowRecord(NamedTuple):
@@ -74,8 +72,8 @@ class FlowRecord(NamedTuple):
     ``timestamp`` is when the exchange's first frame would have been
     captured; ``CaptureIndex`` merges records into the frame stream by it,
     frames first on ties. Byte totals use the payload wire lengths the
-    per-segment path reports. ``tls_hello`` carries the first request of a
-    TLS-shaped TCP flow so SNI extraction matches the packet-level capture.
+    per-segment path reports. ``first_request`` is a TCP flow's first
+    request, where the capture index reads the SNI as from its segment.
     """
 
     timestamp: float
@@ -88,7 +86,12 @@ class FlowRecord(NamedTuple):
     dport: int
     bytes_out: int
     bytes_in: int
-    tls_hello: Optional[bytes] = None
+    first_request: Optional[bytes] = None
+
+    @property
+    def payload(self) -> Optional[Raw]:
+        """The first request as its segment carries it: opaque bytes."""
+        return None if self.first_request is None else Raw(self.first_request)
 
 
 class DnsRecord(NamedTuple):
@@ -110,10 +113,12 @@ class FlowFastPath:
     """The per-testbed switchboard deciding frame-level vs flow-level.
 
     One instance is wired into every host stack (``stack.flow_path``) and
-    TCP engine (``engine.flow_path``) by the lab assembly; ``enabled`` is
-    flipped per experiment from ``NetworkConfig.fidelity``. Every ``try_*``
-    entry point returns False when the exchange must stay packet-level —
-    callers then fall through to the unchanged frame path.
+    TCP engine (``engine.flow_path``) by the lab assembly;
+    ``Testbed.configure`` sets ``enabled`` from ``NetworkConfig.fidelity``.
+    Every ``try_*`` entry point takes an exchange, appending its record,
+    only when all of it runs clean, and otherwise returns False without
+    changing any state: callers then fall through to the unchanged frame
+    path.
     """
 
     def __init__(self, sim, link, router, internet):
@@ -131,33 +136,21 @@ class FlowFastPath:
             engine.flow_path = self
             engine.flow_host = stack
 
-    def begin(self) -> list:
-        """Start a fresh record list for one experiment and return it live."""
-        self.records = []
-        return self.records
-
     # ------------------------------------------------------------ path guards
 
-    def _hazard(self, horizon: float, *, family: int, wan: bool, dns: bool = False) -> bool:
-        """Would any fault window overlap frames sent in the next ``horizon``
-        seconds? Impairments draw per-frame randomness only inside windows,
-        so eliding frames is stream-invisible exactly when this is False."""
+    def _hazard(self, horizon: float, family: Optional[int] = None, *, dns: bool = False) -> bool:
+        """Could a fault window touch frames sent in the next ``horizon``
+        seconds: a LAN window, or, given a ``family``, a router window that
+        drops that family's WAN traffic (lookups too when ``dns``)? The
+        fault hooks say which kinds touch which traffic."""
         now = self.sim.now
         impairment = self.link.impairment
-        if impairment is not None and self._overlaps(impairment.schedule, _LINK_HAZARDS, now, horizon):
+        if impairment is not None and not impairment.quiet(now, horizon):
             return True
-        faults = self.router.faults if wan else None
-        if faults is not None:
-            return self._overlaps(faults.schedule, (_DNS_HAZARDS if dns else _WAN_HAZARDS)[family], now, horizon)
-        return False
-
-    @staticmethod
-    def _overlaps(schedule, kinds, now: float, horizon: float) -> bool:
-        end = now + horizon
-        for window in schedule.windows:
-            if window.kind in kinds and window.duration > 0 and window.start <= end and now < window.end:
-                return True
-        return False
+        faults = self.router.faults
+        if family is None or faults is None:
+            return False
+        return not faults.wan_quiet(now, horizon, family=family, dns=dns)
 
     def _routes(self, stack: "HostStack", family: int, lan_ip, remote_ip) -> bool:
         """Would a packet from ``stack`` at ``lan_ip`` go straight through the
@@ -174,6 +167,30 @@ class FlowFastPath:
         if family == 6:
             return config.ipv6 and router.wan_bound_v6(remote_ip) and router.lan_bound_v6(lan_ip)
         return config.ipv4 and router.nats_v4(lan_ip, remote_ip) and router.lan_mac_v4(lan_ip) == stack.mac
+
+    def _udp_answer(self, stack: "HostStack", family: int, dst, port: int, message) -> Optional[tuple]:
+        """``(source, answer)`` for a datagram from ``stack`` to the WAN
+        service at ``dst``:``port`` whose path runs clean both ways, or None.
+
+        The source is the one the send path picks, and it is marked used
+        the way the send path marks it.
+        """
+        if family == 6:
+            record = stack.addrs.best_source(dst)
+            src = record.address if record is not None else None
+        else:
+            record, src = None, stack.ipv4_address
+        if src is None or not self._routes(stack, family, src, dst):
+            return None
+        endpoint = self.internet.tcp_endpoint(dst)
+        if endpoint is None:
+            return None
+        answer = endpoint.answer_udp(src if family == 6 else self.router.wan_v4_address, port, message)
+        if answer is None:
+            return None
+        if record is not None:
+            record.used = True
+        return src, answer
 
     def _router_leg(
         self, family: int, mac, proto: int, src, sport: int, dst, dport: int, answered: bool = True
@@ -203,27 +220,13 @@ class FlowFastPath:
         default router, no ARP entry for the v4 gateway, a source outside the
         LAN /64), or when the resolver would not answer.
         """
-        if not self.enabled:
+        if not self.enabled or self._hazard(2.0 * self.link.latency, family, dns=True):
             return False
-        if self._hazard(2.0 * self.link.latency, family=family, wan=True, dns=True):
+        server = as_ipv6(server) if family == 6 else as_ipv4(server)
+        exchange = self._udp_answer(stack, family, server, 53, query)
+        if exchange is None:
             return False
-        if family == 6:
-            server = as_ipv6(server)
-            source = stack.addrs.best_source(server)
-            src = source.address if source is not None else None
-        else:
-            server = as_ipv4(server)
-            src = stack.ipv4_address
-        if src is None or not self._routes(stack, family, src, server):
-            return False
-        endpoint = self.internet.tcp_endpoint(server)
-        if endpoint is None:
-            return False
-        answer = endpoint.answer_udp(src if family == 6 else self.router.wan_v4_address, 53, query)
-        if answer is None:
-            return False
-        if family == 6:
-            source.used = True
+        src, answer = exchange
         self.records.append(DnsRecord(self.sim.now, stack.mac, family, src, query))
         self.sim.schedule(self.link.latency, self._dns_at_router, stack, family, src, sport, server, answer)
         return True
@@ -260,7 +263,7 @@ class FlowFastPath:
         # SYN, SYN-ACK, each request and its answer, FIN and FIN-ACK; the
         # final ACK is one transit more.
         transits = 2 * len(conn.requests) + 4
-        if self._hazard((transits + 1) * latency, family=family, wan=True):
+        if self._hazard((transits + 1) * latency, family):
             return False
         if stack.tcp_monitor is not None or not self._routes(stack, family, local_ip, remote_ip):
             return False
@@ -278,7 +281,6 @@ class FlowFastPath:
             if not response:
                 return False
             responses.append(response)
-        hello = conn.requests[0]
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,
@@ -291,7 +293,7 @@ class FlowFastPath:
                 dport=remote_port,
                 bytes_out=sum(len(request) for request in conn.requests),
                 bytes_in=sum(len(response) for response in responses),
-                tls_hello=hello if hello[:1] == b"\x16" else None,
+                first_request=conn.requests[0],
             )
         )
         self.sim.schedule(latency, self._tcp_at_router, conn, endpoint, responses, transits)
@@ -327,84 +329,64 @@ class FlowFastPath:
     # ------------------------------------------------------------------- NTP
 
     def try_ntp(self, stack: "HostStack", dst) -> bool:
-        """Advance one fixed-format NTP exchange as a flow record.
+        """Run one IPv6 NTP round trip without frames.
 
-        Replicates the packet path's routing decisions: source selection
-        (marking the source address used), the off-link default route, the
-        router's forwarding policy, and the WAN endpoint's reachability; the
-        router leg runs when the request would reach the router. A request
-        the router would drop still emits its one-sided record, and so does
-        one whose answer the router would not route back to its source.
+        Called by the device's NTP timer before its frame send. The source,
+        the path and the server's answer are decided as for a lookup
+        (``try_dns``), and the router leg runs at t0 + L. Returns False
+        when a fault window could touch the exchange, when the path is not
+        clean, or when no NTP service would answer.
         """
-        if not self.enabled:
+        if not self.enabled or self._hazard(4.0 * self.link.latency, 6):
             return False
-        if self._hazard(4.0 * self.link.latency, family=6, wan=True):
-            return False
-        if not stack.config.ipv6_enabled or stack.ipv6_shutdown:
-            return True  # the packet path would send nothing
         dst = as_ipv6(dst)
-        record = stack.addrs.best_source(dst)
-        if record is None:
-            return True
-        record.used = True
-        if stack.default_router_mac is None:
-            return True  # off-link with no route: no frame leaves the host
-        router = self.router
-        answered = False
-        if router.config.ipv6 and router.wan_bound_v6(dst):
-            endpoint = self.internet.tcp_endpoint(dst)
-            if endpoint is None or endpoint.udp_handlers.get(123) is None:
-                return False  # not the modelled NTP service; keep packets
-            answered = router.lan_bound_v6(record.address)
-            self.sim.schedule(
-                self.link.latency, self._router_leg, 6, stack.mac, 17, record.address, 123, dst, 123, answered
-            )
-        else:
-            self.sim.schedule(self.link.latency, router.hear_v6, record.address, stack.mac)
+        exchange = self._udp_answer(stack, 6, dst, 123, NTP_REQUEST)
+        if exchange is None:
+            return False
+        src = exchange[0]
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,
                 src_mac=stack.mac,
                 proto="udp",
                 family=6,
-                src_ip=record.address,
+                src_ip=src,
                 dst_ip=dst,
                 sport=123,
                 dport=123,
                 bytes_out=NTP_REQUEST_LEN,
-                bytes_in=NTP_REPLY_LEN if answered else 0,
+                bytes_in=NTP_REPLY_LEN,
             )
         )
+        self.sim.schedule(self.link.latency, self._router_leg, 6, stack.mac, 17, src, 123, dst, 123)
         return True
 
     # -------------------------------------------------------- local multicast
 
     def try_local_multicast(self, stack: "HostStack", group, port: int, payload_len: int) -> bool:
-        """Advance one local multicast beacon as a single flow record.
+        """Send one local multicast beacon as a single flow record.
 
         The router learns the sender's neighbour entry when the beacon would
         have reached it. Hosts ignore it, and none answers a multicast
-        datagram with an ICMP error (RFC 1122 §3.2.2, RFC 4443 §2.4)."""
-        if not self.enabled:
+        datagram with an ICMP error (RFC 1122 §3.2.2, RFC 4443 §2.4).
+        Returns False when a LAN fault window could touch the beacon or the
+        host has no IPv6 source to send it from."""
+        if not self.enabled or self._hazard(4.0 * self.link.latency):
             return False
-        if self._hazard(4.0 * self.link.latency, family=6, wan=False):
-            return False
-        if not stack.config.ipv6_enabled or stack.ipv6_shutdown:
-            return True
         group = as_ipv6(group)
-        record = stack.addrs.best_source(group)
-        if record is None:
-            return True
-        record.used = True
+        source = stack.addrs.best_source(group) if stack.config.ipv6_enabled else None
+        if source is None:
+            return False
+        source.used = True
         # Every NIC takes all-nodes traffic, the router's too.
-        self.sim.schedule(self.link.latency, self.router.hear_v6, record.address, stack.mac)
+        self.sim.schedule(self.link.latency, self.router.hear_v6, source.address, stack.mac)
         self.records.append(
             FlowRecord(
                 timestamp=self.sim.now,
                 src_mac=stack.mac,
                 proto="udp",
                 family=6,
-                src_ip=record.address,
+                src_ip=source.address,
                 dst_ip=group,
                 sport=port,
                 dport=port,

@@ -156,9 +156,7 @@ class HostStack(Node):
         self._dhcp6_xid: Optional[int] = None
         self.dhcpv6_lease: Optional[ipaddress.IPv6Address] = None
         self._duid = duid_ll(self.mac)
-        self.ipv6_shutdown = False   # device decided to skip IPv6 (dual-stack quirk)
         self._ipv6_active = False    # set once the IPv6 side has started
-        self._deferred_prefixes: list[ipaddress.IPv6Network] = []
 
         # transport state
         self.tcp6 = TcpEngine(self._tcp6_send, self._schedule, self.rng)
@@ -204,12 +202,10 @@ class HostStack(Node):
         self._rs_sent = 0
         self._dhcp4_xid = self._dhcp6_xid = None
         self.dhcpv6_lease = None
-        self.ipv6_shutdown = False
         self._ipv6_active = False
         self.tcp6.flush()
         self.tcp4.flush()
         self._dns_pending.clear()
-        self._deferred_prefixes.clear()
         self.metrics = StackMetrics()
 
     def _schedule(self, delay: float, fn: Callable, *args):
@@ -224,19 +220,9 @@ class HostStack(Node):
 
     # ------------------------------------------------------------ IPv6 start
 
-    def _ipv6_start(self, attempt: int = 0) -> None:
+    def _ipv6_start(self) -> None:
         if not self._booted:
             return
-        if not self.config.ndp_in_dual_stack and self.config.ipv4_enabled:
-            if self.ipv4_address is not None:
-                # Devices that skip IPv6 entirely once they have an IPv4 lease.
-                self.ipv6_shutdown = True
-                return
-            if attempt < 3:
-                # DHCPv4 may still be in flight; check again before deciding
-                # the network is IPv6-only.
-                self.sim.schedule(4.0, self._ipv6_start, attempt + 1)
-                return
         self._ipv6_active = True
         if self.config.forms_addresses and self.config.form_lla:
             self._form_lla()
@@ -257,7 +243,7 @@ class HostStack(Node):
                 self.sim.schedule(span * (i + 1), self._rotate_lla)
 
     def _rotate_lla(self) -> None:
-        if not self._booted or self.ipv6_shutdown:
+        if not self._booted:
             return
         record = self.addrs.form("fe80::", "temporary", origin="slaac")
         self._start_dad(record)
@@ -282,13 +268,13 @@ class HostStack(Node):
                 self.sim.schedule(spread * i, self._form_extra_ula, prefix)
 
     def _form_extra_ula(self, prefix) -> None:
-        if not self._booted or self.ipv6_shutdown:
+        if not self._booted:
             return
         record = self.addrs.form(prefix.network_address, "temporary", origin="ula-self")
         self._start_dad(record)
 
     def _send_rs(self) -> None:
-        if not self._booted or self.ra_seen or self._rs_sent >= RS_ATTEMPTS or self.ipv6_shutdown:
+        if not self._booted or self.ra_seen or self._rs_sent >= RS_ATTEMPTS:
             return
         self._rs_sent += 1
         lla = self.addrs.assigned(AddressScope.LLA)
@@ -343,8 +329,6 @@ class HostStack(Node):
     # -------------------------------------------------------------- RA intake
 
     def _process_ra(self, src: ipaddress.IPv6Address, ra: ICMPv6) -> None:
-        if self.ipv6_shutdown:
-            return
         first_ra = not self.ra_seen
         self.ra_seen = True
         source_ll = ra.option(SourceLinkLayerOption)
@@ -355,7 +339,7 @@ class HostStack(Node):
                 self.neighbors.learn(src, source_ll.mac)
         if self.config.forms_addresses:
             for pio in ra.prefixes():
-                network = ipaddress.IPv6Network((pio.prefix, pio.prefix_length))
+                network = pio.network
                 if pio.on_link and network not in self.onlink_prefixes:
                     self.onlink_prefixes.append(network)
                 if pio.autonomous and pio.prefix_length == 64:
@@ -374,16 +358,8 @@ class HostStack(Node):
             hook(ra)
 
     def _maybe_slaac(self, network: ipaddress.IPv6Network) -> None:
-        scope = classify_address(network.network_address)
-        if scope == AddressScope.GUA:
-            if not self.config.accept_gua_prefix:
-                return
-            if not self.config.gua_in_ipv6_only and self.ipv4_address is None:
-                # Quirk: completes global SLAAC only once IPv4 is up; remember
-                # the prefix and retry when DHCPv4 finishes.
-                if network not in self._deferred_prefixes:
-                    self._deferred_prefixes.append(network)
-                return
+        if classify_address(network.network_address) == AddressScope.GUA and not self.config.accept_gua_prefix:
+            return
         if any(r for r in self.addrs.records if r.origin == "slaac" and r.address in network):
             return
         gua_mode = self.config.gua_iid_mode or self.config.iid_mode
@@ -398,7 +374,7 @@ class HostStack(Node):
                 self.sim.schedule(self.config.temporary_start + spread * i, self._form_temporary, network)
 
     def _form_temporary(self, network: ipaddress.IPv6Network) -> None:
-        if not self._booted or self.ipv6_shutdown:
+        if not self._booted:
             return
         predecessors = [
             r
@@ -492,9 +468,6 @@ class HostStack(Node):
             self.ipv4_gateway = message.router
             self.ipv4_netmask = message.subnet_mask
             self.dns_servers.v4 = list(message.dns_servers)
-            for network in list(self._deferred_prefixes):
-                self._maybe_slaac(network)
-            self._deferred_prefixes.clear()
             for hook in self.on_ipv4_configured:
                 hook()
 
@@ -552,7 +525,7 @@ class HostStack(Node):
     # -- IPv6 receive -----------------------------------------------------------
 
     def _rx_ipv6(self, src_mac: MacAddress, packet: IPv6) -> None:
-        if not self.config.ipv6_enabled or self.ipv6_shutdown or not self._ipv6_active:
+        if not self.config.ipv6_enabled or not self._ipv6_active:
             return
         dst = packet.dst
         # One address-table probe decides acceptance: a unicast destination
@@ -578,10 +551,6 @@ class HostStack(Node):
             if self.tcp_monitor is not None and self.tcp_monitor(dst, packet.src, payload, 6):
                 return
             self.tcp6.on_segment(dst, packet.src, payload)
-
-    def _dad_target(self, dst: ipaddress.IPv6Address) -> bool:
-        record = self.addrs.get(dst)
-        return record is not None and record.tentative
 
     def _rx_icmpv6(self, packet: IPv6, message: ICMPv6) -> None:
         t = message.icmp_type
@@ -686,7 +655,7 @@ class HostStack(Node):
     ) -> bool:
         """Route an IPv6 packet: on-link via NDP resolution, off-link via the
         default router. Returns False when unroutable."""
-        if not self.config.ipv6_enabled or self.ipv6_shutdown:
+        if not self.config.ipv6_enabled:
             return False
         dst = as_ipv6(dst)
         scope = classify_address(dst)
@@ -775,7 +744,7 @@ class HostStack(Node):
         the answer taken in; None when the send path would drop it, keep it
         on the link, or queue it behind address resolution."""
         if family == 6:
-            if not self.config.ipv6_enabled or self.ipv6_shutdown or not self._ipv6_active or self._on_link(dst):
+            if not self.config.ipv6_enabled or not self._ipv6_active or self._on_link(dst):
                 return None
             return self.default_router_mac
         if self.ipv4_address is None or not self.config.ipv4_enabled or self.ipv4_gateway is None:
@@ -851,7 +820,7 @@ class HostStack(Node):
         flow_path = self.flow_path
         elided = attempt == 0 and flow_path is not None and flow_path.try_dns(self, family, servers[0], query, sport)
         # The fast path takes only lookups it answers: they need no timeout.
-        timeout_event = None if elided else self.sim.schedule(self.config.dns_timeout, self._dns_timeout, txid)
+        timeout_event = None if elided else self.sim.schedule(DNS_TIMEOUT, self._dns_timeout, txid)
         self._dns_pending[txid] = (callback, timeout_event, Question(name, qtype), family, attempt)
         if elided:
             return True

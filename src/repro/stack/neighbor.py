@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import ipaddress
-
 from repro.net.mac import MacAddress
 
 
@@ -62,7 +60,3 @@ class ResolutionCache:
 
     def flush(self) -> None:
         self._entries.clear()
-
-
-def is_ipv6(addr) -> bool:
-    return isinstance(addr, ipaddress.IPv6Address)

@@ -58,17 +58,8 @@ def run_connectivity_experiment(
     sim = testbed.sim
     result = ExperimentResult(config, records=[], started_at=sim.now)
 
-    testbed.router.configure(config)
-    records = testbed.start_capture()
-    result.records = records
-
-    flow_path = getattr(testbed, "flow_path", None)
-    if flow_path is not None:
-        flow_path.enabled = config.fidelity == "flow"
-        result.flow_records = flow_path.begin()
-
-    for device in testbed.everyone:
-        device.prepare(config)
+    result.records = testbed.start_capture()
+    result.flow_records = testbed.configure(config)
 
     # Check-in cycles (cloud registration + periodic traffic).
     for cycle in range(checkins):
@@ -85,9 +76,8 @@ def run_connectivity_experiment(
 
     sim.run(duration)
     testbed.stop_capture()
-    if flow_path is not None:
-        flow_path.enabled = False
-        flow_path.records = []  # detach the live list from the result
+    testbed.flow_path.enabled = False
+    testbed.flow_path.records = []  # detach the live list from the result
     result.finished_at = sim.now
     # Devices that never answered the functionality probe are not functional.
     for device in testbed.devices:

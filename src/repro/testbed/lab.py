@@ -11,7 +11,7 @@ from repro.devices.profile import DeviceProfile
 from repro.net.mac import MacAddress
 from repro.net.pcap import PcapRecord
 from repro.sim import EthernetLink, Simulator
-from repro.stack import Router
+from repro.stack import NetworkConfig, Router
 from repro.stack.flowpath import FlowFastPath
 
 
@@ -43,10 +43,21 @@ class Testbed:
             self.controls = [IoTDevice(self.sim, self.link, profile, self.internet) for profile in control_phones()]
         self.internet.materialize_registry()
         # Hybrid-fidelity switchboard: wired into every host but disabled
-        # until an experiment with flow fidelity flips it on.
+        # until ``configure`` applies a configuration with flow fidelity.
         self.flow_path = FlowFastPath(self.sim, self.link, self.router, self.internet)
         for host in self.devices + self.controls:
             self.flow_path.attach(host.stack)
+
+    def configure(self, config: NetworkConfig) -> list:
+        """Apply ``config``: configure the router, run the flow fast path
+        exactly when ``config.fidelity`` is ``flow``, and prepare (reboot)
+        every host. Returns the fast path's fresh, live record list."""
+        self.router.configure(config)
+        self.flow_path.enabled = config.fidelity == "flow"
+        self.flow_path.records = []
+        for device in self.everyone:
+            device.prepare(config)
+        return self.flow_path.records
 
     # -- capture taps ---------------------------------------------------------
 

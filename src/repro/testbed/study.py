@@ -124,9 +124,7 @@ def run_full_study(
     if with_port_scan:
         # The scans ran against the dual-stack deployment (latest addresses
         # gathered from the router's neighbor table).
-        testbed.router.configure(DUAL_STACK)
-        for device in testbed.everyone:
-            device.prepare(DUAL_STACK)
+        testbed.configure(DUAL_STACK)
         testbed.sim.run(60.0)
         study.port_scan = PortScanner(testbed).run()
 

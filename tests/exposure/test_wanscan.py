@@ -150,9 +150,7 @@ def settled_testbed(firewall: str, devices=("Google TV", "SmartThings Hub")):
 
     config = with_firewall(resolve_config("dual-stack"), firewall)
     testbed = Testbed(seed=7, profiles=profiles_by_name(devices), include_controls=False)
-    testbed.router.configure(config)
-    for device in testbed.devices:
-        device.prepare(config)
+    testbed.configure(config)
     testbed.sim.run(150.0)
     return testbed
 

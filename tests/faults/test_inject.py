@@ -2,10 +2,14 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.faults.inject import FaultCounters, FaultInjector, LinkImpairment, RouterFaultState
 from repro.faults.schedule import FaultSchedule, FaultWindow, get_fault
 from repro.stack.config import DUAL_STACK, IPV6_ONLY
 from repro.testbed.lab import Testbed
+from tests.faults.test_schedule_properties import durations, times, window_lists
 
 
 def _schedule(*windows):
@@ -77,6 +81,30 @@ def test_router_fault_state_switchboard():
     assert state.counters.dns_dropped == 1
     assert state.counters.wan_dropped == 2
     assert state.counters.v6_blackholed == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window_lists,
+    times,
+    durations,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from((4, 6)),
+    st.booleans(),
+)
+def test_hooks_act_only_where_they_are_not_quiet(windows, now, horizon, fraction, family, dns):
+    """Whatever a hook does to traffic at an instant, it does not call the
+    span around that instant quiet: the flow fast path elides frames only
+    over quiet spans. A kind that ``drops_wan`` or ``transit_delay`` acts on
+    but its quiet check leaves out fails here."""
+    schedule = FaultSchedule.of("random", windows)
+    instant = now + horizon * fraction
+    state = RouterFaultState(schedule)
+    if state.drops_wan(instant, family=family, dns=dns):
+        assert not state.wan_quiet(now, horizon, family=family, dns=dns)
+    impairment = LinkImpairment(schedule, random.Random(7))
+    if impairment.transit_delay(instant, 0.0005) != 0.0005:
+        assert not impairment.quiet(now, horizon)
 
 
 def test_counters_total_sums_every_field():

@@ -168,6 +168,8 @@ class TestICMPv6:
         prefixes = decoded.prefixes()
         assert len(prefixes) == 1
         assert prefixes[0].prefix == ipaddress.IPv6Address("2001:db8:1::")
+        assert prefixes[0].network == ipaddress.IPv6Network("2001:db8:1::/64")
+        assert prefixes[0].network is prefixes[0].network
         assert prefixes[0].autonomous and prefixes[0].on_link
         rdnss = decoded.option(RDNSSOption)
         assert rdnss.servers == [ipaddress.IPv6Address("2001:4860:4860::8888")]

@@ -85,28 +85,6 @@ class TestSLAAC:
         assert len(ulas) == 1
         assert ulas[0].origin == "ula-self"
 
-    def test_gua_deferred_until_ipv4(self, lab):
-        """Devices that only complete global SLAAC when IPv4 is present."""
-        quirk = StackConfig(gua_in_ipv6_only=False)
-        v6only_host = lab.host("a", config=quirk)
-        lab.start(IPV6_ONLY, v6only_host, settle=SETTLE)
-        assert not v6only_host.addrs.assigned(AddressScope.GUA)
-
-        lab2 = type(lab)() if False else None  # separate lab built below
-
-    def test_gua_deferred_completes_in_dual_stack(self, lab):
-        quirk = StackConfig(gua_in_ipv6_only=False)
-        host = lab.host(config=quirk)
-        lab.start(DUAL_STACK, host, settle=SETTLE)
-        assert host.addrs.assigned(AddressScope.GUA)
-
-    def test_ndp_skipped_in_dual_stack_quirk(self, lab):
-        quirk = StackConfig(ndp_in_dual_stack=False)
-        host = lab.host(config=quirk)
-        lab.start(DUAL_STACK, host, settle=SETTLE)
-        assert host.ipv6_shutdown
-        assert not host.addrs.assigned()
-
 
 class TestDHCPv6:
     def test_stateless_learns_dns(self, lab):

@@ -85,9 +85,7 @@ class TestExposureAfterRotation:
         rotated = dataclasses.replace(profile, gua_addr_count=3, gua_rotation_fast=True, gua_rotate_out=True)
         config = resolve_config("dual-stack")
         testbed = Testbed(seed=7, profiles=[rotated], include_controls=False)
-        testbed.router.configure(config)
-        for device in testbed.devices:
-            device.prepare(config)
+        testbed.configure(config)
         testbed.sim.run(400.0)
         return testbed
 

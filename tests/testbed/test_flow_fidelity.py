@@ -387,12 +387,9 @@ def _syn_ack_before_a_collapsed_connection(fidelity):
     apple_tv = [profile for profile in _profiles() if profile.name == "Apple TV"]  # has a GUA in dual-stack
     testbed = Testbed(seed=11, profiles=apple_tv, include_controls=False)
     config = with_fidelity(DUAL_STACK, fidelity)
-    testbed.router.configure(config)
     records = testbed.start_capture()
-    testbed.flow_path.enabled = fidelity == "flow"
-    testbed.flow_path.begin()
+    testbed.configure(config)
     (device,) = testbed.devices
-    device.prepare(config)
     testbed.sim.run(60.0)
     server = as_ipv6("2001:db8:cafe::1")
     testbed.internet.endpoint(server).tcp.listen(9000, lambda request: b"")
@@ -425,3 +422,50 @@ def test_collapsed_connection_draws_the_server_isn_when_its_syn_arrives():
     assert len(packet_syn_acks) == 1 and packet_collapsible
     assert flow_collapsible == []
     assert flow_syn_acks == packet_syn_acks
+
+
+def _ntp_from_outside_the_lan_prefix(fidelity):
+    """Send one NTP request from a global address outside the LAN /64: the
+    router forwards it, but cannot route the answer back. Returns the
+    testbed, its capture and its flow records."""
+    apple_tv = [profile for profile in _profiles() if profile.name == "Apple TV"]
+    testbed = Testbed(seed=11, profiles=apple_tv, include_controls=False)
+    records = testbed.start_capture()
+    flow_records = testbed.configure(with_fidelity(DUAL_STACK, fidelity))
+    (device,) = testbed.devices
+    testbed.sim.run(60.0)
+
+    def send_from_outside():
+        # The newest global address is the send path's source for the server.
+        outside = device.stack.addrs.add("2001:db8:ffff::5", origin="static", iid_kind="stable")
+        outside.tentative = False
+        device._ntp_v6()
+
+    testbed.sim.schedule(1.0, send_from_outside)
+    testbed.sim.run(2.0)
+    return testbed, records, flow_records
+
+
+def test_ntp_sourced_outside_the_lan_prefix_stays_on_the_wire():
+    """An exchange whose answer cannot come back is not clean, so the fast
+    path declines it and its request frame is captured as in packet
+    fidelity, not summed into a one-sided record."""
+    packet_testbed, packet_records, _ = _ntp_from_outside_the_lan_prefix("packet")
+    flow_testbed, flow_records, flow_flow_records = _ntp_from_outside_the_lan_prefix("flow")
+
+    def ntp_requests(records):
+        return [
+            record
+            for record in records
+            if isinstance(record.frame.payload, IPv6)
+            and isinstance(record.frame.payload.payload, UDP)
+            and record.frame.payload.payload.dport == 123
+        ]
+
+    packet_ntp = ntp_requests(packet_records)
+    assert [record.frame.payload.src for record in packet_ntp] == [as_ipv6("2001:db8:ffff::5")]
+    assert ntp_requests(flow_records) == packet_ntp
+    packet_index = CaptureIndex(packet_records, packet_testbed.mac_table())
+    flow_index = CaptureIndex(flow_records, flow_testbed.mac_table(), flow_records=flow_flow_records)
+    assert _snapshot(flow_index) == _snapshot(packet_index)
+    assert_same_end_state(flow_testbed, packet_testbed)

@@ -25,9 +25,7 @@ def udp_scan():
     profiles = [dataclasses.replace(profile, open_udp_v6=(5683,)) for profile in profiles_by_name(["Google TV"])]
     testbed = Testbed(seed=5, profiles=profiles, include_controls=False)
     config = resolve_config("dual-stack")
-    testbed.router.configure(config)
-    for device in testbed.devices:
-        device.prepare(config)
+    testbed.configure(config)
     testbed.sim.run(150.0)
 
     scanner = PortScanner(testbed)
