@@ -6,7 +6,7 @@ population-scale campaign does to the whole fleet — and what happens when
 compromised homes start scanning on the attacker's behalf (Mirai over v6).
 
 - :mod:`repro.adversary.analysis`   — per-home susceptibility (fleet worker)
-- :mod:`repro.adversary.campaign`   — strategy targeting math + bootstrap
+- :mod:`repro.adversary.campaign`   — strategy targeting math
 - :mod:`repro.adversary.state`      — SIR compartments and timelines
 - :mod:`repro.adversary.worm`       — the epidemic loop
 - :mod:`repro.adversary.population` — specs, sharded measurement, epidemic fold
@@ -18,14 +18,7 @@ from repro.adversary.analysis import (
     HomeSusceptibility,
     run_home_susceptibility,
 )
-from repro.adversary.campaign import (
-    CampaignParams,
-    CampaignResult,
-    CompromiseEvent,
-    TargetModel,
-    infection_probability,
-    run_campaign,
-)
+from repro.adversary.campaign import CompromiseEvent, TargetModel, infection_probability
 from repro.adversary.population import (
     AdversaryAggregate,
     AdversaryFold,
@@ -41,12 +34,9 @@ __all__ = [
     "DeviceSusceptibility",
     "HomeSusceptibility",
     "run_home_susceptibility",
-    "CampaignParams",
-    "CampaignResult",
     "CompromiseEvent",
     "TargetModel",
     "infection_probability",
-    "run_campaign",
     "AdversaryAggregate",
     "AdversaryFold",
     "AdversarySpec",

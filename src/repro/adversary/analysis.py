@@ -25,7 +25,6 @@ functions of these summaries.
 
 from __future__ import annotations
 
-import dataclasses
 import ipaddress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -79,12 +78,14 @@ class DeviceSusceptibility:
 
 @dataclass(frozen=True)
 class HomeSusceptibility:
-    """One home's measured worm susceptibility under one firewall mode."""
+    """One home's measured worm susceptibility under one firewall mode.
 
-    home_id: int
+    Everything here follows from the study's fingerprint; the home id and
+    fault name that label it come from its :class:`AdversarySpec`.
+    """
+
     config_name: str
     firewall: str
-    fault: str                          # schedule name; "none" = clean run
     immune: bool                        # no routed IPv6: unreachable from WAN
     eui64_space: int                    # sweep candidates per /64
     low_iid_space: int
@@ -105,10 +106,8 @@ class HomeSusceptibility:
 
 def _immune_home(spec: "AdversarySpec") -> HomeSusceptibility:
     return HomeSusceptibility(
-        home_id=spec.home_id,
         config_name=spec.config_name,
         firewall=spec.firewall,
-        fault=spec.fault_name,
         immune=True,
         eui64_space=0,
         low_iid_space=0,
@@ -143,7 +142,7 @@ def run_home_susceptibility(spec: "AdversarySpec") -> HomeSusceptibility:
 
     Consults the ambient study cache; the fault schedule's *content* joins
     the closure (not just its name), and the stored
-    :class:`HomeSusceptibility` is ``home_id``-neutral, relabeled per hit.
+    :class:`HomeSusceptibility` carries no ``home_id``.
     """
     config = with_firewall(resolve_config(spec.config_name), spec.firewall)
     config = with_fidelity(config, spec.fidelity)
@@ -160,12 +159,9 @@ def run_home_susceptibility(spec: "AdversarySpec") -> HomeSusceptibility:
         extra=("settle", spec.settle),
     )
 
-    def compute() -> HomeSusceptibility:
-        measured = _measure_home(spec, config, profiles, schedule)
-        return dataclasses.replace(measured, home_id=-1)
-
-    summary = cached_artifact(fingerprint, "adversary-susceptibility", compute)
-    return dataclasses.replace(summary, home_id=spec.home_id)
+    return cached_artifact(
+        fingerprint, "adversary-susceptibility", lambda: _measure_home(spec, config, profiles, schedule)
+    )
 
 
 def _measure_home(
@@ -221,10 +217,8 @@ def _measure_home(
         )
 
     return HomeSusceptibility(
-        home_id=spec.home_id,
         config_name=spec.config_name,
         firewall=spec.firewall,
-        fault=spec.fault_name,
         immune=False,
         eui64_space=knowledge.eui64_space,
         low_iid_space=knowledge.low_iid_space,

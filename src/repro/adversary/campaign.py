@@ -1,9 +1,10 @@
-"""Scanning campaigns: strategy targeting math and the bootstrap engine.
+"""Scanning campaigns: strategy targeting math.
 
 A campaign is a vantage point (the initial attacker on the open Internet, or
-later an infected home's WAN side) emitting probes at a fixed ``scan_rate``
-against the whole fleet population. The three strategies differ only in the
-*space* those probes are spread over:
+later an infected home's WAN side; :mod:`repro.adversary.worm` runs both)
+emitting probes at a fixed ``scan_rate`` against the whole fleet
+population. The three strategies differ only in the *space* those probes
+are spread over:
 
 - ``eui64-sweep`` — enumerate OUI x NIC-suffix candidates in every home's
   routed /64 (``population x eui64_space`` candidates);
@@ -24,12 +25,10 @@ keeps the epidemic loop jobs-invariant.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping
 
 from repro.adversary.analysis import STRATEGIES, HomeSusceptibility
-from repro.adversary.state import EXTERNAL_SOURCE, EpidemicState, TimelinePoint
 
 DEFAULT_SCAN_RATE = 2000.0   # probes per second per scanning vantage
 DEFAULT_DT = 30.0            # epidemic clock tick (seconds)
@@ -61,39 +60,33 @@ def infection_probability(per_probe: float, probes: float) -> float:
 class TargetModel:
     """Per-probe compromise probability of every home, for one strategy.
 
-    Pure arithmetic over the susceptibility summaries; shared by the
-    bootstrap campaign and the worm so both layers agree on what a probe
-    can hit.
+    Pure arithmetic over the susceptibility summaries, keyed by the home ids
+    their specs carry; what the worm's scanning vantages can hit.
     """
 
     def __init__(
         self,
-        population: Sequence[HomeSusceptibility],
+        population: Mapping[int, HomeSusceptibility],
         strategy: str,
         *,
         hitlist_background: int = DEFAULT_HITLIST_BACKGROUND,
     ):
         self.strategy = validate_strategy(strategy)
-        self.homes = tuple(sorted(population, key=lambda home: home.home_id))
-        if len({home.home_id for home in self.homes}) != len(self.homes):
-            raise ValueError("duplicate home_id in population")
-        self._entries = {home.home_id: home.entries(strategy) for home in self.homes}
+        self.homes = dict(sorted(population.items()))
+        self._entries = {home_id: home.entries(strategy) for home_id, home in self.homes.items()}
+        homes = self.homes.values()
         if strategy == "hitlist":
             # The replay list holds every leaked address, exploitable or not
             # (probes aimed at a hardened device's leaked GUA are spent
             # misses), plus the global background the list was compiled from.
-            local = sum(d.hitlist_entries for home in self.homes for d in home.devices)
+            local = sum(d.hitlist_entries for home in homes for d in home.devices)
             self.space = local + (hitlist_background if local else 0)
         else:
             per_prefix = max(
-                (home.eui64_space if strategy == "eui64-sweep" else home.low_iid_space for home in self.homes),
+                (home.eui64_space if strategy == "eui64-sweep" else home.low_iid_space for home in homes),
                 default=0,
             )
             self.space = len(self.homes) * per_prefix
-
-    @property
-    def population_size(self) -> int:
-        return len(self.homes)
 
     def probability(self, home_id: int) -> float:
         """Per-probe probability that one probe compromises ``home_id``."""
@@ -105,35 +98,8 @@ class TargetModel:
         return self._entries[home_id] > 0
 
     def memberships(self) -> list[tuple[int, bool]]:
-        """``(home_id, susceptible)`` pairs for :class:`EpidemicState`."""
-        return [(home.home_id, self.susceptible(home.home_id)) for home in self.homes]
-
-
-@dataclass(frozen=True)
-class CampaignParams:
-    """Knobs of one scanning campaign (picklable, hashable)."""
-
-    strategy: str = "eui64-sweep"
-    scan_rate: float = DEFAULT_SCAN_RATE
-    dt: float = DEFAULT_DT
-    horizon: float = DEFAULT_HORIZON
-    hitlist_background: int = DEFAULT_HITLIST_BACKGROUND
-
-    def __post_init__(self):
-        validate_strategy(self.strategy)
-        if self.scan_rate < 0:
-            raise ValueError("scan_rate must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        if self.hitlist_background < 0:
-            raise ValueError("hitlist_background must be >= 0")
-
-    @property
-    def probes_per_tick(self) -> float:
-        """Probes one vantage emits per epidemic tick."""
-        return self.scan_rate * self.dt
+        """``(home_id, susceptible)`` pairs for :class:`EpidemicState`, by id."""
+        return [(home_id, self.susceptible(home_id)) for home_id in self.homes]
 
 
 @dataclass(frozen=True)
@@ -143,58 +109,3 @@ class CompromiseEvent:
     time: float
     home_id: int
     source: int     # EXTERNAL_SOURCE, or the infecting peer home's id
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    """Outcome of a pure external campaign (single vantage, no propagation)."""
-
-    strategy: str
-    population: int
-    curve: tuple[TimelinePoint, ...]
-    events: tuple[CompromiseEvent, ...]
-
-    @property
-    def compromised(self) -> int:
-        return self.curve[-1].compromised if self.curve else 0
-
-    @property
-    def first_compromise(self) -> Optional[float]:
-        return self.events[0].time if self.events else None
-
-
-def run_campaign(
-    population: Sequence[HomeSusceptibility],
-    params: CampaignParams,
-    *,
-    seed: int,
-    label: str = "campaign",
-) -> CampaignResult:
-    """One external vantage scanning the population for ``horizon`` seconds.
-
-    The reference single-attacker case (a Mirai-style Internet sweep with no
-    self-propagation). Deterministic: homes are drawn in sorted id order from
-    a stream keyed by ``(seed, strategy, label)`` only.
-    """
-    model = TargetModel(population, params.strategy, hitlist_background=params.hitlist_background)
-    state = EpidemicState(model.memberships())
-    rng = random.Random(f"{seed}/campaign/{params.strategy}/{label}")
-
-    events: list[CompromiseEvent] = []
-    curve = [state.snapshot(0.0)]
-    now = 0.0
-    while now < params.horizon:
-        now = min(now + params.dt, params.horizon)
-        for home_id in state.susceptible_ids:
-            chance = infection_probability(model.probability(home_id), params.probes_per_tick)
-            if rng.random() < chance:
-                state.infect(home_id, now, EXTERNAL_SOURCE)
-                events.append(CompromiseEvent(now, home_id, EXTERNAL_SOURCE))
-        curve.append(state.snapshot(now))
-
-    return CampaignResult(
-        strategy=params.strategy,
-        population=len(model.homes),
-        curve=tuple(curve),
-        events=tuple(events),
-    )

@@ -9,10 +9,10 @@ Two-phase architecture, chosen for the shard-invariance contract:
    packet-level measurement (autoconfigure, optional fault schedule, WAN
    probes through the firewall) and returns a flat
    :class:`~repro.adversary.analysis.HomeSusceptibility`.
-2. **Epidemic phase (serial).** :class:`AdversaryFold` sorts the merged
-   susceptibilities by home, then runs the deterministic campaign/worm loop
-   per firewall column. Because the loop is pure arithmetic over sorted
-   summaries with its own seeded stream, the rendered output is
+2. **Epidemic phase (serial).** :class:`AdversaryFold` keys the merged
+   susceptibilities by their specs' home ids, then runs the deterministic
+   worm loop per firewall column. Because the loop is pure arithmetic over
+   the homes in id order with its own seeded stream, the rendered output is
    byte-identical whatever ``--shards`` was.
 
 Homes are drawn through the fleet generator's scenario machinery, so the
@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.adversary.analysis import HomeSusceptibility, run_home_susceptibility
 from repro.adversary.worm import InfectionTimeline, WormParams, run_worm
@@ -35,7 +35,6 @@ from repro.cache import CacheSettings
 from repro.faults.schedule import NO_FAULTS, get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home, get_scenario
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
-from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
 
 DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the probes
@@ -121,7 +120,7 @@ class AdversaryAggregate:
         raise KeyError(firewall)
 
 
-def _addr_kind_stats(population: list[HomeSusceptibility], strategy: str) -> tuple[AddrKindAdversaryStats, ...]:
+def _addr_kind_stats(population: Iterable[HomeSusceptibility], strategy: str) -> tuple[AddrKindAdversaryStats, ...]:
     devices = [device for home in population for device in home.devices]
     kinds = sorted({device.addr_kind for device in devices})
     return tuple(
@@ -136,36 +135,38 @@ def _addr_kind_stats(population: list[HomeSusceptibility], strategy: str) -> tup
 
 
 def _config_outcomes(
-    population: list[HomeSusceptibility], strategy: str, timeline: InfectionTimeline
+    population: dict[int, HomeSusceptibility], strategy: str, timeline: InfectionTimeline
 ) -> tuple[ConfigOutcome, ...]:
     compromised_ids = {event.home_id for event in timeline.events}
-    configs = sorted({home.config_name for home in population})
+    configs = sorted({home.config_name for home in population.values()})
     return tuple(
         ConfigOutcome(
             config_name=config,
-            homes=sum(1 for h in population if h.config_name == config),
-            susceptible=sum(1 for h in population if h.config_name == config and h.susceptible(strategy)),
+            homes=sum(1 for h in population.values() if h.config_name == config),
+            susceptible=sum(1 for h in population.values() if h.config_name == config and h.susceptible(strategy)),
             compromised=sum(
-                1 for h in population if h.config_name == config and h.home_id in compromised_ids
+                1 for home_id, h in population.items() if h.config_name == config and home_id in compromised_ids
             ),
         )
         for config in configs
     )
 
 
-def _outcome_for(firewall: str, population: list[HomeSusceptibility], params: WormParams, seed: int) -> FirewallOutcome:
-    population = sorted(population, key=lambda home: home.home_id)
+def _outcome_for(
+    firewall: str, population: dict[int, HomeSusceptibility], params: WormParams, seed: int
+) -> FirewallOutcome:
     timeline = run_worm(population, params, seed=seed, label=firewall)
+    homes = population.values()
     return FirewallOutcome(
         firewall=firewall,
         homes=len(population),
-        immune_homes=sum(1 for home in population if home.immune),
-        susceptible_homes=sum(1 for home in population if home.susceptible(params.strategy)),
-        probes_sent=sum(home.probes_sent for home in population),
-        wan_dropped=sum(home.wan_dropped for home in population),
-        fault_events=sum(home.fault_events for home in population),
+        immune_homes=sum(1 for home in homes if home.immune),
+        susceptible_homes=sum(1 for home in homes if home.susceptible(params.strategy)),
+        probes_sent=sum(home.probes_sent for home in homes),
+        wan_dropped=sum(home.wan_dropped for home in homes),
+        fault_events=sum(home.fault_events for home in homes),
         timeline=timeline,
-        by_addr_kind=_addr_kind_stats(population, params.strategy),
+        by_addr_kind=_addr_kind_stats(homes, params.strategy),
         by_config=_config_outcomes(population, params.strategy, timeline),
     )
 
@@ -179,10 +180,9 @@ class AdversaryFold(Fold):
 
     The adversary layer is the one deliberate exception to O(shards)
     accumulators: the worm loop is *global* serial arithmetic over the whole
-    per-firewall population, so each shard retains its slice's flat
-    :class:`~repro.adversary.analysis.HomeSusceptibility` records (a few
-    hundred bytes per home — tiny next to the simulations that produced
-    them) and the epidemic runs once, at finalize, over the merged
+    per-firewall population, so each shard retains its slice's
+    ``(home_id, HomeSusceptibility)`` pairs (a few hundred bytes per home —
+    tiny next to the simulations that produced them) and the epidemic runs once, at finalize, over the merged
     population. Susceptibility measurement — all the actual simulation —
     still streams and shards like every other subsystem.
     """
@@ -190,16 +190,13 @@ class AdversaryFold(Fold):
     params: WormParams
     seed: int
     scenario_name: str = ""
+    cell = "firewall"
 
-    def add(self, acc, outcomes):
-        for result in outcomes:
-            acc["total"] += 1
+    def count(self, acc, completed):
+        for result in completed:
             spec = result.spec
-            if not result.ok:
-                acc.setdefault("failed", []).append((spec.home_id, spec.firewall, failure_line(result.error)))
-                continue
-            acc.setdefault("fault", Counter())[result.summary.fault] += 1
-            acc.setdefault("fw", {}).setdefault(spec.firewall, []).append(result.summary)
+            acc.setdefault("fault", Counter())[spec.fault_name] += 1
+            acc.setdefault("fw", {}).setdefault(spec.firewall, []).append((spec.home_id, result.summary))
         return acc
 
     def finalize(self, acc) -> AdversaryAggregate:
@@ -209,10 +206,10 @@ class AdversaryFold(Fold):
             fault_name=next(iter(acc.get("fault", ())), NO_FAULTS.name),
             params=self.params,
             seed=self.seed,
-            total_runs=acc["total"],
-            failed=tuple(sorted(acc.get("failed", ()))),
+            total_runs=acc["total_runs"],
+            failed=self.failed(acc),
             per_firewall=tuple(
-                _outcome_for(firewall, populations[firewall], self.params, self.seed)
+                _outcome_for(firewall, dict(populations[firewall]), self.params, self.seed)
                 for firewall in sorted(populations, key=firewall_sort_key)
             ),
         )

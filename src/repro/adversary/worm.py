@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.adversary.analysis import HomeSusceptibility
 from repro.adversary.campaign import (
@@ -141,13 +141,13 @@ class InfectionTimeline:
 
 
 def run_worm(
-    population: Sequence[HomeSusceptibility],
+    population: Mapping[int, HomeSusceptibility],
     params: WormParams,
     *,
     seed: int,
     label: str = "worm",
 ) -> InfectionTimeline:
-    """Run one outbreak over the measured population; fully deterministic."""
+    """Run one outbreak over the measured population, keyed by home id; fully deterministic."""
     model = TargetModel(population, params.strategy, hitlist_background=params.hitlist_background)
     state = EpidemicState(model.memberships())
     rng = random.Random(f"{seed}/worm/{params.strategy}/{label}")

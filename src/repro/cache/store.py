@@ -18,9 +18,10 @@ the study recomputes cold, never half-trusts. Writes are atomic
 
 Artifacts are **extracted summaries, never captures**: observation dicts,
 ``HomeSummary``-shaped dataclasses — the same compact payloads the fleet
-monoids fold. Callers neutralize spec labels (``home_id`` etc.) before
-storing and reattach them on every hit, keeping artifacts pure functions of
-their fingerprint.
+monoids fold. An artifact holds only what its fingerprint determines and no
+spec label (``home_id``, a lifecycle epoch): folds read labels from each
+result's spec, so homes that share a closure share one artifact and still
+count as themselves.
 
 A ``stats.log`` beside the objects accrues one line per lookup event from
 every process touching the store; the CLI diffs it around a run to report

@@ -271,9 +271,7 @@ class IoTDevice:
             return
         if self.stack.ipv4_address is None or not plan.has_a:
             return
-        metrics = self.stack.metrics
-        metrics.fallbacks += 1
-        metrics.fallback_times.append(self.sim.now)
+        self.stack.metrics.fallbacks += 1
         self.sim.schedule(p.v6_fallback_delay, self._flow_v4, plan)
 
     def _tcp_flow(self, address, plan: DomainPlan, volume: int, done: Callable[[bool], None]) -> None:

@@ -10,7 +10,6 @@ in ``pinhole`` mode, runs the WAN attacker, and returns a flat, picklable
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -86,7 +85,6 @@ class DeviceExposure:
 class HomeExposure:
     """One home's WAN attack surface under one firewall mode."""
 
-    home_id: int
     config_name: str
     firewall: str
     candidate_count: int
@@ -124,7 +122,6 @@ def summarize_exposure(scan: WanScanResult, spec: "ExposureSpec") -> HomeExposur
         for name, report in sorted(scan.devices.items())
     )
     return HomeExposure(
-        home_id=spec.home_id,
         config_name=spec.config_name,
         firewall=spec.firewall,
         candidate_count=scan.candidate_count,
@@ -142,9 +139,8 @@ def run_home_exposure(spec: "ExposureSpec") -> HomeExposure:
     attack surface to measure (NAT44 is the paper's baseline, not a finding).
 
     Consults the ambient study cache: the firewall mode rides inside the
-    resolved config, so each (home, firewall) cell keys its own artifact —
-    a :class:`HomeExposure` with the ``home_id`` label neutralized and
-    reattached on every hit.
+    resolved config, so each (home, firewall) cell keys its own artifact,
+    a :class:`HomeExposure` that carries no ``home_id``.
     """
     config = with_firewall(resolve_config(spec.config_name), spec.firewall)
     config = with_fidelity(config, spec.fidelity)
@@ -160,11 +156,9 @@ def run_home_exposure(spec: "ExposureSpec") -> HomeExposure:
     )
 
     def compute() -> HomeExposure:
-        scan = _scan_home(spec, config, profiles)
-        return dataclasses.replace(summarize_exposure(scan, spec), home_id=-1)
+        return summarize_exposure(_scan_home(spec, config, profiles), spec)
 
-    exposure = cached_artifact(fingerprint, "exposure-scan", compute)
-    return dataclasses.replace(exposure, home_id=spec.home_id)
+    return cached_artifact(fingerprint, "exposure-scan", compute)
 
 
 def _scan_home(spec: "ExposureSpec", config, profiles) -> WanScanResult:

@@ -19,7 +19,6 @@ from repro.cache import CacheSettings
 from repro.exposure.analysis import run_home_exposure
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
-from repro.fleet.stream import failure_line
 from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
 from repro.testbed.study import resolve_config
 
@@ -110,16 +109,13 @@ class ExposureFold(Fold):
     the config is a counter too, so every slot merges exactly.
     """
 
-    def add(self, acc, outcomes):
-        for result in outcomes:
-            acc["total"] += 1
-            spec = result.spec
-            if not result.ok:
-                acc.setdefault("failed", []).append((spec.home_id, spec.firewall, failure_line(result.error)))
-                continue
+    cell = "firewall"
+
+    def count(self, acc, completed):
+        for result in completed:
             summary = result.summary
             acc.setdefault("config", Counter())[summary.config_name] += 1
-            row = acc.setdefault("fw", {}).setdefault(spec.firewall, Counter())
+            row = acc.setdefault("fw", {}).setdefault(result.spec.firewall, Counter())
             row["homes"] += 1
             row["devices"] += len(summary.devices)
             row["discoverable_devices"] += sum(1 for d in summary.devices if d.discoverable)
@@ -147,8 +143,8 @@ class ExposureFold(Fold):
             per_firewall.append(from_tally(FirewallStats, rows[firewall], firewall=firewall, by_addr_kind=by_kind))
         return ExposureAggregate(
             config_name=next(iter(acc.get("config", ())), ""),
-            total_runs=acc["total"],
-            failed=tuple(sorted(acc.get("failed", ()))),
+            total_runs=acc["total_runs"],
+            failed=self.failed(acc),
             per_firewall=tuple(per_firewall),
         )
 

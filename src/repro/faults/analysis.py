@@ -74,10 +74,11 @@ class CellOutcome:
 
 @dataclass(frozen=True)
 class HomeFaultSummary:
-    """One home's full device x fault outcome grid (picklable)."""
+    """One home's full device x fault outcome grid (picklable).
 
-    home_id: int
-    config_name: str
+    The home and config that label it come from its :class:`FaultSpec`.
+    """
+
     device_count: int
     cells: tuple[CellOutcome, ...]
     injected: tuple[tuple[str, int], ...]   # fault name -> injector event count
@@ -214,8 +215,6 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
             )
 
     return HomeFaultSummary(
-        home_id=spec.home_id,
-        config_name=spec.config_name,
         device_count=len(spec.device_names),
         cells=tuple(cells),
         injected=tuple(injected),

@@ -21,7 +21,6 @@ from repro.faults.schedule import get_fault
 from repro.fleet.aggregate import QuantileSketch
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
-from repro.fleet.stream import failure_line
 from repro.testbed.study import resolve_config
 
 DEFAULT_FAULTS = ("dns-blackout", "uplink-flap")
@@ -139,17 +138,12 @@ class FaultFold(Fold):
     order is first-seen.
     """
 
-    def add(self, acc, outcomes):
-        any_ok = False
-        for result in outcomes:
-            acc["total"] += 1
-            spec = result.spec
-            if not result.ok:
-                acc.setdefault("failed", []).append((spec.home_id, spec.config_name, failure_line(result.error)))
-                continue
-            any_ok = True
+    cell = "config_name"
+
+    def count(self, acc, completed):
+        for result in completed:
             summary = result.summary
-            config = summary.config_name
+            config = result.spec.config_name
             acc.setdefault("config_homes", Counter())[config] += 1
             for fault_name, _count in summary.injected:
                 acc.setdefault("fault_names", Counter())[fault_name] += 1
@@ -164,7 +158,7 @@ class FaultFold(Fold):
                     row["fallbacks"] += cell.fallbacks
                     if cell.time_to_recover is not None:
                         row["ttr"] = row.get("ttr", QuantileSketch()).add(cell.time_to_recover)
-        if any_ok:
+        if completed:
             acc["homes"] += 1
         return acc
 
@@ -187,8 +181,8 @@ class FaultFold(Fold):
                     )
                 )
         return FaultAggregate(
-            total_runs=acc["total"],
-            failed=tuple(sorted(acc.get("failed", ()))),
+            total_runs=acc["total_runs"],
+            failed=self.failed(acc),
             homes=acc["homes"],
             fault_names=fault_names,
             cells=tuple(cells),

@@ -12,7 +12,6 @@ callable (e.g. :func:`repro.exposure.analysis.run_home_exposure`).
 
 from __future__ import annotations
 
-import dataclasses
 import signal
 import threading
 import traceback
@@ -76,10 +75,10 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
 def simulate_home(spec: HomeSpec) -> HomeSummary:
     """Run one home end-to-end and summarize it (raises on failure).
 
-    Consults the ambient study cache: the stored artifact is the summary
-    with its ``home_id`` neutralized (the id labels the row, it does not
-    shape the simulation), reattached from the spec on every hit — which is
-    how paired flip scenarios share their unflipped homes.
+    Consults the ambient study cache. The summary holds nothing its
+    fingerprint does not determine, so homes that share a closure share one
+    artifact — which is how paired flip scenarios share their unflipped
+    homes — and the fold reads each row's ``home_id`` from its spec.
     """
     config, profiles = resolve_home_inputs(
         spec.config_name, spec.device_names, fidelity=spec.fidelity
@@ -87,13 +86,12 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
 
     def compute() -> HomeSummary:
         study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins)
-        return dataclasses.replace(summarize_home(study, spec), home_id=-1)
+        return summarize_home(study, spec)
 
     fingerprint = study_fingerprint(
         sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
     )
-    summary = cached_artifact(fingerprint, "fleet-summary", compute)
-    return dataclasses.replace(summary, home_id=spec.home_id)
+    return cached_artifact(fingerprint, "fleet-summary", compute)
 
 
 WorkerFn = Callable[[object], object]

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import fields
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from repro.cache import CacheSettings, CachingWorker, code_epoch
 from repro.fleet.runner import HomeResult, WorkerFn, _execute_home
@@ -91,31 +91,58 @@ def from_tally(cls, counts: Counter, **values):
     return cls(**values, **{field.name: counts[field.name] for field in fields(cls) if field.name not in values})
 
 
+def failure_line(error: Optional[str]) -> str:
+    """The last line of a worker traceback — what the reports print."""
+    return (error or "unknown error").strip().splitlines()[-1]
+
+
 class Fold:
     """A mergeable streaming aggregation over per-unit outcomes.
 
     The accumulator is a *tally* that starts as ``empty()`` (a
-    :class:`~collections.Counter`, so a counter no unit touched reads 0);
-    ``add`` absorbs one unit's :class:`HomeResult` tuple into it and may
-    mutate and return it; ``merge`` is :func:`merge_tallies`; ``finalize``
-    renders the aggregate dataclass the reports consume. Subclasses define
-    only ``add`` and ``finalize``, and keep every slot a tally value:
-    counters, lists, nested dicts of them, or ``StreamStats`` /
-    ``QuantileSketch``. Order-sensitive data is sorted in ``finalize`` or
-    read from dict key order, which contiguous merges keep first-seen.
+    :class:`~collections.Counter`, so a counter no unit touched reads 0).
+    ``add`` is the one run-and-failure ledger: it counts every run under
+    ``total_runs``, appends each failed spec's ``(home_id[, cell],
+    failure_line)`` row to ``failed`` (``cell`` names the spec field that
+    tells a home's cells apart), and hands the completed results to
+    ``count``. ``merge`` is :func:`merge_tallies`; ``finalize`` renders the
+    aggregate dataclass the reports consume. Subclasses define only
+    ``count`` and ``finalize``, read every label from ``result.spec``, and
+    keep every slot a tally value: counters, lists, nested dicts of them,
+    or ``StreamStats`` / ``QuantileSketch``. Order-sensitive data is sorted
+    in ``finalize`` or read from dict key order, which contiguous merges
+    keep first-seen.
 
     Fold instances themselves are configuration (frozen, picklable); all
     run state lives in the accumulator.
     """
 
+    cell: ClassVar[Optional[str]] = None
+
     def empty(self):
         return Counter()
 
     def add(self, acc, outcomes: tuple[HomeResult, ...]):
+        completed = []
+        for result in outcomes:
+            acc["total_runs"] += 1
+            if result.ok:
+                completed.append(result)
+                continue
+            spec = result.spec
+            cell = () if self.cell is None else (getattr(spec, self.cell),)
+            acc.setdefault("failed", []).append((spec.home_id, *cell, failure_line(result.error)))
+        return self.count(acc, completed)
+
+    def count(self, acc, completed: list[HomeResult]):
         raise NotImplementedError
 
     def merge(self, left, right):
         return merge_tallies(left, right)
+
+    def failed(self, acc) -> tuple:
+        """The failure rows, sorted: by home, then cell."""
+        return tuple(sorted(acc.get("failed", ())))
 
     def finalize(self, acc):
         raise NotImplementedError
@@ -357,6 +384,7 @@ __all__ = [
     "DEFAULT_CHECKPOINT_EVERY",
     "Fold",
     "JournalStore",
+    "failure_line",
     "from_tally",
     "merge_tallies",
     "run_sharded",

@@ -3,8 +3,9 @@
 :class:`FleetFold` aggregates the rollout one home at a time, so ``repro
 fleet`` renders byte-identical reports at any ``--shards`` without ever
 retaining a summary. Like the other population folds (exposure, faults,
-lifecycle, adversary), it defines only ``add`` and ``finalize``; the tally
-and its merge come from :class:`~repro.fleet.shard.Fold`.
+lifecycle, adversary), it defines only ``count`` and ``finalize``; the
+tally, its merge and the run-and-failure ledger come from
+:class:`~repro.fleet.shard.Fold`.
 """
 
 from __future__ import annotations
@@ -22,14 +23,9 @@ from repro.fleet.aggregate import (
     QuantileSketch,
     share_distribution,
 )
-from repro.fleet.runner import HomeResult, simulate_home
+from repro.fleet.runner import simulate_home
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
-
-
-def failure_line(error: Optional[str]) -> str:
-    """The last line of a worker traceback — what the reports print."""
-    return (error or "unknown error").strip().splitlines()[-1]
 
 
 def config_sort_key(name: str):
@@ -41,20 +37,14 @@ def config_sort_key(name: str):
 class FleetFold(Fold):
     """Fold one home's outcome into rollout statistics.
 
-    The tally holds the home counts, the failed rows, one counter row per
-    config keyed by :class:`ConfigStats` field names, and the v6-share
-    sketch; ``finalize`` produces the :class:`FleetAggregate` the fleet
-    report renders.
+    The tally holds one counter row per config keyed by
+    :class:`ConfigStats` field names and the v6-share sketch; ``finalize``
+    produces the :class:`FleetAggregate` the fleet report renders.
     """
 
-    def add(self, acc, outcomes: tuple[HomeResult, ...]):
-        for result in outcomes:
-            acc["total"] += 1
-            if not result.ok:
-                acc.setdefault("failed", []).append((result.spec.home_id, failure_line(result.error)))
-                continue
+    def count(self, acc, completed):
+        for result in completed:
             summary = result.summary
-            acc["completed"] += 1
             row = acc.setdefault("configs", {}).setdefault(summary.config_name, Counter())
             row["homes"] += 1
             row["devices"] += summary.size
@@ -69,10 +59,11 @@ class FleetFold(Fold):
 
     def finalize(self, acc) -> FleetAggregate:
         configs = acc.get("configs", {})
+        failed = self.failed(acc)
         return FleetAggregate(
-            total_homes=acc["total"],
-            completed_homes=acc["completed"],
-            failed_homes=tuple(sorted(acc.get("failed", ()))),
+            total_homes=acc["total_runs"],
+            completed_homes=acc["total_runs"] - len(failed),
+            failed_homes=failed,
             per_config=tuple(
                 from_tally(ConfigStats, configs[name], config_name=name)
                 for name in sorted(configs, key=config_sort_key)
@@ -119,4 +110,4 @@ def run_fleet_stream(
     )
 
 
-__all__ = ["FleetFold", "config_sort_key", "failure_line", "run_fleet_stream"]
+__all__ = ["FleetFold", "config_sort_key", "run_fleet_stream"]

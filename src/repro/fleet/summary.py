@@ -19,9 +19,12 @@ from repro.testbed.study import Study, resolve_config
 
 @dataclass(frozen=True)
 class HomeSummary:
-    """Population-relevant facts about one simulated home."""
+    """Population-relevant facts about one simulated home.
 
-    home_id: int
+    Everything here follows from the study's fingerprint; the home's id
+    labels the row through its spec.
+    """
+
     config_name: str
     sim_seed: int
     devices: tuple[str, ...]
@@ -31,7 +34,6 @@ class HomeSummary:
     data_v6_devices: tuple[str, ...]     # devices that moved data over IPv6
     v6_share: Optional[float]            # IPv6 fraction of Internet bytes
                                          # (dual-stack homes only, else None)
-    frames: int
 
     @property
     def size(self) -> int:
@@ -68,7 +70,6 @@ def summarize_home(study: Study, spec: HomeSpec) -> HomeSummary:
         v6_share = v6_bytes / total if total else 0.0
 
     return HomeSummary(
-        home_id=spec.home_id,
         config_name=config.name,
         sim_seed=spec.sim_seed,
         devices=spec.device_names,
@@ -77,5 +78,4 @@ def summarize_home(study: Study, spec: HomeSpec) -> HomeSummary:
         eui64_devices=eui64,
         data_v6_devices=data_v6,
         v6_share=v6_share,
-        frames=study.total_frames(),
     )

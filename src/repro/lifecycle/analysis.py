@@ -57,22 +57,21 @@ class EpochExposure:
 
 @dataclass(frozen=True)
 class EpochSummary:
-    """One (home, epoch) study, flattened for aggregation."""
+    """One (home, epoch) study, flattened for aggregation.
 
-    home_id: int
-    epoch: int
+    Everything here follows from the study's fingerprint; the home, epoch,
+    transition flag, firmware history and fault name that label it come
+    from its :class:`EpochSpec`.
+    """
+
     config_name: str
-    transitioned: bool
-    fault_name: str
     devices: tuple[str, ...]
     functional: tuple[str, ...]
     bricked: tuple[str, ...]
     ready: tuple[str, ...]               # v6-ready under the *current* firmware
-    firmware: tuple[tuple[str, tuple[str, ...]], ...]
     eui64_devices: tuple[str, ...]
     gua_addresses: int
     retired_addresses: int
-    frames: int
     exposure: Optional[EpochExposure] = None
 
     @property
@@ -106,11 +105,12 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
     """Simulate one epoch of one home (module-level: picklable for pools).
 
     Consults the ambient study cache. The fingerprint hashes the epoch's
-    *derived* profile contents (stock + firmware + rotation), so two epochs
-    whose firmware histories converge on identical profiles share one
-    study; the stored :class:`EpochSummary` is stripped of its labels
-    (home, epoch, transition flag, firmware history), which are reattached
-    from the spec on every hit.
+    *derived* profile contents (stock + firmware + rotation) with the
+    epoch's own simulator seed, which ``build_timeline`` draws per
+    ``(home, epoch)``: within one run no two epochs share a fingerprint, and
+    a hit comes from re-running the same epoch, for example under another
+    ``--wave`` that leaves it unchanged. The stored :class:`EpochSummary`
+    carries no label of its spec.
     """
     schedule = get_fault(spec.fault_name) if spec.fault_name != "none" else None
     config, profiles = resolve_home_inputs(
@@ -124,21 +124,7 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
         fault_schedule=schedule,
         extra=("exposure", spec.exposure),
     )
-
-    def compute() -> EpochSummary:
-        summary = _simulate_epoch(spec, config, profiles, schedule)
-        return dataclasses.replace(
-            summary, home_id=-1, epoch=-1, transitioned=False, firmware=()
-        )
-
-    summary = cached_artifact(fingerprint, "lifecycle-epoch", compute)
-    return dataclasses.replace(
-        summary,
-        home_id=spec.home_id,
-        epoch=spec.epoch,
-        transitioned=spec.transitioned,
-        firmware=spec.firmware,
-    )
+    return cached_artifact(fingerprint, "lifecycle-epoch", lambda: _simulate_epoch(spec, config, profiles, schedule))
 
 
 def _simulate_epoch(spec: EpochSpec, config, profiles, schedule) -> EpochSummary:
@@ -165,20 +151,14 @@ def _simulate_epoch(spec: EpochSpec, config, profiles, schedule) -> EpochSummary
         exposure = _scan_epoch(study.testbed)
 
     return EpochSummary(
-        home_id=spec.home_id,
-        epoch=spec.epoch,
         config_name=spec.config_name,
-        transitioned=spec.transitioned,
-        fault_name=spec.fault_name,
         devices=spec.device_names,
         functional=functional,
         bricked=bricked,
         ready=ready,
-        firmware=spec.firmware,
         eui64_devices=tuple(sorted(eui64)),
         gua_addresses=gua_addresses,
         retired_addresses=retired,
-        frames=study.total_frames(),
         exposure=exposure,
     )
 

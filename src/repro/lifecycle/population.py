@@ -18,7 +18,6 @@ from typing import Optional
 from repro.cache import CacheSettings
 from repro.fleet.aggregate import QuantileSketch
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
-from repro.fleet.stream import failure_line
 from repro.lifecycle.analysis import run_home_epoch
 from repro.lifecycle.timeline import LifecycleParams, build_timeline
 
@@ -84,7 +83,7 @@ class LifecycleFold(Fold):
     The unit is the *whole home* (all its epochs in order), so every
     cross-epoch comparison — joins/leaves against the previous epoch,
     ever-bricked tracking, first-transition detection, end-state
-    classification — happens inside one ``add`` call with the complete
+    classification — happens inside one ``count`` call with the complete
     timeline in hand. The first epoch is its own predecessor, so all its
     movement counts are 0. Only counters keyed by :class:`EpochStats` and
     :class:`LifecycleAggregate` field names, and the transition sketch,
@@ -92,36 +91,28 @@ class LifecycleFold(Fold):
     """
 
     wave_name: str = "?"
+    cell = "epoch"
 
-    def add(self, acc, outcomes):
-        summaries = []
-        for result in outcomes:
-            acc["total_runs"] += 1
-            spec = result.spec
-            if not result.ok:
-                acc.setdefault("failed", []).append((spec.home_id, spec.epoch, failure_line(result.error)))
-                continue
-            summaries.append(result.summary)
-        if not summaries:
+    def count(self, acc, completed):
+        if not completed:
             return acc
-        summaries.sort(key=lambda s: s.epoch)
+        completed = sorted(completed, key=lambda result: result.spec.epoch)
         acc["homes"] += 1
 
         ever_bricked: set[str] = set()
         first_transition: Optional[int] = None
-        previous = summaries[0]
-        for summary in summaries:
-            row = acc.setdefault("epochs", {}).setdefault(summary.epoch, Counter())
-            row["joins"] += len(set(summary.devices) - set(previous.devices))
-            row["leaves"] += len(set(previous.devices) - set(summary.devices))
-            before = dict(previous.firmware)
-            row["firmware_updates"] += sum(
-                1 for name, revisions in summary.firmware if revisions != before.get(name, ())
-            )
+        previous = completed[0]
+        for result in completed:
+            spec, summary = result.spec, result.summary
+            row = acc.setdefault("epochs", {}).setdefault(spec.epoch, Counter())
+            row["joins"] += len(set(summary.devices) - set(previous.summary.devices))
+            row["leaves"] += len(set(previous.summary.devices) - set(summary.devices))
+            before = dict(previous.spec.firmware)
+            row["firmware_updates"] += sum(1 for name, revisions in spec.firmware if revisions != before.get(name, ()))
             acc["recovered_devices"] += len(ever_bricked & set(summary.functional))
-            acc["brick_flips"] += len(set(summary.bricked) & set(previous.functional))
-            if summary.transitioned and first_transition is None:
-                first_transition = summary.epoch
+            acc["brick_flips"] += len(set(summary.bricked) & set(previous.summary.functional))
+            if spec.transitioned and first_transition is None:
+                first_transition = spec.epoch
             ever_bricked |= set(summary.bricked)
             ever_bricked -= set(summary.functional)
             if summary.exposure is not None:
@@ -133,7 +124,7 @@ class LifecycleFold(Fold):
             row["bricked"] += len(summary.bricked)
             row["ready"] += len(summary.ready)
             row["eui64"] += len(summary.eui64_devices)
-            row["transitions"] += summary.transitioned
+            row["transitions"] += spec.transitioned
             row["gua_addresses"] += summary.gua_addresses
             row["retired_addresses"] += summary.retired_addresses
             if summary.exposure is not None:
@@ -141,14 +132,14 @@ class LifecycleFold(Fold):
                 row["reachable"] += summary.exposure.reachable
                 row["scanned_homes"] += 1
             row.setdefault("config_mix", Counter())[summary.config_name] += 1
-            previous = summary
+            previous = result
 
         if first_transition is not None:
             acc["transitioned_homes"] += 1
             acc["transition_epochs"] = acc.get("transition_epochs", QuantileSketch()).add(float(first_transition))
-        if not any(summary.bricked for summary in summaries):
+        if not any(result.summary.bricked for result in completed):
             acc["never_bricked_homes"] += 1
-        elif summaries[-1].bricked:
+        elif completed[-1].summary.bricked:
             acc["bricked_at_end_homes"] += 1
         else:
             acc["recovered_homes"] += 1
@@ -160,7 +151,7 @@ class LifecycleFold(Fold):
             from_tally(EpochStats, row, epoch=epoch, config_mix=tuple(sorted(row["config_mix"].items())))
             for epoch, row in sorted(rows.items())
         )
-        failed = tuple((home_id, f"epoch {epoch}", line) for home_id, epoch, line in sorted(acc.get("failed", ())))
+        failed = tuple((home_id, f"epoch {epoch}", line) for home_id, epoch, line in self.failed(acc))
         return from_tally(
             LifecycleAggregate,
             acc,

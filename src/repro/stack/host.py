@@ -109,7 +109,6 @@ class StackMetrics:
     dns_timeout_times: list = field(default_factory=list)
     flow_failure_times: list = field(default_factory=list)
     flow_success_times: list = field(default_factory=list)
-    fallback_times: list = field(default_factory=list)
 
     @property
     def last_symptom(self) -> Optional[float]:
@@ -166,8 +165,6 @@ class HostStack(Node):
 
         # hooks
         self.on_ra: list[Callable[[ICMPv6], None]] = []
-        self.on_address_assigned: list[Callable[[AddressRecord], None]] = []
-        self.on_ipv4_configured: list[Callable[[], None]] = []
         # scanner hooks: a tcp_monitor may consume raw segments before the
         # engine sees them; unreachable/echo hooks surface ICMP events.
         self.tcp_monitor: Optional[Callable[[object, object, TCP, int], bool]] = None
@@ -323,8 +320,6 @@ class HostStack(Node):
         # every assigned address observable on the wire).
         na = ICMPv6.neighbor_advert(record.address, self.mac, solicited=False, override=True)
         self._send_ipv6_multicast(ALL_NODES, na, src=record.address, hop_limit=255)
-        for hook in self.on_address_assigned:
-            hook(record)
 
     # -------------------------------------------------------------- RA intake
 
@@ -468,8 +463,6 @@ class HostStack(Node):
             self.ipv4_gateway = message.router
             self.ipv4_netmask = message.subnet_mask
             self.dns_servers.v4 = list(message.dns_servers)
-            for hook in self.on_ipv4_configured:
-                hook()
 
     # -------------------------------------------------------------- frame RX
 

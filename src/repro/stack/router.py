@@ -100,8 +100,6 @@ class Router(Node):
         lan_v4_network: str = "192.168.10.0/24",
         lan_v6_prefix: str = "2001:db8:100::/64",
         wan_v4_address: str = "23.119.7.42",
-        dns_v4: str = "8.8.8.8",
-        dns_v6: str = "2001:4860:4860::8888",
     ):
         super().__init__(sim, "router")
         self.mac = MacAddress(mac)
@@ -116,8 +114,6 @@ class Router(Node):
         self.v6_gua = as_ipv6(int(self.lan_v6_prefix.network_address) + 1)
         self.v6_lla = link_local_from_mac(self.mac)
         self._own_v6 = frozenset((self.v6_lla, self.v6_gua))
-        self.dns_v4 = as_ipv4(dns_v4)
-        self.dns_v6 = as_ipv6(dns_v6)
 
         self.config: Optional[NetworkConfig] = None
         self.neighbors = ResolutionCache()
@@ -188,7 +184,7 @@ class Router(Node):
                 PrefixInfoOption(self.lan_v6_prefix.network_address, 64),
             ]
             if self.config.slaac_rdnss:
-                options.append(RDNSSOption([self.dns_v6], lifetime=1200))
+                options.append(RDNSSOption([self.internet.dns_v6], lifetime=1200))
             ra = ICMPv6.router_advert(
                 managed=self.config.stateful_dhcpv6,
                 other_config=self.config.stateless_dhcpv6 or self.config.stateful_dhcpv6,
@@ -261,7 +257,7 @@ class Router(Node):
             server_id=self.v4_address,
             subnet_mask=self.lan_v4_network.netmask,
             router=self.v4_address,
-            dns_servers=[self.dns_v4],
+            dns_servers=[self.internet.dns_v4],
             lease_time=86400,
         )
         packet = IPv4(self.v4_address, BROADCAST_V4, 17, UDP(DHCP4_SERVER_PORT, DHCP4_CLIENT_PORT, reply))
@@ -477,7 +473,7 @@ class Router(Node):
                 message.transaction_id,
                 client_duid=message.client_duid,
                 server_duid=self._server_duid,
-                dns_servers=[self.dns_v6],
+                dns_servers=[self.internet.dns_v6],
             )
             self._dhcp6_reply(src_mac, src, reply)
         elif message.msg_type == MSG_SOLICIT and stateful_on:
@@ -489,7 +485,7 @@ class Router(Node):
                 server_duid=self._server_duid,
                 iaid=message.iaid,
                 ia_addresses=[IAAddress(lease)],
-                dns_servers=[self.dns_v6],
+                dns_servers=[self.internet.dns_v6],
             )
             self._dhcp6_reply(src_mac, src, advertise)
         elif message.msg_type == MSG_REQUEST and stateful_on:
@@ -501,7 +497,7 @@ class Router(Node):
                 server_duid=self._server_duid,
                 iaid=message.iaid,
                 ia_addresses=[IAAddress(lease)],
-                dns_servers=[self.dns_v6],
+                dns_servers=[self.internet.dns_v6],
             )
             self._dhcp6_reply(src_mac, src, reply)
 

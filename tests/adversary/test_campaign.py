@@ -1,16 +1,9 @@
-"""Campaign targeting math and the external-vantage bootstrap engine."""
+"""Campaign targeting math."""
 
 import pytest
 
 from repro.adversary.analysis import DeviceSusceptibility, HomeSusceptibility
-from repro.adversary.campaign import (
-    CampaignParams,
-    TargetModel,
-    infection_probability,
-    run_campaign,
-    validate_strategy,
-)
-from repro.adversary.state import EXTERNAL_SOURCE
+from repro.adversary.campaign import TargetModel, infection_probability, validate_strategy
 
 
 def device(name, *, kind="eui64", exploitable=True, e64=1, low=0, hit=1):
@@ -26,12 +19,10 @@ def device(name, *, kind="eui64", exploitable=True, e64=1, low=0, hit=1):
     )
 
 
-def home(home_id, devices=(), *, immune=False, eui64_space=1000, low_iid_space=500):
+def home(devices=(), *, immune=False, eui64_space=1000, low_iid_space=500):
     return HomeSusceptibility(
-        home_id=home_id,
         config_name="dual-stack",
         firewall="open",
-        fault="none",
         immune=immune,
         eui64_space=0 if immune else eui64_space,
         low_iid_space=0 if immune else low_iid_space,
@@ -43,11 +34,11 @@ def home(home_id, devices=(), *, immune=False, eui64_space=1000, low_iid_space=5
     )
 
 
-POPULATION = [
-    home(0, [device("tv", e64=2, hit=2)]),
-    home(1, [device("cam", exploitable=False, e64=3, hit=3)]),
-    home(2, immune=True),
-]
+POPULATION = {
+    0: home([device("tv", e64=2, hit=2)]),
+    1: home([device("cam", exploitable=False, e64=3, hit=3)]),
+    2: home(immune=True),
+}
 
 
 def test_validate_strategy():
@@ -68,7 +59,6 @@ def test_infection_probability_edges():
 
 def test_sweep_space_is_population_times_prefix_space():
     model = TargetModel(POPULATION, "eui64-sweep")
-    assert model.population_size == 3
     assert model.space == 3 * 1000          # immune home's 0 doesn't shrink it
     # only exploitable devices contribute entries
     assert model.probability(0) == pytest.approx(2 / 3000)
@@ -87,44 +77,7 @@ def test_hitlist_space_counts_all_leaks_plus_background():
 
 
 def test_hitlist_with_no_leaks_has_zero_probability():
-    model = TargetModel([home(0, [device("tv", hit=0)])], "hitlist", hitlist_background=1000)
+    model = TargetModel({0: home([device("tv", hit=0)])}, "hitlist", hitlist_background=1000)
     # nothing local leaked: no background padding, no division artifacts
     assert model.space == 0
     assert model.probability(0) == 0.0
-
-
-def test_target_model_rejects_duplicate_home_ids():
-    with pytest.raises(ValueError):
-        TargetModel([home(0), home(0)], "eui64-sweep")
-
-
-def test_campaign_params_validation():
-    with pytest.raises(ValueError):
-        CampaignParams(strategy="bogus")
-    with pytest.raises(ValueError):
-        CampaignParams(dt=0.0)
-    with pytest.raises(ValueError):
-        CampaignParams(scan_rate=-1.0)
-    with pytest.raises(ValueError):
-        CampaignParams(hitlist_background=-1)
-    assert CampaignParams(scan_rate=100.0, dt=10.0).probes_per_tick == 1000.0
-
-
-def test_run_campaign_is_deterministic_and_external_only():
-    params = CampaignParams(strategy="eui64-sweep", scan_rate=2000.0, dt=30.0, horizon=600.0)
-    a = run_campaign(POPULATION, params, seed=5)
-    b = run_campaign(POPULATION, params, seed=5)
-    assert a == b
-    assert all(event.source == EXTERNAL_SOURCE for event in a.events)
-    assert len(a.curve) == 21           # t=0 plus 20 ticks
-    # compromised never decreases along the curve
-    counts = [point.compromised for point in a.curve]
-    assert counts == sorted(counts)
-    assert a.compromised <= 1           # only home 0 is susceptible
-
-
-def test_campaign_with_overwhelming_rate_compromises_first_tick():
-    params = CampaignParams(strategy="hitlist", scan_rate=1e9, dt=30.0, horizon=60.0, hitlist_background=0)
-    result = run_campaign(POPULATION, params, seed=1)
-    assert result.first_compromise == 30.0
-    assert result.compromised == 1

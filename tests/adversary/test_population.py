@@ -118,8 +118,8 @@ def test_fault_schedule_changes_infection_trajectory():
     assert clean.entries("eui64-sweep") >= 1
     assert faulted.entries("eui64-sweep") == 0
 
-    healthy_timeline = run_worm([clean], PARAMS, seed=5)
-    faulted_timeline = run_worm([faulted], PARAMS, seed=5)
+    healthy_timeline = run_worm({0: clean}, PARAMS, seed=5)
+    faulted_timeline = run_worm({0: faulted}, PARAMS, seed=5)
     assert healthy_timeline.initial_susceptible == 1
     assert faulted_timeline.initial_susceptible == 0
     assert healthy_timeline.compromised == 1

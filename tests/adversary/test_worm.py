@@ -9,7 +9,7 @@ from tests.adversary.test_campaign import device, home
 
 def population(n=8):
     """n homes, every one exploitable via every strategy."""
-    return [home(i, [device(f"tv{i}", e64=1, hit=1)]) for i in range(n)]
+    return {i: home([device(f"tv{i}", e64=1, hit=1)]) for i in range(n)}
 
 
 FAST = WormParams(strategy="eui64-sweep", scan_rate=50_000.0, dt=30.0, horizon=1800.0)
@@ -96,10 +96,10 @@ def test_recovery_removes_scanners_but_keeps_them_compromised():
 
 
 def test_empty_and_immune_populations_stay_flat():
-    empty = run_worm([], FAST, seed=1)
+    empty = run_worm({}, FAST, seed=1)
     assert empty.compromised == 0 and empty.time_to_fraction(0.5) is None
 
-    immune = run_worm([home(0, immune=True), home(1, [device("cam", exploitable=False)])], FAST, seed=1)
+    immune = run_worm({0: home(immune=True), 1: home([device("cam", exploitable=False)])}, FAST, seed=1)
     assert immune.initial_susceptible == 0
     assert immune.compromised == 0
     assert immune.events == ()

@@ -5,7 +5,8 @@ aggregate (and the report rendered from it) must equal the uncached run's
 exactly, at any ``--shards``, warm or cold. These tests exercise the faults
 population (the subsystem with the richest sharing structure: a clean
 baseline arm common to every schedule) end to end through both the sharded
-stream and the CLI.
+stream and the CLI, and the case label-free artifacts serve: two homes with
+one closure share one artifact and still count as two homes.
 """
 
 import dataclasses
@@ -18,7 +19,10 @@ from repro.cache import (
     read_disk_stats,
     reset_process_caches,
 )
+from repro.adversary import AdversaryFold, AdversarySpec, WormParams, run_home_susceptibility
 from repro.faults.population import FaultFold, _faults_unit, run_faults_stream, run_home_faults
+from repro.fleet import FleetFold, simulate_home
+from repro.fleet.scenario import generate_home, get_scenario
 from repro.fleet.shard import run_sharded
 from repro.reports import render_faults
 
@@ -78,6 +82,39 @@ def test_arm_per_spec_sweep_shares_one_baseline():
     snapshot = process_counters()
     assert snapshot["studies_deduped"] == 1   # the shared baseline
     assert snapshot["study_cache_misses"] == 3
+
+
+def twins(spec, home_ids=(3, 7)):
+    """One unit per home id, each holding ``spec`` relabeled: one closure, two homes."""
+    return tuple((dataclasses.replace(spec, home_id=home_id),) for home_id in home_ids)
+
+
+def assert_one_shared_artifact():
+    snapshot = process_counters()
+    assert (snapshot["study_cache_misses"], snapshot["studies_deduped"]) == (1, 1)
+
+
+def test_fleet_homes_sharing_a_closure_share_an_artifact_and_count_twice():
+    units = twins(generate_home(0, 11, get_scenario("baseline"), fidelity="flow"))
+    aggregate = run_sharded(2, units.__getitem__, fold=FleetFold(), worker=simulate_home, cache=CacheSettings())
+    assert_one_shared_artifact()
+    assert aggregate.total_homes == aggregate.completed_homes == 2
+    (row,) = aggregate.per_config
+    assert row.homes == 2
+
+
+def test_adversary_homes_sharing_a_closure_are_two_epidemic_members():
+    spec = AdversarySpec(
+        0, 7, "dual-stack", "open", "none", ("Google TV", "Samsung TV", "Nest Camera"), fidelity="flow"
+    )
+    # A rate no exploitable home survives for one tick.
+    fold = AdversaryFold(params=WormParams(scan_rate=1e9, dt=30.0, horizon=60.0), seed=1)
+    units = twins(spec)
+    aggregate = run_sharded(2, units.__getitem__, fold=fold, worker=run_home_susceptibility, cache=CacheSettings())
+    assert_one_shared_artifact()
+    timeline = aggregate.outcome_for("open").timeline
+    assert (timeline.population, timeline.initial_susceptible) == (2, 2)
+    assert sorted(event.home_id for event in timeline.events) == [3, 7]
 
 
 def test_memory_only_cache_needs_no_directory(uncached_report):

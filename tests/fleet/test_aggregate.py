@@ -11,8 +11,8 @@ def _spec(home_id, config):
 
 
 def _summary(home_id, config, *, devices=4, bricked=(), eui64=(), share=None):
-    return HomeSummary(
-        home_id=home_id,
+    """One completed home: its spec labels the hand-built summary."""
+    summary = HomeSummary(
         config_name=config,
         sim_seed=home_id,
         devices=tuple(f"dev{i}" for i in range(devices)),
@@ -21,16 +21,15 @@ def _summary(home_id, config, *, devices=4, bricked=(), eui64=(), share=None):
         eui64_devices=tuple(eui64),
         data_v6_devices=(),
         v6_share=share,
-        frames=100,
     )
+    return HomeResult(spec=_spec(home_id, config), summary=summary)
 
 
-def aggregate_of(entries):
-    """Fold hand-built summaries (or failed results), one home per unit."""
+def aggregate_of(results):
+    """Fold hand-built home results, one home per unit."""
     fold = FleetFold()
     acc = fold.empty()
-    for s in entries:
-        result = HomeResult(spec=_spec(s.home_id, s.config_name), summary=s) if isinstance(s, HomeSummary) else s
+    for result in results:
         acc = fold.add(acc, (result,))
     return fold.finalize(acc)
 

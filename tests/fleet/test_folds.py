@@ -45,7 +45,6 @@ def fleet_units():
             units.append((HomeResult(spec=spec, error=ERROR),))
             continue
         summary = HomeSummary(
-            home_id=home,
             config_name=config,
             sim_seed=home,
             devices=devices,
@@ -54,7 +53,6 @@ def fleet_units():
             eui64_devices=devices[: home % 2],
             data_v6_devices=devices if config == "dual-stack" else (),
             v6_share=home / 10 if config == "dual-stack" else None,
-            frames=10 * home,
         )
         units.append((HomeResult(spec=spec, summary=summary),))
     return units
@@ -85,7 +83,6 @@ def exposure_units():
                 for i, name in enumerate(devices)
             )
             summary = HomeExposure(
-                home_id=home,
                 config_name="dual-stack",
                 firewall=firewall,
                 candidate_count=len(devices),
@@ -128,8 +125,6 @@ def fault_units():
                 for i, name in enumerate(devices)
             )
             summary = HomeFaultSummary(
-                home_id=home,
-                config_name=config,
                 device_count=len(devices),
                 cells=outcomes,
                 injected=tuple((fault, 2 + home) for fault in faults),
@@ -149,26 +144,28 @@ def lifecycle_units():
             firmware = (("dev0", ("v6-stack",)),) if epoch >= 2 + home % 2 else ()
             devices = base + (("late",) if epoch >= 2 and home % 2 else ())
             devices = devices[1:] if epoch == 3 and home == 4 else devices
-            spec = EpochSpec(home_id=home, epoch=epoch, sim_seed=home, config_name=config, device_names=devices)
+            spec = EpochSpec(
+                home_id=home,
+                epoch=epoch,
+                sim_seed=home,
+                config_name=config,
+                device_names=devices,
+                firmware=firmware,
+                transitioned=epoch == 1 + home % 3,
+            )
             if home == 5 or (home, epoch) == (1, 2):
                 cells.append(HomeResult(spec=spec, error=ERROR))  # home 5 fails every epoch
                 continue
             bricked = devices[:1] if config == "ipv6-only" and not firmware else ()
             summary = EpochSummary(
-                home_id=home,
-                epoch=epoch,
                 config_name=config,
-                transitioned=epoch == 1 + home % 3,
-                fault_name="none",
                 devices=devices,
                 functional=tuple(name for name in devices if name not in bricked),
                 bricked=bricked,
                 ready=devices[1:] if not firmware else devices,
-                firmware=firmware,
                 eui64_devices=devices[: epoch % 2],
                 gua_addresses=len(devices) + epoch,
                 retired_addresses=epoch,
-                frames=100 * epoch,
                 exposure=EpochExposure("stateful", len(devices), home % 2, 20, 4, epoch, 0) if home % 3 else None,
             )
             cells.append(HomeResult(spec=spec, summary=summary))
@@ -190,10 +187,8 @@ def adversary_units():
                 continue
             wide_open = firewall == "open" and config != "ipv4-only"
             summary = HomeSusceptibility(
-                home_id=home,
                 config_name=config,
                 firewall=firewall,
-                fault="uplink-flap",
                 immune=config == "ipv4-only",
                 eui64_space=1 << 12,
                 low_iid_space=256,

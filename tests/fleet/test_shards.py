@@ -69,7 +69,6 @@ def toy_summary(spec):
     """The toy summary of any home (never raises)."""
     dual = spec.config_name == "dual-stack"
     return HomeSummary(
-        home_id=spec.home_id,
         config_name=spec.config_name,
         sim_seed=spec.sim_seed,
         devices=spec.device_names,
@@ -78,7 +77,6 @@ def toy_summary(spec):
         eui64_devices=spec.device_names[:1],
         data_v6_devices=spec.device_names if dual else (),
         v6_share=(spec.home_id % 7) / 10.0 if dual else None,
-        frames=10 * spec.home_id,
     )
 
 

@@ -40,8 +40,8 @@ def _pinned_specs() -> list[EpochSpec]:
 
 def device_trajectory(results, device: str) -> tuple[tuple[int, bool], ...]:
     """One device's (epoch, functional) trajectory across a home's epoch results."""
-    summaries = [result.summary for result in results]
-    return tuple(sorted((s.epoch, device in s.functional) for s in summaries if device in s.devices))
+    present = ((r.spec.epoch, r.summary) for r in results if device in r.summary.devices)
+    return tuple(sorted((epoch, device in summary.functional) for epoch, summary in present))
 
 
 @pytest.fixture(scope="module")

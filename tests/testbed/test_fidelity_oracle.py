@@ -54,7 +54,7 @@ def test_flow_fidelity_equals_packet_fidelity(index, population_seed, config, fi
 
     assert flow.experiment(config.name).functionality == packet.experiment(config.name).functionality
 
-    assert replace(summarize_home(flow, spec), frames=0) == replace(summarize_home(packet, spec), frames=0)
+    assert summarize_home(flow, spec) == summarize_home(packet, spec)
 
     after = preset.last_end
     assert observe_study(flow, config.name, after=after) == observe_study(packet, config.name, after=after)
