@@ -6,9 +6,8 @@ population-scale campaign does to the whole fleet — and what happens when
 compromised homes start scanning on the attacker's behalf (Mirai over v6).
 
 - :mod:`repro.adversary.analysis`   — per-home susceptibility (fleet worker)
-- :mod:`repro.adversary.campaign`   — strategy targeting math
-- :mod:`repro.adversary.state`      — SIR compartments and timelines
-- :mod:`repro.adversary.worm`       — the epidemic loop
+- :mod:`repro.adversary.worm`       — strategy target space, SIR compartments
+  and the epidemic loop
 - :mod:`repro.adversary.population` — specs, sharded measurement, epidemic fold
 """
 
@@ -18,7 +17,6 @@ from repro.adversary.analysis import (
     HomeSusceptibility,
     run_home_susceptibility,
 )
-from repro.adversary.campaign import CompromiseEvent, TargetModel, infection_probability
 from repro.adversary.population import (
     AdversaryAggregate,
     AdversaryFold,
@@ -26,8 +24,15 @@ from repro.adversary.population import (
     FirewallOutcome,
     run_adversary_stream,
 )
-from repro.adversary.state import EXTERNAL_SOURCE, EpidemicState, HomeState, TimelinePoint
-from repro.adversary.worm import InfectionTimeline, WormParams, run_worm
+from repro.adversary.worm import (
+    EXTERNAL_SOURCE,
+    CompromiseEvent,
+    InfectionTimeline,
+    TimelinePoint,
+    WormParams,
+    infection_probability,
+    run_worm,
+)
 
 __all__ = [
     "STRATEGIES",
@@ -35,7 +40,6 @@ __all__ = [
     "HomeSusceptibility",
     "run_home_susceptibility",
     "CompromiseEvent",
-    "TargetModel",
     "infection_probability",
     "AdversaryAggregate",
     "AdversaryFold",
@@ -43,8 +47,6 @@ __all__ = [
     "FirewallOutcome",
     "run_adversary_stream",
     "EXTERNAL_SOURCE",
-    "EpidemicState",
-    "HomeState",
     "TimelinePoint",
     "InfectionTimeline",
     "WormParams",

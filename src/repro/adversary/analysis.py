@@ -19,8 +19,8 @@ firewall:
   not code execution).
 
 The flattened :class:`HomeSusceptibility` carries per-strategy entry counts,
-so the epidemic layer never re-runs packets: campaign and worm math are pure
-functions of these summaries.
+so the epidemic layer never re-runs packets: the worm's targeting and spread
+are pure functions of these summaries.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ if TYPE_CHECKING:
     from repro.adversary.population import AdversarySpec
 
 # The sweep strategies; "hitlist" replays leaked addresses instead of
-# synthesizing candidates. Kept here (not campaign.py) because the worker
-# classifies entries per strategy and must agree with the campaign layer.
+# synthesizing candidates. Defined next to the worker that counts each
+# device's entries per strategy; the worm's target space reads the same names.
 STRATEGIES = ("eui64-sweep", "low-iid", "hitlist")
 
 # When the single pre-scan cloud check-in fires (the connectivity-experiment

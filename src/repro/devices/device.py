@@ -28,6 +28,7 @@ from repro.stack.host import HostStack
 
 MATTER_PORT = 5540
 APP_PORT = 443
+V6_FALLBACK_DELAY = 0.3   # seconds from a failed IPv6 flow to its IPv4 retry
 
 _SCOPE_BY_NAME = {scope.name: scope for scope in AddressScope}
 
@@ -40,9 +41,7 @@ class IoTDevice:
         self.profile = profile
         self.internet = internet
         self.plans: list[DomainPlan] = build_portfolio(profile)
-        self.stack = HostStack(
-            sim, profile.slug, profile.mac, link, config=StackConfig(ipv6_enabled=False, ndp_enabled=False)
-        )
+        self.stack = HostStack(sim, profile.slug, profile.mac, link, config=StackConfig(ipv6_enabled=False))
         self.rng = sim.rng_for(f"device/{profile.slug}")
         self.phase: Phase = profile.v6only
         self.network: Optional[NetworkConfig] = None
@@ -104,9 +103,7 @@ class IoTDevice:
         p = self.profile
         gua_count, ula_count, lla_rotations = self._rotation_plan(network, phase)
         return StackConfig(
-            ipv4_enabled=True,
             ipv6_enabled=phase.ndp,
-            ndp_enabled=phase.ndp,
             forms_addresses=phase.addr,
             form_lla=phase.addr and p.form_lla,
             accept_gua_prefix=phase.gua,
@@ -128,7 +125,6 @@ class IoTDevice:
             accept_rdnss=p.accept_rdnss,
             dns_retry_budget=p.dns_retry_budget,
             dns_backoff_base=p.dns_backoff_base,
-            dns_backoff_jitter=p.dns_backoff_jitter,
             open_tcp_ports_v4=p.open_tcp_v4,
             open_tcp_ports_v6=p.open_tcp_v6,
             open_udp_ports_v4=p.open_udp_v4,
@@ -265,14 +261,13 @@ class IoTDevice:
         the destination fall back; IPv6-only homes have nowhere to go — the
         functionality loss the paper observed under broken v6.
         """
-        p = self.profile
         network = self.network
-        if not p.happy_eyeballs or network is None or not network.ipv4:
+        if network is None or not network.ipv4:
             return
         if self.stack.ipv4_address is None or not plan.has_a:
             return
         self.stack.metrics.fallbacks += 1
-        self.sim.schedule(p.v6_fallback_delay, self._flow_v4, plan)
+        self.sim.schedule(V6_FALLBACK_DELAY, self._flow_v4, plan)
 
     def _tcp_flow(self, address, plan: DomainPlan, volume: int, done: Callable[[bool], None]) -> None:
         hello = TLSClientHello(plan.name, random=self.rng.getrandbits(256).to_bytes(32, "big")).encode()

@@ -190,21 +190,13 @@ class DeviceProfile:
     open_udp_v4: tuple = ()
     open_udp_v6: tuple = ()
 
-    # inbound IPv6 holes the device requests from a pinhole-mode router
-    # firewall (UPnP/PCP-style port mappings); empty means "derive from the
-    # category defaults" (see repro.exposure.analysis.effective_pinholes)
-    pinhole_tcp_v6: tuple = ()
-    pinhole_udp_v6: tuple = ()
-
     # fault recovery behaviour (repro.faults): how hard the firmware fights
     # an outage. Retries are invisible in clean runs (no timeouts ever fire);
-    # under impairment they produce the paper's query storms and the
-    # happy-eyeballs v6->v4 rescue of dual-stack devices.
+    # under impairment they produce the paper's query storms. The jitter and
+    # the happy-eyeballs v6->v4 rescue are the same for every device
+    # (repro.stack.host.DNS_BACKOFF_JITTER, repro.devices.device).
     dns_retry_budget: int = 2
     dns_backoff_base: float = 2.0
-    dns_backoff_jitter: float = 0.5
-    happy_eyeballs: bool = True
-    v6_fallback_delay: float = 0.3   # seconds from v6 flow failure to v4 retry
 
     # per-network-class observable behaviour
     v6only: Phase = NO_IPV6

@@ -39,15 +39,9 @@ _KIND_LABELS = {"temporary": "privacy"}
 def effective_pinholes(profile: DeviceProfile) -> tuple[tuple[int, int], ...]:
     """The ``(proto, port)`` mappings a device requests from a pinhole router.
 
-    Explicit ``pinhole_*_v6`` profile fields win; otherwise UPnP-prone
-    categories map their LAN-open TCP services and everything else requests
-    nothing.
+    UPnP-prone categories map their LAN-open TCP services; everything else
+    requests nothing.
     """
-    explicit = tuple((6, port) for port in profile.pinhole_tcp_v6) + tuple(
-        (17, port) for port in profile.pinhole_udp_v6
-    )
-    if explicit:
-        return explicit
     if profile.category in UPNP_CATEGORIES:
         return tuple((6, port) for port in profile.open_tcp_v6)
     return ()
@@ -96,10 +90,6 @@ class HomeExposure:
     @property
     def discoverable_devices(self) -> list[str]:
         return [d.device for d in self.devices if d.discoverable]
-
-    @property
-    def reachable_devices(self) -> list[str]:
-        return [d.device for d in self.devices if d.reachable]
 
     @property
     def any_reachable(self) -> bool:

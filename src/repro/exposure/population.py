@@ -90,12 +90,6 @@ class ExposureAggregate:
     def completed(self) -> int:
         return self.total_runs - len(self.failed)
 
-    def stats_for(self, firewall: str) -> FirewallStats:
-        for stats in self.per_firewall:
-            if stats.firewall == firewall:
-                return stats
-        raise KeyError(firewall)
-
 
 # --------------------------------------------------------- streaming fold
 

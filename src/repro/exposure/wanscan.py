@@ -105,7 +105,7 @@ class AttackerKnowledge:
         an EUI-64 IID whose OUI is known and whose NIC suffix is within the
         sweep budget. Temporary/stable IIDs draw from 2^64 values and are
         (with overwhelming probability) never synthesized. The per-strategy
-        predicates are split out so :mod:`repro.adversary.campaign` can
+        predicates are split out so :mod:`repro.adversary.analysis` can
         attribute each discovered address to the strategy that finds it.
         """
         network = prefix if isinstance(prefix, ipaddress.IPv6Network) else ipaddress.IPv6Network(prefix)
@@ -342,10 +342,10 @@ class WanScanner:
     # ------------------------------------------------------------------- run
 
     def _tcp_candidates(self, profile) -> tuple[int, ...]:
-        return tuple(sorted(set(COMMON_TCP_PORTS) | set(profile.open_tcp_v6) | set(profile.pinhole_tcp_v6)))
+        return tuple(sorted(set(COMMON_TCP_PORTS) | set(profile.open_tcp_v6)))
 
     def _udp_candidates(self, profile) -> tuple[int, ...]:
-        return tuple(sorted(set(COMMON_UDP_PORTS) | set(profile.open_udp_v6) | set(profile.pinhole_udp_v6)))
+        return tuple(sorted(set(COMMON_UDP_PORTS) | set(profile.open_udp_v6)))
 
     def run(self, *, batch: int = 400) -> WanScanResult:
         """Census, then probe every synthesized candidate; returns the result."""

@@ -98,11 +98,6 @@ class RolloutScenario:
         if not 1 <= self.min_devices <= self.max_devices:
             raise ValueError("need 1 <= min_devices <= max_devices")
 
-    @property
-    def config_names(self) -> tuple[str, ...]:
-        """The configs this mix can assign, in mix order (weights > 0)."""
-        return tuple(name for name, weight in self.config_mix if weight > 0)
-
     def draw_config(self, rng: random.Random) -> str:
         total = sum(weight for _, weight in self.config_mix)
         point = rng.random() * total

@@ -28,7 +28,6 @@ from repro.lifecycle.rollout import WAVES, RolloutWave, WaveStage, get_wave
 from repro.lifecycle.timeline import (
     MIN_HOME_SIZE,
     EpochSpec,
-    HomeTimeline,
     LifecycleParams,
     build_timeline,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "EpochStats",
     "EpochSummary",
     "FirmwareRevision",
-    "HomeTimeline",
     "LifecycleAggregate",
     "LifecycleFold",
     "LifecycleParams",

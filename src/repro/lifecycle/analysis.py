@@ -78,10 +78,6 @@ class EpochSummary:
     def size(self) -> int:
         return len(self.devices)
 
-    @property
-    def brick_rate(self) -> float:
-        return len(self.bricked) / len(self.devices) if self.devices else 0.0
-
 
 def epoch_profiles(spec: EpochSpec) -> list[DeviceProfile]:
     """The home's profiles for this epoch: stock + firmware + rotation."""

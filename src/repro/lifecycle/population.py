@@ -166,7 +166,7 @@ class LifecycleFold(Fold):
 def _lifecycle_unit(index: int, *, seed: int, params: LifecycleParams):
     # build_timeline's inventory/upgrade-path lookups are process-cached, so
     # planning one home at a time costs nothing extra per home.
-    return build_timeline(index, seed, params).epochs
+    return build_timeline(index, seed, params)
 
 
 def run_lifecycle_stream(

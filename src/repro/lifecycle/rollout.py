@@ -16,7 +16,6 @@ timeline engine (:mod:`repro.lifecycle.timeline`) asks ``config_at`` one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.testbed.study import resolve_config
 
@@ -62,21 +61,6 @@ class RolloutWave:
             if stage.epoch <= epoch and position < stage.fraction:
                 name = stage.config_name
         return name
-
-    def transition_epochs(self, position: float, horizon: int) -> tuple[int, ...]:
-        """Epochs (< horizon) in which this home's config actually changes."""
-        epochs = []
-        previous = self.config_at(0, position)
-        for epoch in range(1, horizon):
-            current = self.config_at(epoch, position)
-            if current != previous:
-                epochs.append(epoch)
-            previous = current
-        return tuple(epochs)
-
-    def first_transition(self, position: float, horizon: int) -> Optional[int]:
-        epochs = self.transition_epochs(position, horizon)
-        return epochs[0] if epochs else None
 
 
 WAVES: dict[str, RolloutWave] = {

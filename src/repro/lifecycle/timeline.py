@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.devices import build_inventory, device_by_name
 from repro.faults.schedule import get_fault
@@ -93,16 +93,6 @@ class EpochSpec:
         return len(self.device_names)
 
 
-@dataclass(frozen=True)
-class HomeTimeline:
-    """One home's full planned trajectory."""
-
-    home_id: int
-    position: float                  # where this home sits on the rollout line
-    epochs: tuple[EpochSpec, ...]
-    first_transition: Optional[int]  # epoch of the first config change (or None)
-
-
 def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool: Sequence[str]) -> list[str]:
     """One epoch of membership churn; draws in sorted order for determinism."""
     survivors: list[str] = []
@@ -119,8 +109,8 @@ def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool
     return survivors
 
 
-def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeline:
-    """Plan one home's timeline; fully determined by ``(seed, index, params)``."""
+def build_timeline(index: int, seed: int, params: LifecycleParams) -> tuple[EpochSpec, ...]:
+    """Plan one home's epochs; fully determined by ``(seed, index, params)``."""
     wave = get_wave(params.wave)
     pool = [profile.name for profile in build_inventory()]
 
@@ -168,9 +158,4 @@ def build_timeline(index: int, seed: int, params: LifecycleParams) -> HomeTimeli
                 fidelity=params.fidelity,
             )
         )
-    return HomeTimeline(
-        home_id=index,
-        position=position,
-        epochs=tuple(specs),
-        first_transition=wave.first_transition(position, params.epochs),
-    )
+    return tuple(specs)

@@ -83,12 +83,8 @@ class StackConfig:
     paper observed.
     """
 
-    # IPv4
-    ipv4_enabled: bool = True
-
-    # IPv6 base
-    ipv6_enabled: bool = True       # emits any IPv6 traffic at all
-    ndp_enabled: bool = True        # participates in Neighbor Discovery
+    # IPv6 base (IPv4 is always on)
+    ipv6_enabled: bool = True       # emits any IPv6 traffic, Neighbor Discovery included
     forms_addresses: bool = True    # False: multicasts NDP from "::" only
 
     # SLAAC
@@ -131,12 +127,12 @@ class StackConfig:
     # DNS retry behaviour (repro.faults): a query unanswered after
     # ``repro.stack.host.DNS_TIMEOUT`` is retransmitted up to
     # ``dns_retry_budget`` more times with exponential backoff
-    # (``dns_backoff_base * 2**attempt`` plus uniform seeded jitter). Clean
-    # runs never hit a timeout, so these defaults are wire-invisible without
-    # faults; under an outage they produce the paper's query storms.
+    # (``dns_backoff_base * 2**attempt`` plus uniform seeded jitter of up to
+    # ``repro.stack.host.DNS_BACKOFF_JITTER``). Clean runs never hit a
+    # timeout, so these defaults are wire-invisible without faults; under an
+    # outage they produce the paper's query storms.
     dns_retry_budget: int = 2
     dns_backoff_base: float = 2.0
-    dns_backoff_jitter: float = 0.5
 
     # Misc
     answer_echo: bool = True            # replies to ICMPv6/ICMPv4 echo
@@ -144,11 +140,6 @@ class StackConfig:
     open_tcp_ports_v6: tuple = ()
     open_udp_ports_v4: tuple = ()
     open_udp_ports_v6: tuple = ()
-
-    def copy(self) -> "StackConfig":
-        from dataclasses import replace
-
-        return replace(self)
 
 
 @dataclass

@@ -83,6 +83,7 @@ DAD_DELAY = 1.0
 RS_INTERVAL = 4.0
 RS_ATTEMPTS = 3
 DNS_TIMEOUT = 3.0
+DNS_BACKOFF_JITTER = 0.5   # upper bound of the uniform seeded delay added to each retry
 
 UdpHandler = Callable[[object, int, Layer], None]
 
@@ -179,9 +180,8 @@ class HostStack(Node):
         """(Re)start the stack: clear state and begin auto-configuration."""
         self.reset()
         self._booted = True
-        if self.config.ipv4_enabled:
-            self.sim.schedule(self.rng.uniform(0.1, 1.0), self._dhcp4_start)
-        if self.config.ipv6_enabled and self.config.ndp_enabled:
+        self.sim.schedule(self.rng.uniform(0.1, 1.0), self._dhcp4_start)
+        if self.config.ipv6_enabled:
             self.sim.schedule(self.rng.uniform(1.0, 3.0), self._ipv6_start)
         self._open_service_ports()
 
@@ -486,8 +486,6 @@ class HostStack(Node):
             self.nic.send(Ethernet(message.sender_mac, self.mac, ETHERTYPE_ARP, reply))
 
     def _rx_ipv4(self, packet: IPv4) -> None:
-        if self.config.ipv4_enabled is False:
-            return
         mine = self.ipv4_address is not None and packet.dst == self.ipv4_address
         if packet.dst != BROADCAST_V4 and not mine:
             return
@@ -740,7 +738,7 @@ class HostStack(Node):
             if not self.config.ipv6_enabled or not self._ipv6_active or self._on_link(dst):
                 return None
             return self.default_router_mac
-        if self.ipv4_address is None or not self.config.ipv4_enabled or self.ipv4_gateway is None:
+        if self.ipv4_address is None or self.ipv4_gateway is None:
             return None
         return None if self._v4_on_link(dst) else self.arp.lookup(self.ipv4_gateway)
 
@@ -833,9 +831,7 @@ class HostStack(Node):
         self.metrics.dns_timeouts += 1
         self.metrics.dns_timeout_times.append(self.sim.now)
         if attempt < self.config.dns_retry_budget and self._booted:
-            delay = self.config.dns_backoff_base * (2 ** attempt)
-            if self.config.dns_backoff_jitter:
-                delay += self._retry_rng.random() * self.config.dns_backoff_jitter
+            delay = self.config.dns_backoff_base * (2 ** attempt) + self._retry_rng.random() * DNS_BACKOFF_JITTER
             self.sim.schedule(delay, self._dns_attempt, question.name, question.qtype, family, callback, attempt + 1)
             return
         self.metrics.dns_failures += 1

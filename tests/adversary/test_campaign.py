@@ -1,9 +1,9 @@
-"""Campaign targeting math."""
+"""Worm targeting math: the strategies' target spaces and the hit probability."""
 
 import pytest
 
 from repro.adversary.analysis import DeviceSusceptibility, HomeSusceptibility
-from repro.adversary.campaign import TargetModel, infection_probability, validate_strategy
+from repro.adversary.worm import WormParams, infection_probability, run_worm, target_space
 
 
 def device(name, *, kind="eui64", exploitable=True, e64=1, low=0, hit=1):
@@ -41,12 +41,6 @@ POPULATION = {
 }
 
 
-def test_validate_strategy():
-    assert validate_strategy("hitlist") == "hitlist"
-    with pytest.raises(ValueError):
-        validate_strategy("quantum")
-
-
 def test_infection_probability_edges():
     assert infection_probability(0.0, 100) == 0.0
     assert infection_probability(0.5, 0) == 0.0
@@ -58,26 +52,21 @@ def test_infection_probability_edges():
 
 
 def test_sweep_space_is_population_times_prefix_space():
-    model = TargetModel(POPULATION, "eui64-sweep")
-    assert model.space == 3 * 1000          # immune home's 0 doesn't shrink it
-    # only exploitable devices contribute entries
-    assert model.probability(0) == pytest.approx(2 / 3000)
-    assert model.probability(1) == 0.0      # cam is not exploitable
-    assert model.probability(2) == 0.0      # immune
-    assert model.susceptible(0) and not model.susceptible(1)
-    assert model.memberships() == [(0, True), (1, False), (2, False)]
+    assert target_space(POPULATION, "eui64-sweep", 95) == 3 * 1000   # immune home's 0 doesn't shrink it
+    assert target_space(POPULATION, "low-iid", 95) == 3 * 500
+    # only exploitable devices contribute entries: cam is not, home 2 is immune
+    assert [POPULATION[home_id].entries("eui64-sweep") for home_id in range(3)] == [2, 0, 0]
 
 
 def test_hitlist_space_counts_all_leaks_plus_background():
-    model = TargetModel(POPULATION, "hitlist", hitlist_background=95)
     # 2 leaked (home 0) + 3 leaked (home 1, unexploitable but on the list)
-    assert model.space == 5 + 95
-    assert model.probability(0) == pytest.approx(2 / 100)
-    assert model.probability(1) == 0.0
+    assert target_space(POPULATION, "hitlist", 95) == 5 + 95
+    assert [POPULATION[home_id].entries("hitlist") for home_id in range(3)] == [2, 0, 0]
 
 
 def test_hitlist_with_no_leaks_has_zero_probability():
-    model = TargetModel({0: home([device("tv", hit=0)])}, "hitlist", hitlist_background=1000)
+    population = {0: home([device("tv", hit=0)])}
     # nothing local leaked: no background padding, no division artifacts
-    assert model.space == 0
-    assert model.probability(0) == 0.0
+    assert target_space(population, "hitlist", 1000) == 0
+    params = WormParams(strategy="hitlist", scan_rate=1e9, hitlist_background=1000)
+    assert run_worm(population, params, seed=1).events == ()

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.adversary.state import EXTERNAL_SOURCE
-from repro.adversary.worm import WormParams, run_worm
+from repro.adversary.worm import EXTERNAL_SOURCE, WormParams, run_worm
 from tests.adversary.test_campaign import device, home
 
 

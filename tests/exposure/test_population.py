@@ -60,8 +60,8 @@ def small_fleet():
 def test_aggregate_open_dominates_stateful(small_fleet):
     aggregate = small_fleet
     assert aggregate.total_runs == 2 and not aggregate.failed
-    open_stats = aggregate.stats_for("open")
-    stateful_stats = aggregate.stats_for("stateful")
+    open_stats, stateful_stats = aggregate.per_firewall    # FIREWALL_MODES order
+    assert (open_stats.firewall, stateful_stats.firewall) == ("open", "stateful")
     # same population, weaker shield: open exposes at least as much
     assert open_stats.devices == stateful_stats.devices
     assert open_stats.discoverable_devices == stateful_stats.discoverable_devices
@@ -96,10 +96,11 @@ def test_worker_results_sorted_by_sort_key():
     )
     aggregate = scan(*units, shards=2)
     assert [stats.firewall for stats in aggregate.per_firewall] == ["open", "stateful"]
-    assert aggregate.stats_for("stateful").homes == 2
+    open_stats, stateful_stats = aggregate.per_firewall
+    assert stateful_stats.homes == 2
     # the fold counts exactly what run_home_exposure measured
     direct = run_home_exposure(units[1][1])
-    assert aggregate.stats_for("open").devices == len(direct.devices)
+    assert open_stats.devices == len(direct.devices)
 
 
 def test_stream_is_byte_identical_across_shards():

@@ -66,18 +66,20 @@ class TestConfigAt:
 class TestTransitions:
     def test_control_wave_never_transitions(self):
         wave = get_wave("none")
-        assert wave.transition_epochs(0.5, 12) == ()
-        assert wave.first_transition(0.5, 12) is None
+        assert {wave.config_at(epoch, 0.5) for epoch in range(12)} == {"dual-stack"}
 
     def test_transition_epochs_match_config_changes(self):
         wave = get_wave("v4-sunset")
-        assert wave.transition_epochs(0.2, 10) == (1, 5)
-        assert wave.transition_epochs(0.8, 10) == (3, 7)
-        assert wave.first_transition(0.2, 10) == 1
+        early = [wave.config_at(epoch, 0.2) for epoch in range(10)]
+        late = [wave.config_at(epoch, 0.8) for epoch in range(10)]
+        # the early half changes config at epochs 1 and 5, the late half at 3 and 7
+        assert early == ["ipv4-only"] + ["dual-stack"] * 4 + ["ipv6-only"] * 5
+        assert late == ["ipv4-only"] * 3 + ["dual-stack"] * 4 + ["ipv6-only"] * 3
 
     def test_horizon_clips_transitions(self):
+        # a 3-epoch horizon sees only the early half's first change
         wave = get_wave("v4-sunset")
-        assert wave.transition_epochs(0.2, 3) == (1,)
+        assert [wave.config_at(epoch, 0.2) for epoch in range(3)] == ["ipv4-only", "dual-stack", "dual-stack"]
 
 
 class TestCatalog:

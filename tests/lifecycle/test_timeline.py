@@ -14,7 +14,7 @@ def plan_homes(homes, *, seed, params):
 
 def flatten(timelines):
     """The epoch specs of every timeline, home by home."""
-    return [spec for timeline in timelines for spec in timeline.epochs]
+    return [spec for timeline in timelines for spec in timeline]
 
 
 class TestParams:
@@ -64,7 +64,7 @@ class TestDeterminism:
         for index in range(4):
             control = build_timeline(index, 17, base)
             treated = build_timeline(index, 17, cut)
-            for a, b in zip(control.epochs, treated.epochs):
+            for a, b in zip(control, treated):
                 assert a.device_names == b.device_names
                 assert a.firmware == b.firmware
                 assert a.sim_seed == b.sim_seed
@@ -73,7 +73,7 @@ class TestDeterminism:
         """A shorter horizon is a prefix of a longer one, epoch for epoch."""
         short = build_timeline(1, 23, LifecycleParams(epochs=3))
         long = build_timeline(1, 23, LifecycleParams(epochs=6))
-        assert long.epochs[:3] == short.epochs
+        assert long[:3] == short
 
 
 class TestChurn:
@@ -81,45 +81,44 @@ class TestChurn:
         params = LifecycleParams(epochs=10, leave_rate=1.0, join_rate=0.0)
         for index in range(5):
             timeline = build_timeline(index, 31, params)
-            for spec in timeline.epochs:
+            for spec in timeline:
                 assert spec.size >= MIN_HOME_SIZE
 
     def test_joins_draw_from_inventory_pool(self):
         params = LifecycleParams(epochs=8, leave_rate=0.0, join_rate=1.0, max_devices=4)
         timeline = build_timeline(0, 5, params)
-        sizes = [spec.size for spec in timeline.epochs]
+        sizes = [spec.size for spec in timeline]
         assert sizes == sorted(sizes)  # nothing leaves, one joins per epoch
         assert sizes[-1] > sizes[0]
-        for spec in timeline.epochs:
+        for spec in timeline:
             assert len(set(spec.device_names)) == len(spec.device_names)
 
     def test_zero_rates_freeze_membership(self):
         params = LifecycleParams(epochs=6, leave_rate=0.0, join_rate=0.0, update_rate=0.0)
         timeline = build_timeline(2, 11, params)
-        names = {spec.device_names for spec in timeline.epochs}
+        names = {spec.device_names for spec in timeline}
         assert len(names) == 1
-        assert all(spec.firmware == () for spec in timeline.epochs)
+        assert all(spec.firmware == () for spec in timeline)
 
 
 class TestWaveComposition:
     def test_flash_cut_transitions_everyone_at_epoch_two(self):
         params = LifecycleParams(epochs=4, wave="flash-cut")
         for timeline in plan_homes(5, seed=3, params=params):
-            assert timeline.first_transition == 2
-            configs = [spec.config_name for spec in timeline.epochs]
+            configs = [spec.config_name for spec in timeline]
             assert configs == ["dual-stack", "dual-stack", "ipv6-only", "ipv6-only"]
-            assert [spec.transitioned for spec in timeline.epochs] == [False, False, True, False]
+            assert [spec.transitioned for spec in timeline] == [False, False, True, False]
 
     def test_fault_fires_only_in_transition_epochs(self):
         params = LifecycleParams(epochs=4, wave="flash-cut", fault_name="ra-blackout")
         timeline = build_timeline(0, 3, params)
-        for spec in timeline.epochs:
+        for spec in timeline:
             assert (spec.fault_name == "ra-blackout") == spec.transitioned
 
     def test_control_wave_never_faults(self):
         params = LifecycleParams(epochs=4, wave="none", fault_name="ra-blackout")
         timeline = build_timeline(0, 3, params)
-        assert all(spec.fault_name == "none" for spec in timeline.epochs)
+        assert all(spec.fault_name == "none" for spec in timeline)
 
 
 class TestFirmwareHistory:
@@ -127,7 +126,7 @@ class TestFirmwareHistory:
         params = LifecycleParams(epochs=8, update_rate=1.0, leave_rate=0.0, join_rate=0.0)
         timeline = build_timeline(0, 13, params)
         previous: dict[str, tuple[str, ...]] = {}
-        for spec in timeline.epochs:
+        for spec in timeline:
             current = dict(spec.firmware)
             for name, revisions in previous.items():
                 # applied revisions never disappear or reorder
@@ -140,7 +139,7 @@ class TestFirmwareHistory:
         params = LifecycleParams(epochs=8, update_rate=1.0, leave_rate=0.5)
         for index in range(4):
             timeline = build_timeline(index, 29, params)
-            for spec in timeline.epochs:
+            for spec in timeline:
                 members = set(spec.device_names)
                 assert all(name in members for name, _ in spec.firmware)
 
