@@ -63,9 +63,7 @@ def _sweep_unit(index: int):
     case without the cache: every spec re-simulates the clean baseline the
     cache can share). The unit is still the whole home, so its arms run
     back to back in one process."""
-    (classic,) = _faults_unit(
-        index, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, checkins=2, fidelity="flow"
-    )
+    (classic,) = _faults_unit(index, seed=SEED, config_names=("ipv6-only",), fault_names=SCHEDULES, fidelity="flow")
     return tuple(dataclasses.replace(classic, fault_names=(name,)) for name in SCHEDULES)
 
 

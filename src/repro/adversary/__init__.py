@@ -5,22 +5,20 @@ asks *what can one scanner find in one home*, this package asks what a
 population-scale campaign does to the whole fleet — and what happens when
 compromised homes start scanning on the attacker's behalf (Mirai over v6).
 
-- :mod:`repro.adversary.analysis`   — per-home susceptibility (fleet worker)
+The per-home measurement is the exposure worker,
+:func:`repro.exposure.analysis.run_home_exposure`, on an
+:class:`~repro.exposure.analysis.ExposureSpec` with ``leak=True``: one
+check-in per device leaks the addresses a hitlist replays, and the run's
+``fault_name`` attaches its fault schedule. This package adds
+
 - :mod:`repro.adversary.worm`       — strategy target space, SIR compartments
   and the epidemic loop
 - :mod:`repro.adversary.population` — specs, sharded measurement, epidemic fold
 """
 
-from repro.adversary.analysis import (
-    STRATEGIES,
-    DeviceSusceptibility,
-    HomeSusceptibility,
-    run_home_susceptibility,
-)
 from repro.adversary.population import (
     AdversaryAggregate,
     AdversaryFold,
-    AdversarySpec,
     FirewallOutcome,
     run_adversary_stream,
 )
@@ -35,15 +33,10 @@ from repro.adversary.worm import (
 )
 
 __all__ = [
-    "STRATEGIES",
-    "DeviceSusceptibility",
-    "HomeSusceptibility",
-    "run_home_susceptibility",
     "CompromiseEvent",
     "infection_probability",
     "AdversaryAggregate",
     "AdversaryFold",
-    "AdversarySpec",
     "FirewallOutcome",
     "run_adversary_stream",
     "EXTERNAL_SOURCE",

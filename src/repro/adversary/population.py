@@ -2,17 +2,18 @@
 
 Two-phase architecture, chosen for the shard-invariance contract:
 
-1. **Susceptibility phase (sharded).** Every (home, firewall) cell is an
-   :class:`AdversarySpec` — a picklable, seeded simulator input — and
-   :func:`run_adversary_stream` fans the homes out over
-   :func:`~repro.fleet.shard.run_sharded`. Each worker runs the full
-   packet-level measurement (autoconfigure, optional fault schedule, WAN
-   probes through the firewall) and returns a flat
-   :class:`~repro.adversary.analysis.HomeSusceptibility`.
+1. **Measurement phase (sharded).** Every (home, firewall) cell is an
+   :class:`~repro.exposure.analysis.ExposureSpec` with ``leak=True`` (and
+   the run's ``fault_name``), and :func:`run_adversary_stream` fans the
+   homes out over :func:`~repro.fleet.shard.run_sharded` to the exposure
+   worker, :func:`~repro.exposure.analysis.run_home_exposure`. Each worker
+   runs the full packet-level measurement (autoconfigure, optional fault
+   schedule, one leaking check-in, WAN probes through the firewall) and
+   returns a flat :class:`~repro.exposure.analysis.HomeExposure`.
 2. **Epidemic phase (serial).** :class:`AdversaryFold` keys the merged
-   susceptibilities by their specs' home ids, then runs the deterministic
-   worm loop per firewall column. Because the loop is pure arithmetic over
-   the homes in id order with its own seeded stream, the rendered output is
+   summaries by their specs' home ids, then runs the deterministic worm
+   loop per firewall column. Because the loop is pure arithmetic over the
+   homes in id order with its own seeded stream, the rendered output is
    byte-identical whatever ``--shards`` was.
 
 Homes are drawn through the fleet generator's scenario machinery, so the
@@ -25,37 +26,16 @@ column attacks the **same** home population.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.adversary.analysis import HomeSusceptibility, run_home_susceptibility
 from repro.adversary.worm import InfectionTimeline, WormParams, run_worm
 from repro.cache import CacheSettings
+from repro.exposure.analysis import ExposureSpec, HomeExposure, run_home_exposure
 from repro.faults.schedule import NO_FAULTS, get_fault
 from repro.fleet.scenario import RolloutScenario, generate_home, get_scenario
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, run_sharded
 from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
-
-DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the probes
-
-
-@dataclass(frozen=True)
-class AdversarySpec:
-    """One (home, firewall) susceptibility cell: seeded, picklable input."""
-
-    home_id: int
-    sim_seed: int
-    config_name: str
-    firewall: str
-    fault_name: str
-    device_names: tuple[str, ...]
-    settle: float = DEFAULT_SETTLE
-    fidelity: str = "packet"
-
-    @property
-    def size(self) -> int:
-        return len(self.device_names)
 
 
 # ------------------------------------------------------------- aggregation
@@ -120,7 +100,7 @@ class AdversaryAggregate:
         raise KeyError(firewall)
 
 
-def _addr_kind_stats(population: Iterable[HomeSusceptibility], strategy: str) -> tuple[AddrKindAdversaryStats, ...]:
+def _addr_kind_stats(population: Iterable[HomeExposure], strategy: str) -> tuple[AddrKindAdversaryStats, ...]:
     devices = [device for home in population for device in home.devices]
     kinds = sorted({device.addr_kind for device in devices})
     return tuple(
@@ -135,7 +115,7 @@ def _addr_kind_stats(population: Iterable[HomeSusceptibility], strategy: str) ->
 
 
 def _config_outcomes(
-    population: dict[int, HomeSusceptibility], strategy: str, timeline: InfectionTimeline
+    population: dict[int, HomeExposure], strategy: str, timeline: InfectionTimeline
 ) -> tuple[ConfigOutcome, ...]:
     compromised_ids = {event.home_id for event in timeline.events}
     configs = sorted({home.config_name for home in population.values()})
@@ -153,7 +133,7 @@ def _config_outcomes(
 
 
 def _outcome_for(
-    firewall: str, population: dict[int, HomeSusceptibility], params: WormParams, seed: int
+    firewall: str, population: dict[int, HomeExposure], params: WormParams, seed: int
 ) -> FirewallOutcome:
     timeline = run_worm(population, params, seed=seed, label=firewall)
     homes = population.values()
@@ -176,26 +156,28 @@ def _outcome_for(
 
 @dataclass(frozen=True)
 class AdversaryFold(Fold):
-    """Fold (home x firewall) susceptibility cells toward the epidemic phase.
+    """Fold (home x firewall) measurement cells toward the epidemic phase.
 
     The adversary layer is the one deliberate exception to O(shards)
     accumulators: the worm loop is *global* serial arithmetic over the whole
     per-firewall population, so each shard retains its slice's
-    ``(home_id, HomeSusceptibility)`` pairs (a few hundred bytes per home —
-    tiny next to the simulations that produced them) and the epidemic runs once, at finalize, over the merged
-    population. Susceptibility measurement — all the actual simulation —
-    still streams and shards like every other subsystem.
+    ``(home_id, HomeExposure)`` pairs (a few hundred bytes per home, tiny
+    next to the simulations that produced them) and the epidemic runs once,
+    at finalize, over the merged population. The measurement, all the
+    actual simulation, still streams and shards like every other subsystem.
+    The scenario and fault are run parameters the stream sets, so a run in
+    which every cell fails still names them.
     """
 
     params: WormParams
     seed: int
     scenario_name: str = ""
+    fault_name: str = NO_FAULTS.name
     cell = "firewall"
 
     def count(self, acc, completed):
         for result in completed:
             spec = result.spec
-            acc.setdefault("fault", Counter())[spec.fault_name] += 1
             acc.setdefault("fw", {}).setdefault(spec.firewall, []).append((spec.home_id, result.summary))
         return acc
 
@@ -203,7 +185,7 @@ class AdversaryFold(Fold):
         populations = acc.get("fw", {})
         return AdversaryAggregate(
             scenario_name=self.scenario_name,
-            fault_name=next(iter(acc.get("fault", ())), NO_FAULTS.name),
+            fault_name=self.fault_name,
             params=self.params,
             seed=self.seed,
             total_runs=acc["total_runs"],
@@ -222,19 +204,18 @@ def _adversary_unit(
     scenario: RolloutScenario,
     firewalls: tuple[str, ...],
     fault_name: str,
-    settle: float,
     fidelity: str,
 ):
     home = generate_home(index, seed, scenario)
     return tuple(
-        AdversarySpec(
+        ExposureSpec(
             home_id=home.home_id,
             sim_seed=home.sim_seed,
             config_name=home.config_name,
             firewall=firewall,
-            fault_name=fault_name,
             device_names=home.device_names,
-            settle=settle,
+            fault_name=fault_name,
+            leak=True,
             fidelity=fidelity,
         )
         for firewall in firewalls
@@ -249,7 +230,6 @@ def run_adversary_stream(
     scenario: RolloutScenario | str = "baseline",
     firewalls: Sequence[str] = FIREWALL_MODES,
     fault_name: str = NO_FAULTS.name,
-    settle: float = DEFAULT_SETTLE,
     fidelity: str = "packet",
     shards: int = 1,
     timeout: Optional[float] = None,
@@ -285,11 +265,10 @@ def run_adversary_stream(
             scenario=scenario,
             firewalls=tuple(firewalls),
             fault_name=fault_name,
-            settle=settle,
             fidelity=fidelity,
         ),
-        fold=AdversaryFold(params=params, seed=seed, scenario_name=scenario.name),
-        worker=run_home_susceptibility,
+        fold=AdversaryFold(params=params, seed=seed, scenario_name=scenario.name, fault_name=fault_name),
+        worker=run_home_exposure,
         shards=shards,
         timeout=timeout,
         progress=progress,

@@ -1,8 +1,8 @@
-"""Worm propagation: an SIR epidemic over the fleet's measured susceptibility.
+"""Worm propagation: an SIR epidemic over the fleet's measured WAN exposure.
 
-:mod:`repro.adversary.analysis` measured, with real probes through each
-home's router firewall, which homes have an exploitable entry point under
-the active strategy (``entries > 0``). This module adds no packet
+:func:`repro.exposure.analysis.run_home_exposure` measured, with real probes
+through each home's router firewall, which homes have an exploitable entry
+point under the active strategy (``entries > 0``). This module adds no packet
 simulation of its own, only targeting arithmetic and the epidemic clock,
 which is what keeps the loop jobs-invariant.
 
@@ -43,7 +43,7 @@ patched off the botnet at rate ``dt/recovery`` per tick.
 Determinism contract: homes are visited in sorted id order, all draws come
 from one stream keyed by ``(seed, strategy, label)``, and the number of
 draws per tick depends only on compartment sizes — never on dict order,
-wall-clock, or worker scheduling. Serial and parallel susceptibility runs
+wall-clock, or worker scheduling. Serial and parallel measurement runs
 therefore produce byte-identical timelines.
 """
 
@@ -55,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from repro.adversary.analysis import STRATEGIES, HomeSusceptibility
+from repro.exposure.analysis import STRATEGIES, HomeExposure
 
 DEFAULT_SCAN_RATE = 2000.0   # probes per second per scanning vantage
 DEFAULT_DT = 30.0            # epidemic clock tick (seconds)
@@ -82,7 +82,7 @@ def infection_probability(per_probe: float, probes: float) -> float:
     return 1.0 - (1.0 - per_probe) ** probes
 
 
-def target_space(population: Mapping[int, HomeSusceptibility], strategy: str, hitlist_background: int) -> int:
+def target_space(population: Mapping[int, HomeExposure], strategy: str, hitlist_background: int) -> int:
     """How many addresses one strategy's probes are spread over."""
     homes = population.values()
     if strategy == "hitlist":
@@ -219,7 +219,7 @@ class InfectionTimeline:
 
 
 def run_worm(
-    population: Mapping[int, HomeSusceptibility],
+    population: Mapping[int, HomeExposure],
     params: WormParams,
     *,
     seed: int,

@@ -9,8 +9,9 @@ without touching a byte of output:
 - :mod:`repro.cache.fingerprint` canonicalizes the full study input closure
   (seed, resolved :class:`~repro.stack.config.NetworkConfig` including
   firewall and fidelity, device profile *contents*, fault schedule,
-  checkins) into a stable hash, plus a code-epoch token derived from the
-  package source so entries written by other code never get reused;
+  worker-specific extras such as the WAN scan's ``leak`` flag) into a
+  stable hash, plus a code-epoch token derived from the package source so
+  entries written by other code never get reused;
 - :mod:`repro.cache.store` holds the two-tier cache: a per-worker-process
   memory tier that dedups identical studies *within* a run, and an optional
   on-disk tier (``--cache DIR``) holding compact extracted artifacts —

@@ -35,7 +35,6 @@ import hashlib
 import ipaddress
 import types
 from pathlib import Path
-from typing import Optional
 
 from repro.net.mac import MacAddress
 
@@ -111,7 +110,6 @@ def study_fingerprint(
     sim_seed: int,
     config,
     profiles,
-    checkins: Optional[int] = None,
     fault_schedule=None,
     extra=(),
 ) -> str:
@@ -123,14 +121,13 @@ def study_fingerprint(
     concrete :class:`~repro.devices.profile.DeviceProfile` objects in device
     order (contents hash, so firmware-transformed lifecycle profiles get
     their own keys). ``extra`` carries worker-specific closure items such as
-    an exposure settle horizon.
+    whether an exposure scan replays leaked addresses.
     """
     return digest(
         "study",
         sim_seed,
         config,
         tuple(profiles),
-        checkins,
         fault_schedule,
         tuple(extra),
     )

@@ -229,7 +229,7 @@ class Internet:
     def _build_dns_response(self, query: DNS) -> DNS:
         question = query.question
         record = self.registry.lookup(question.name)
-        if record is None or record.nxdomain:
+        if record is None:
             soa = ResourceRecord.soa(_zone_of(question.name), "ns1.gtld.example", "hostmaster.gtld.example")
             return query.response(rcode=RCODE_NXDOMAIN, authorities=[soa])
         if question.qtype == TYPE_A and record.has_a:

@@ -25,16 +25,15 @@ class DomainRecord:
     name: str
     a_records: list = field(default_factory=list)
     aaaa_records: list = field(default_factory=list)
-    nxdomain: bool = False
     v6_reachable: bool = True   # AAAA may exist yet the host be unreachable (§7)
 
     @property
     def has_aaaa(self) -> bool:
-        return bool(self.aaaa_records) and not self.nxdomain
+        return bool(self.aaaa_records)
 
     @property
     def has_a(self) -> bool:
-        return bool(self.a_records) and not self.nxdomain
+        return bool(self.a_records)
 
 
 class DnsRegistry:
@@ -83,11 +82,6 @@ class DnsRegistry:
             record.aaaa_records.append(self._alloc_v6())
         if not v6_reachable:
             record.v6_reachable = False
-        return record
-
-    def register_nxdomain(self, name: str) -> DomainRecord:
-        record = DomainRecord(name.rstrip(".").lower(), nxdomain=True)
-        self._domains[record.name] = record
         return record
 
     def lookup(self, name: str) -> Optional[DomainRecord]:

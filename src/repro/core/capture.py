@@ -440,9 +440,6 @@ class CaptureIndex:
     def devices_with_ndp(self) -> set[str]:
         return {event.device for event in self.ndp_events}
 
-    def devices_with_address(self) -> set[str]:
-        return {device for device, table in self.addresses.items() if table}
-
     def internet_data_devices(self, family: int) -> set[str]:
         return {f.device for f in self.flows if f.is_data and not f.is_local and f.family == family}
 

@@ -10,24 +10,25 @@ Internet discover and reach once the home is on routed IPv6? It combines
 - :mod:`repro.exposure.wanscan` — a simulated internet-origin attacker:
   EUI-64 / low-IID address synthesis from OUI knowledge, then real ICMPv6
   echo, TCP SYN and UDP probes injected on the WAN side of the router;
-- :mod:`repro.exposure.analysis` — per-home exposure summaries and the
-  picklable per-home worker;
+- :mod:`repro.exposure.analysis` — the spec, the per-home summaries and
+  the picklable per-home worker, shared with :mod:`repro.adversary` (which
+  sets the spec's ``leak`` and ``fault_name``);
 - :mod:`repro.exposure.population` — fleet-scale exposure analytics
   (fraction of homes with an internet-reachable device, broken down by
   firewall mode and address type).
 """
 
 from repro.exposure.analysis import (
+    STRATEGIES,
     DeviceExposure,
+    ExposureSpec,
     HomeExposure,
     effective_pinholes,
     run_home_exposure,
-    summarize_exposure,
 )
 from repro.exposure.population import (
     ExposureAggregate,
     ExposureFold,
-    ExposureSpec,
     FirewallStats,
     run_exposure_stream,
 )
@@ -40,6 +41,7 @@ from repro.exposure.wanscan import (
 )
 
 __all__ = [
+    "STRATEGIES",
     "AttackerKnowledge",
     "DeviceExposure",
     "ExposureAggregate",
@@ -54,5 +56,4 @@ __all__ = [
     "inventory_oui_knowledge",
     "run_exposure_stream",
     "run_home_exposure",
-    "summarize_exposure",
 ]

@@ -16,31 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cache import CacheSettings
-from repro.exposure.analysis import run_home_exposure
+from repro.exposure.analysis import ExposureSpec, run_home_exposure
 from repro.fleet.scenario import RolloutScenario, generate_home
 from repro.fleet.shard import DEFAULT_CHECKPOINT_EVERY, Fold, ShardProgressFn, from_tally, run_sharded
 from repro.stack.firewall import FIREWALL_MODES, firewall_sort_key
 from repro.testbed.study import resolve_config
-
-DEFAULT_SETTLE = 150.0  # sim-seconds of autoconfiguration before the scan
-
-
-@dataclass(frozen=True)
-class ExposureSpec:
-    """One (home, firewall mode) cell: a seeded, picklable simulator input."""
-
-    home_id: int
-    sim_seed: int
-    config_name: str
-    firewall: str
-    device_names: tuple[str, ...]
-    settle: float = DEFAULT_SETTLE
-    fidelity: str = "packet"
-
-    @property
-    def size(self) -> int:
-        return len(self.device_names)
-
 
 # ------------------------------------------------------------- aggregation
 
@@ -99,16 +79,17 @@ class ExposureFold(Fold):
     """Fold one home's (home x firewall) scan grid into per-mode counters.
 
     Each firewall mode gets a counter row keyed by :class:`FirewallStats`
-    field names, with a nested :class:`AddrKindStats` row per address kind;
-    the config is a counter too, so every slot merges exactly.
+    field names, with a nested :class:`AddrKindStats` row per address kind,
+    so every slot merges exactly. The config is a run parameter the stream
+    sets, so a run in which every scan fails still names it.
     """
 
+    config_name: str
     cell = "firewall"
 
     def count(self, acc, completed):
         for result in completed:
             summary = result.summary
-            acc.setdefault("config", Counter())[summary.config_name] += 1
             row = acc.setdefault("fw", {}).setdefault(result.spec.firewall, Counter())
             row["homes"] += 1
             row["devices"] += len(summary.devices)
@@ -136,7 +117,7 @@ class ExposureFold(Fold):
             by_kind = tuple(from_tally(AddrKindStats, kinds[kind], kind=kind) for kind in sorted(kinds))
             per_firewall.append(from_tally(FirewallStats, rows[firewall], firewall=firewall, by_addr_kind=by_kind))
         return ExposureAggregate(
-            config_name=next(iter(acc.get("config", ())), ""),
+            config_name=self.config_name,
             total_runs=acc["total_runs"],
             failed=self.failed(acc),
             per_firewall=tuple(per_firewall),
@@ -149,7 +130,6 @@ def _exposure_unit(
     seed: int,
     config_name: str,
     firewalls: tuple[str, ...],
-    settle: float,
     fidelity: str,
 ):
     scenario = RolloutScenario(name="exposure", config_mix=((config_name, 1.0),))
@@ -161,7 +141,6 @@ def _exposure_unit(
             config_name=config_name,
             firewall=firewall,
             device_names=home.device_names,
-            settle=settle,
             fidelity=fidelity,
         )
         for firewall in firewalls
@@ -174,7 +153,6 @@ def run_exposure_stream(
     seed: int,
     config_name: str = "dual-stack",
     firewalls: Sequence[str] = FIREWALL_MODES,
-    settle: float = DEFAULT_SETTLE,
     fidelity: str = "packet",
     shards: int = 1,
     timeout: Optional[float] = None,
@@ -207,10 +185,9 @@ def run_exposure_stream(
             seed=seed,
             config_name=config.name,
             firewalls=tuple(firewalls),
-            settle=settle,
             fidelity=fidelity,
         ),
-        fold=ExposureFold(),
+        fold=ExposureFold(config_name=config.name),
         worker=run_home_exposure,
         shards=shards,
         timeout=timeout,

@@ -105,7 +105,7 @@ class AttackerKnowledge:
         an EUI-64 IID whose OUI is known and whose NIC suffix is within the
         sweep budget. Temporary/stable IIDs draw from 2^64 values and are
         (with overwhelming probability) never synthesized. The per-strategy
-        predicates are split out so :mod:`repro.adversary.analysis` can
+        predicates are split out so :mod:`repro.exposure.analysis` can
         attribute each discovered address to the strategy that finds it.
         """
         network = prefix if isinstance(prefix, ipaddress.IPv6Network) else ipaddress.IPv6Network(prefix)

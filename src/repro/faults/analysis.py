@@ -167,13 +167,11 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     )
 
     def compute_baseline() -> dict[str, DeviceObservation]:
-        study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins)
+        study = run_home_study(spec.sim_seed, config, profiles)
         # The captures are large; only the observations leave this frame.
         return observe_study(study, config.name)
 
-    clean_fp = study_fingerprint(
-        sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
-    )
+    clean_fp = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles)
     baseline = cached_artifact(clean_fp, "faults-baseline", compute_baseline)
 
     grid = [(name, get_fault(name)) for name in spec.fault_names]
@@ -184,17 +182,11 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     for fault_name, schedule in grid:
 
         def compute_arm(schedule=schedule):
-            study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins, fault_schedule=schedule)
+            study = run_home_study(spec.sim_seed, config, profiles, fault_schedule=schedule)
             observed = observe_study(study, config.name, after=schedule.last_end)
             return observed, study.testbed.faults.counters.total
 
-        arm_fp = study_fingerprint(
-            sim_seed=spec.sim_seed,
-            config=config,
-            profiles=profiles,
-            checkins=spec.checkins,
-            fault_schedule=schedule,
-        )
+        arm_fp = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles, fault_schedule=schedule)
         observed, fault_events = cached_artifact(arm_fp, "faults-arm", compute_arm)
         injected.append((fault_name, fault_events))
         for name in sorted(observed):

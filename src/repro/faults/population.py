@@ -41,12 +41,7 @@ class FaultSpec:
     config_name: str
     device_names: tuple[str, ...]
     fault_names: tuple[str, ...]
-    checkins: int = 2
     fidelity: str = "packet"
-
-    @property
-    def size(self) -> int:
-        return len(self.device_names)
 
 
 # ------------------------------------------------------------- aggregation
@@ -195,7 +190,6 @@ def _faults_unit(
     seed: int,
     config_names: tuple[str, ...],
     fault_names: tuple[str, ...],
-    checkins: int,
     fidelity: str,
 ):
     scenario = RolloutScenario(name="faults", config_mix=((config_names[0], 1.0),))
@@ -207,7 +201,6 @@ def _faults_unit(
             config_name=config_name,
             device_names=home.device_names,
             fault_names=fault_names,
-            checkins=checkins,
             fidelity=fidelity,
         )
         for config_name in config_names
@@ -220,7 +213,6 @@ def run_faults_stream(
     seed: int,
     config_names: Sequence[str] = DEFAULT_CONFIGS,
     fault_names: Sequence[str] = DEFAULT_FAULTS,
-    checkins: int = 2,
     fidelity: str = "packet",
     shards: int = 1,
     timeout: Optional[float] = None,
@@ -252,7 +244,6 @@ def run_faults_stream(
             seed=seed,
             config_names=resolved,
             fault_names=tuple(fault_names),
-            checkins=checkins,
             fidelity=fidelity,
         ),
         fold=FaultFold(),

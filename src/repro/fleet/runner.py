@@ -85,12 +85,10 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
     )
 
     def compute() -> HomeSummary:
-        study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins)
+        study = run_home_study(spec.sim_seed, config, profiles)
         return summarize_home(study, spec)
 
-    fingerprint = study_fingerprint(
-        sim_seed=spec.sim_seed, config=config, profiles=profiles, checkins=spec.checkins
-    )
+    fingerprint = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles)
     return cached_artifact(fingerprint, "fleet-summary", compute)
 
 

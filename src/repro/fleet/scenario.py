@@ -62,12 +62,7 @@ class HomeSpec:
     sim_seed: int
     config_name: str
     device_names: tuple[str, ...]
-    checkins: int = 2
     fidelity: str = "packet"
-
-    @property
-    def size(self) -> int:
-        return len(self.device_names)
 
 
 @dataclass(frozen=True)

@@ -107,14 +107,16 @@ class Fold:
     tells a home's cells apart), and hands the completed results to
     ``count``. ``merge`` is :func:`merge_tallies`; ``finalize`` renders the
     aggregate dataclass the reports consume. Subclasses define only
-    ``count`` and ``finalize``, read every label from ``result.spec``, and
-    keep every slot a tally value: counters, lists, nested dicts of them,
-    or ``StreamStats`` / ``QuantileSketch``. Order-sensitive data is sorted
-    in ``finalize`` or read from dict key order, which contiguous merges
-    keep first-seen.
+    ``count`` and ``finalize``, read every per-cell label from
+    ``result.spec``, and keep every slot a tally value: counters, lists,
+    nested dicts of them, or ``StreamStats`` / ``QuantileSketch``.
+    Order-sensitive data is sorted in ``finalize`` or read from dict key
+    order, which contiguous merges keep first-seen.
 
-    Fold instances themselves are configuration (frozen, picklable); all
-    run state lives in the accumulator.
+    Fold instances themselves are configuration (frozen, picklable): the
+    run's parameters, such as the exposure config, are their fields, so a
+    run in which every unit fails still reports them. All run state lives
+    in the accumulator.
     """
 
     cell: ClassVar[Optional[str]] = None

@@ -116,7 +116,6 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
         sim_seed=spec.sim_seed,
         config=config,
         profiles=profiles,
-        checkins=spec.checkins,
         fault_schedule=schedule,
         extra=("exposure", spec.exposure),
     )
@@ -125,7 +124,7 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
 
 def _simulate_epoch(spec: EpochSpec, config, profiles, schedule) -> EpochSummary:
     """The uncached body: one epoch study plus its optional WAN scan."""
-    study = run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins, fault_schedule=schedule)
+    study = run_home_study(spec.sim_seed, config, profiles, fault_schedule=schedule)
     result = study.experiment(config.name)
 
     functional = tuple(sorted(name for name, ok in result.functionality.items() if ok))

@@ -41,6 +41,10 @@ from repro.lifecycle.rollout import get_wave
 # a different study, not a smaller one.
 MIN_HOME_SIZE = 2
 
+# Bounds of a home's first-epoch portfolio size.
+MIN_DEVICES = 3
+MAX_DEVICES = 8
+
 
 @dataclass(frozen=True)
 class LifecycleParams:
@@ -54,9 +58,6 @@ class LifecycleParams:
     fault_name: str = "none"     # preset injected in each home's transition epochs
     exposure: bool = False       # WAN-scan every epoch (v6-capable configs)
     rotation: bool = True        # RFC 8981 rotate-out on privacy-addressed devices
-    checkins: int = 2
-    min_devices: int = 3
-    max_devices: int = 8
     fidelity: str = "packet"     # simulation fidelity for every epoch run
 
     def __post_init__(self):
@@ -85,12 +86,7 @@ class EpochSpec:
     fault_name: str = "none"
     exposure: bool = False
     rotation: bool = True
-    checkins: int = 2
     fidelity: str = "packet"
-
-    @property
-    def size(self) -> int:
-        return len(self.device_names)
 
 
 def _churn(members: list[str], rng: random.Random, params: LifecycleParams, pool: Sequence[str]) -> list[str]:
@@ -117,8 +113,8 @@ def build_timeline(index: int, seed: int, params: LifecycleParams) -> tuple[Epoc
     scenario = RolloutScenario(
         name="lifecycle",
         config_mix=((wave.base_config, 1.0),),
-        min_devices=params.min_devices,
-        max_devices=params.max_devices,
+        min_devices=MIN_DEVICES,
+        max_devices=MAX_DEVICES,
     )
     home = generate_home(index, seed, scenario)
     position = random.Random(f"{seed}/lifecycle/wave/{index}").random()
@@ -154,7 +150,6 @@ def build_timeline(index: int, seed: int, params: LifecycleParams) -> tuple[Epoc
                 fault_name=params.fault_name if (transitioned and params.fault_name != "none") else "none",
                 exposure=params.exposure,
                 rotation=params.rotation,
-                checkins=params.checkins,
                 fidelity=params.fidelity,
             )
         )

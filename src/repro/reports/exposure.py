@@ -25,7 +25,7 @@ def render_exposure(aggregate: ExposureAggregate) -> str:
             ]
         )
     title = (
-        f"WAN exposure: {aggregate.config_name or 'n/a'}, "
+        f"WAN exposure: {aggregate.config_name}, "
         + run_counts(aggregate.completed, aggregate.total_runs, "home-scans", len(aggregate.failed))
     )
     table = format_table(

@@ -33,11 +33,6 @@ class Event:
             if sim._dead > 64 and sim._dead * 2 > len(sim._queue):
                 sim._compact()
 
-    def __lt__(self, other: "Event") -> bool:
-        # Heap entries are (time, seq, event) tuples so ordering resolves on
-        # the first two C-compared fields; kept for direct Event comparisons.
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """A minimal, deterministic discrete-event simulator.

@@ -32,10 +32,6 @@ class Nic:
         self._multicast_bytes.add(MacAddress(mac).packed)
         self.link.invalidate_flood()
 
-    def leave_multicast(self, mac: MacAddress) -> None:
-        self._multicast_bytes.discard(MacAddress(mac).packed)
-        self.link.invalidate_flood()
-
     def send(self, frame: Ethernet) -> None:
         """Put a frame on the wire.
 

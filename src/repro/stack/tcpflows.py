@@ -157,9 +157,6 @@ class TcpEngine:
         """Serve ``port``: handler maps each request payload to a response."""
         self.listeners[port] = handler
 
-    def close_listener(self, port: int) -> None:
-        self.listeners.pop(port, None)
-
     # -- client role ----------------------------------------------------------
 
     def connect(

@@ -59,12 +59,6 @@ class ScanReport:
     def v6_only_tcp(self, name: str) -> set[int]:
         return self.tcp_v6.get(name, set()) - self.tcp_v4.get(name, set())
 
-    def v4_only_udp(self, name: str) -> set[int]:
-        return self.udp_v4.get(name, set()) - self.udp_v6.get(name, set())
-
-    def v6_only_udp(self, name: str) -> set[int]:
-        return self.udp_v6.get(name, set()) - self.udp_v4.get(name, set())
-
 
 class PortScanner:
     """A scan host attached to the testbed LAN."""

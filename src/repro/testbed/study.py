@@ -102,7 +102,6 @@ def run_full_study(
     seed: int = 42,
     *,
     configs: Optional[list[NetworkConfig]] = None,
-    checkins: int = 2,
     with_port_scan: bool = True,
     with_active_dns: bool = True,
     testbed: Optional[Testbed] = None,
@@ -119,7 +118,7 @@ def run_full_study(
     for config in configs or ALL_CONFIGS:
         if fidelity is not None:
             config = with_fidelity(config, fidelity)
-        study.experiments[config.name] = run_connectivity_experiment(testbed, config, checkins=checkins)
+        study.experiments[config.name] = run_connectivity_experiment(testbed, config)
 
     if with_port_scan:
         # The scans ran against the dual-stack deployment (latest addresses
@@ -168,7 +167,7 @@ def resolve_home_inputs(
     and inventory names replaced by the catalog's shared, frozen profiles
     (or by ``profiles``, when the caller derived its own, such as a
     firmware-upgraded lifecycle epoch). This is the exact closure a home
-    study is a pure function of (plus seed, checkins, and fault schedule),
+    study is a pure function of (plus seed and fault schedule),
     which is why :mod:`repro.cache` fingerprints the return value rather
     than the spec's spelling of it, and what :func:`run_home_study` takes.
     """
@@ -185,7 +184,6 @@ def run_home_study(
     config: NetworkConfig,
     profiles: Sequence[DeviceProfile],
     *,
-    checkins: int = 2,
     fault_schedule=None,
 ) -> Study:
     """Run one synthetic *home*: a device subset under a single network config.
@@ -210,5 +208,5 @@ def run_home_study(
         testbed.faults = FaultInjector.attach(testbed, fault_schedule)
 
     study = Study(testbed=testbed)
-    study.experiments[config.name] = run_connectivity_experiment(testbed, config, checkins=checkins)
+    study.experiments[config.name] = run_connectivity_experiment(testbed, config)
     return study

@@ -2,17 +2,20 @@
 
 import pytest
 
-from repro.adversary.analysis import DeviceSusceptibility, HomeSusceptibility
 from repro.adversary.worm import WormParams, infection_probability, run_worm, target_space
+from repro.exposure import DeviceExposure, HomeExposure
 
 
 def device(name, *, kind="eui64", exploitable=True, e64=1, low=0, hit=1):
-    return DeviceSusceptibility(
+    return DeviceExposure(
         device=name,
         addr_kind=kind,
         gua_count=e64 + low + hit,
-        exploitable=exploitable,
+        discoverable=e64 + low > 0,
+        responsive=exploitable,
+        reachable=exploitable,
         open_tcp=(8008,) if exploitable else (),
+        open_udp=(),
         eui64_entries=e64,
         low_iid_entries=low,
         hitlist_entries=hit,
@@ -20,7 +23,7 @@ def device(name, *, kind="eui64", exploitable=True, e64=1, low=0, hit=1):
 
 
 def home(devices=(), *, immune=False, eui64_space=1000, low_iid_space=500):
-    return HomeSusceptibility(
+    return HomeExposure(
         config_name="dual-stack",
         firewall="open",
         immune=immune,

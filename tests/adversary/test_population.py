@@ -1,18 +1,12 @@
-"""Spec generation, susceptibility workers, the epidemic fold, fault composition."""
+"""Spec generation, the leaking exposure worker, the epidemic fold, fault composition."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.adversary import (
-    AdversaryFold,
-    AdversarySpec,
-    WormParams,
-    run_adversary_stream,
-    run_home_susceptibility,
-    run_worm,
-)
-from repro.adversary.population import DEFAULT_SETTLE, _adversary_unit
+from repro.adversary import AdversaryFold, WormParams, run_adversary_stream, run_worm
+from repro.adversary.population import _adversary_unit
+from repro.exposure import ExposureSpec, run_home_exposure
 from repro.fleet import get_scenario
 from repro.fleet.shard import run_sharded, run_unit
 from repro.reports import render_adversary
@@ -25,7 +19,7 @@ PARAMS = WormParams(strategy="eui64-sweep", scan_rate=2000.0, dt=30.0, horizon=6
 
 
 def spec(home_id=0, firewall="open", fault="none", config="dual-stack"):
-    return AdversarySpec(home_id, 7, config, firewall, fault, DEVICES)
+    return ExposureSpec(home_id, 7, config, firewall, DEVICES, fault_name=fault, leak=True)
 
 
 def specs_for(homes, *, seed, scenario="baseline", firewalls=("open", "stateful")):
@@ -39,14 +33,13 @@ def specs_for(homes, *, seed, scenario="baseline", firewalls=("open", "stateful"
             scenario=get_scenario(scenario),
             firewalls=firewalls,
             fault_name="none",
-            settle=DEFAULT_SETTLE,
             fidelity="packet",
         )
     ]
 
 
 def outbreak(results, *, seed, scenario_name=""):
-    """Fold one home's retained susceptibility results into the epidemic aggregate."""
+    """Fold one home's retained measurement results into the epidemic aggregate."""
     fold = AdversaryFold(params=PARAMS, seed=seed, scenario_name=scenario_name)
     return fold.finalize(fold.add(fold.empty(), results))
 
@@ -80,16 +73,16 @@ def test_spec_generation_validates_inputs():
 
 
 def test_ipv4_only_home_is_immune_not_an_error():
-    summary = run_home_susceptibility(spec(config="ipv4-only"))
+    summary = run_home_exposure(spec(config="ipv4-only"))
     assert summary.immune
     assert summary.devices == ()
     assert not summary.susceptible("eui64-sweep")
 
 
 def test_susceptibility_gates_on_firewall_mode():
-    open_home = run_home_susceptibility(spec(firewall="open"))
-    stateful_home = run_home_susceptibility(spec(firewall="stateful"))
-    pinhole_home = run_home_susceptibility(spec(firewall="pinhole"))
+    open_home = run_home_exposure(spec(firewall="open"))
+    stateful_home = run_home_exposure(spec(firewall="stateful"))
+    pinhole_home = run_home_exposure(spec(firewall="pinhole"))
 
     # the EUI-64 TV's WAN-open port makes the home susceptible when inbound
     # is allowed (open) or UPnP-mapped (pinhole), never behind stateful
@@ -111,8 +104,8 @@ def test_fault_schedule_changes_infection_trajectory():
     """The repro.faults composition contract: an RA outage over the settle
     window suppresses SLAAC, so the same seeded home that an EUI-64 worm
     compromises when healthy is unreachable when faulted."""
-    clean = run_home_susceptibility(spec())
-    faulted = run_home_susceptibility(replace(spec(), fault_name="ra-settle-outage"))
+    clean = run_home_exposure(spec())
+    faulted = run_home_exposure(replace(spec(), fault_name="ra-settle-outage"))
 
     assert faulted.fault_events > 0 and clean.fault_events == 0
     assert clean.entries("eui64-sweep") >= 1
@@ -129,7 +122,7 @@ def test_fault_schedule_changes_infection_trajectory():
 
 @pytest.fixture(scope="module")
 def small_fleet():
-    return run_unit(lambda index: tuple(spec(firewall=fw) for fw in ("open", "stateful")), 0, run_home_susceptibility, None)
+    return run_unit(lambda index: tuple(spec(firewall=fw) for fw in ("open", "stateful")), 0, run_home_exposure, None)
 
 
 def test_aggregate_runs_one_outbreak_per_firewall(small_fleet):
@@ -166,10 +159,20 @@ def test_parallel_matches_serial_byte_for_byte():
 
 
 def test_aggregate_reports_failures():
-    units = ((AdversarySpec(1, 7, "dual-stack", "open", "none", ("No Such Device",)),),)
+    units = ((ExposureSpec(1, 7, "dual-stack", "open", ("No Such Device",), leak=True),),)
     aggregate = run_sharded(
-        1, units.__getitem__, fold=AdversaryFold(params=PARAMS, seed=1), worker=run_home_susceptibility
+        1, units.__getitem__, fold=AdversaryFold(params=PARAMS, seed=1), worker=run_home_exposure
     )
     assert aggregate.completed == 0
     assert aggregate.failed[0][:2] == (1, "open")
     assert "FAILED home 1" in render_adversary(aggregate)
+
+
+def test_all_failed_run_still_names_its_fault():
+    """The fault is a run parameter: a run in which no cell completes keeps it."""
+    aggregate = run_adversary_stream(
+        2, seed=1, params=PARAMS, firewalls=("open",), fault_name="dns-blackout", timeout=0.001
+    )
+    assert aggregate.completed == 0 and len(aggregate.failed) == 2
+    assert aggregate.fault_name == "dns-blackout"
+    assert "fault=dns-blackout" in render_adversary(aggregate)

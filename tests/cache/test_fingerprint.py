@@ -30,9 +30,8 @@ def _closure(**overrides):
         "sim_seed": 7,
         "config": with_fidelity(with_firewall(resolve_config("dual-stack"), "stateful"), "flow"),
         "profiles": profiles_by_name(("Behmor Brewer", "Smarter IKettle")),
-        "checkins": 2,
         "fault_schedule": get_fault("dns-blackout"),
-        "extra": (),
+        "extra": ("leak", False),
     }
     parts.update(overrides)
     return parts
@@ -105,10 +104,12 @@ def test_inventory_profiles_all_canonicalize():
     "override",
     [
         {"sim_seed": 8},
-        {"checkins": 3},
+        # An exposure cell and an adversary cell of one home share one
+        # extractor, so the leak flag alone must split their artifacts.
+        {"extra": ("leak", True)},
         {"fault_schedule": None},
         {"fault_schedule": get_fault("uplink-flap")},
-        {"extra": ("settle", 150.0)},
+        {"extra": ()},
         {"config": with_fidelity(with_firewall(resolve_config("dual-stack"), "open"), "flow")},
         {"config": with_fidelity(with_firewall(resolve_config("dual-stack"), "stateful"), "packet")},
         {"config": with_fidelity(with_firewall(resolve_config("ipv6-only"), "stateful"), "flow")},

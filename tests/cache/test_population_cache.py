@@ -19,7 +19,8 @@ from repro.cache import (
     read_disk_stats,
     reset_process_caches,
 )
-from repro.adversary import AdversaryFold, AdversarySpec, WormParams, run_home_susceptibility
+from repro.adversary import AdversaryFold, WormParams
+from repro.exposure import ExposureSpec, run_home_exposure
 from repro.faults.population import FaultFold, _faults_unit, run_faults_stream, run_home_faults
 from repro.fleet import FleetFold, simulate_home
 from repro.fleet.scenario import generate_home, get_scenario
@@ -68,7 +69,7 @@ def test_arm_per_spec_sweep_shares_one_baseline():
     # Split the two-fault spec into one spec per schedule: without the cache
     # each spec re-simulates the clean baseline; with it the second spec's
     # baseline is a memory hit — and the outcome grid is unchanged.
-    (combined,) = _faults_unit(0, seed=11, checkins=2, **FLEET_KW)
+    (combined,) = _faults_unit(0, seed=11, **FLEET_KW)
     split = (tuple(dataclasses.replace(combined, fault_names=(name,)) for name in combined.fault_names),)
 
     def sweep(cache=None) -> str:
@@ -104,13 +105,13 @@ def test_fleet_homes_sharing_a_closure_share_an_artifact_and_count_twice():
 
 
 def test_adversary_homes_sharing_a_closure_are_two_epidemic_members():
-    spec = AdversarySpec(
-        0, 7, "dual-stack", "open", "none", ("Google TV", "Samsung TV", "Nest Camera"), fidelity="flow"
+    spec = ExposureSpec(
+        0, 7, "dual-stack", "open", ("Google TV", "Samsung TV", "Nest Camera"), leak=True, fidelity="flow"
     )
     # A rate no exploitable home survives for one tick.
     fold = AdversaryFold(params=WormParams(scan_rate=1e9, dt=30.0, horizon=60.0), seed=1)
     units = twins(spec)
-    aggregate = run_sharded(2, units.__getitem__, fold=fold, worker=run_home_susceptibility, cache=CacheSettings())
+    aggregate = run_sharded(2, units.__getitem__, fold=fold, worker=run_home_exposure, cache=CacheSettings())
     assert_one_shared_artifact()
     timeline = aggregate.outcome_for("open").timeline
     assert (timeline.population, timeline.initial_susceptible) == (2, 2)

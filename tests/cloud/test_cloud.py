@@ -49,11 +49,6 @@ class TestRegistry:
         record = registry.register("bad.example", v6=True, v6_reachable=False)
         assert record.has_aaaa and not record.v6_reachable
 
-    def test_nxdomain(self, registry):
-        record = registry.register_nxdomain("gone.example")
-        assert not record.has_a and not record.has_aaaa
-        assert "gone.example" in registry
-
     def test_case_insensitive_lookup(self, registry):
         registry.register("MiXeD.Example", v4=True)
         assert registry.lookup("mixed.example") is not None

@@ -81,7 +81,6 @@ class TestNdpEvents:
         frame = v6("::", "ff02::2", ICMPv6.router_solicit())
         index = CaptureIndex([rec(frame)], MAC_TABLE)
         assert index.devices_with_ndp() == {"thing"}
-        assert not index.devices_with_address()  # "::" is not an address
 
     def test_unsolicited_na_reveals_assignment(self):
         na = ICMPv6.neighbor_advert(DEVICE_V6, DEVICE_MAC, solicited=False)

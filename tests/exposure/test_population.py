@@ -3,21 +3,25 @@
 import pytest
 
 from repro.exposure import ExposureFold, ExposureSpec, run_exposure_stream, run_home_exposure
-from repro.exposure.population import DEFAULT_SETTLE, _exposure_unit
+from repro.exposure.population import _exposure_unit
 from repro.fleet import run_sharded
 from repro.reports import render_exposure
 
 
 def unit(index, *, seed=11, firewalls=("open", "stateful")):
     """Home ``index``'s (home x firewall) specs, as the stream generates them."""
-    return _exposure_unit(
-        index, seed=seed, config_name="dual-stack", firewalls=firewalls, settle=DEFAULT_SETTLE, fidelity="packet"
-    )
+    return _exposure_unit(index, seed=seed, config_name="dual-stack", firewalls=firewalls, fidelity="packet")
 
 
 def scan(*units, shards=1):
     """Fold hand-built units (tuples of specs) through the sharded engine."""
-    return run_sharded(len(units), units.__getitem__, fold=ExposureFold(), worker=run_home_exposure, shards=shards)
+    return run_sharded(
+        len(units),
+        units.__getitem__,
+        fold=ExposureFold(config_name="dual-stack"),
+        worker=run_home_exposure,
+        shards=shards,
+    )
 
 
 def test_spec_generation_is_deterministic_and_paired():
@@ -49,7 +53,7 @@ def test_sort_key_orders_by_home_then_firewall():
     specs = unit(4, firewalls=("stateful", "open"))
     assert [(spec.home_id, spec.firewall) for spec in specs] == [(4, "stateful"), (4, "open")]
     spec = ExposureSpec(4, 1, "dual-stack", "stateful", ("Google TV",))
-    assert spec.size == 1
+    assert len(spec.device_names) == 1
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +86,18 @@ def test_render_exposure_is_deterministic(small_fleet):
 
 
 def test_aggregate_reports_failures():
-    aggregate = scan((ExposureSpec(1, 7, "ipv4-only", "open", ("Google TV",)),))
+    aggregate = scan((ExposureSpec(1, 7, "dual-stack", "open", ("No Such Device",)),))
     assert aggregate.completed == 0
     assert aggregate.failed[0][0] == 1 and aggregate.failed[0][1] == "open"
     assert "FAILED home 1" in render_exposure(aggregate)
+
+
+def test_all_failed_run_still_names_its_config():
+    """The config is a run parameter: a run in which no scan completes keeps it."""
+    aggregate = run_exposure_stream(2, seed=1, config_name="ipv6-only", firewalls=("open",), timeout=0.001)
+    assert aggregate.completed == 0 and len(aggregate.failed) == 2
+    assert aggregate.config_name == "ipv6-only"
+    assert "WAN exposure: ipv6-only, 0/2 home-scans, 2 failed" in render_exposure(aggregate)
 
 
 def test_worker_results_sorted_by_sort_key():

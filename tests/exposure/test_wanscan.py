@@ -134,12 +134,6 @@ def test_pinhole_exposes_only_mapped_ports():
     assert all(d.open_tcp == () for d in home_stateful.devices)
 
 
-def test_ipv4_only_config_rejected():
-    spec = ExposureSpec(0, 7, "ipv4-only", "open", ("Google TV",))
-    with pytest.raises(ValueError):
-        run_home_exposure(spec)
-
-
 # ------------------------------------------------------- decoy accounting
 
 

@@ -87,9 +87,7 @@ def test_generate_fault_specs_crosses_homes_with_configs():
     specs = [
         spec
         for index in range(3)
-        for spec in _faults_unit(
-            index, seed=5, config_names=configs, fault_names=("uplink-flap",), checkins=2, fidelity="packet"
-        )
+        for spec in _faults_unit(index, seed=5, config_names=configs, fault_names=("uplink-flap",), fidelity="packet")
     ]
     assert len(specs) == 6
     # Common random numbers: the same homes appear under every config.
@@ -119,10 +117,10 @@ def test_aggregate_and_render():
     assert aggregate.homes == 2
     cell = aggregate.cell("dual-stack", "dns-blackout")
     sizes = [
-        spec.size
+        len(spec.device_names)
         for index in range(2)
         for spec in _faults_unit(
-            index, seed=31, config_names=("dual-stack",), fault_names=("dns-blackout",), checkins=2, fidelity="packet"
+            index, seed=31, config_names=("dual-stack",), fault_names=("dns-blackout",), fidelity="packet"
         )
     ]
     assert cell.devices == sum(sizes)
@@ -137,7 +135,7 @@ def test_aggregate_and_render():
 
 def test_aggregate_reports_worker_failures():
     (good,) = _faults_unit(
-        0, seed=31, config_names=("dual-stack",), fault_names=("none",), checkins=2, fidelity="packet"
+        0, seed=31, config_names=("dual-stack",), fault_names=("none",), fidelity="packet"
     )
     bad = FaultSpec(
         home_id=99,

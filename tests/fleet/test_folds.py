@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary import AdversaryFold, AdversarySpec, DeviceSusceptibility, HomeSusceptibility, WormParams
+from repro.adversary import AdversaryFold, WormParams
 from repro.exposure import DeviceExposure, ExposureFold, ExposureSpec, HomeExposure
 from repro.faults import OUTCOMES, CellOutcome, CellStats, FaultFold, FaultSpec, HomeFaultSummary
 from repro.fleet import FleetFold, HomeResult, HomeSpec, HomeSummary
@@ -79,16 +79,22 @@ def exposure_units():
                     reachable=wide_open and i == 0,
                     open_tcp=(80, 443)[: 1 + home % 2] if wide_open and i == 0 else (),
                     open_udp=(5353,) if i == 1 else (),
+                    eui64_entries=0,
+                    low_iid_entries=0,
+                    hitlist_entries=0,
                 )
                 for i, name in enumerate(devices)
             )
             summary = HomeExposure(
                 config_name="dual-stack",
                 firewall=firewall,
-                candidate_count=len(devices),
+                immune=False,
+                eui64_space=len(devices),
+                low_iid_space=0,
                 probes_sent=10 + home,
                 wan_dropped=0 if wide_open else 5 + home,
-                decoy_hits=0,
+                passed_pinhole=0,
+                fault_events=0,
                 devices=scanned,
             )
             cells.append(HomeResult(spec=spec, summary=summary))
@@ -181,12 +187,12 @@ def adversary_units():
         config = configs[home % 3]
         cells = []
         for firewall in FIREWALLS[:2]:
-            spec = AdversarySpec(home, home, config, firewall, "uplink-flap", devices)
+            spec = ExposureSpec(home, home, config, firewall, devices, fault_name="uplink-flap", leak=True)
             if (home, firewall) == (4, "open"):
                 cells.append(HomeResult(spec=spec, error=ERROR))
                 continue
             wide_open = firewall == "open" and config != "ipv4-only"
-            summary = HomeSusceptibility(
+            summary = HomeExposure(
                 config_name=config,
                 firewall=firewall,
                 immune=config == "ipv4-only",
@@ -197,12 +203,15 @@ def adversary_units():
                 passed_pinhole=0,
                 fault_events=home % 2,
                 devices=tuple(
-                    DeviceSusceptibility(
+                    DeviceExposure(
                         device=name,
                         addr_kind=KINDS[(home + i) % 3],
                         gua_count=1,
-                        exploitable=wide_open and i == 0,
+                        discoverable=True,
+                        responsive=wide_open,
+                        reachable=wide_open,
                         open_tcp=(8008,) if wide_open and i == 0 else (),
+                        open_udp=(),
                         eui64_entries=1 if (home + i) % 3 == 0 else 0,
                         low_iid_entries=i % 2,
                         hitlist_entries=1,
@@ -220,10 +229,14 @@ WORM = WormParams(strategy="eui64-sweep", scan_rate=2000.0, dt=30.0, horizon=600
 # fold name -> (fold, unit outcomes, renderer)
 CASES = {
     "fleet": (FleetFold(), fleet_units(), render_fleet_summary),
-    "exposure": (ExposureFold(), exposure_units(), render_exposure),
+    "exposure": (ExposureFold(config_name="dual-stack"), exposure_units(), render_exposure),
     "faults": (FaultFold(), fault_units(), render_faults),
     "lifecycle": (LifecycleFold(wave_name="flash-cut"), lifecycle_units(), render_lifecycle),
-    "adversary": (AdversaryFold(params=WORM, seed=3, scenario_name="baseline"), adversary_units(), render_adversary),
+    "adversary": (
+        AdversaryFold(params=WORM, seed=3, scenario_name="baseline", fault_name="uplink-flap"),
+        adversary_units(),
+        render_adversary,
+    ),
 }
 
 

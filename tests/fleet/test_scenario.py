@@ -49,8 +49,8 @@ class TestSampling:
     def test_homes_draw_valid_unique_devices(self):
         inventory = {profile.name for profile in build_inventory()}
         for spec in generate_fleet(25, seed=11, scenario=FLIP50):
-            assert FLIP50.min_devices <= spec.size <= FLIP50.max_devices
-            assert len(set(spec.device_names)) == spec.size
+            assert FLIP50.min_devices <= len(spec.device_names) <= FLIP50.max_devices
+            assert len(set(spec.device_names)) == len(spec.device_names)
             assert set(spec.device_names) <= inventory
 
     def test_configs_come_from_the_mix(self):

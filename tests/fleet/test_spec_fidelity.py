@@ -9,8 +9,7 @@ read ``spec.fidelity`` directly.
 
 import dataclasses
 
-from repro.adversary.population import AdversarySpec
-from repro.exposure.population import ExposureSpec
+from repro.exposure.analysis import ExposureSpec
 from repro.faults.population import FaultSpec
 from repro.fleet.scenario import HomeSpec
 from repro.lifecycle.timeline import EpochSpec
@@ -23,7 +22,7 @@ def _fidelity_field(spec_type) -> dataclasses.Field:
 
 
 def test_every_spec_declares_fidelity_with_a_packet_default():
-    for spec_type in (HomeSpec, ExposureSpec, FaultSpec, EpochSpec, AdversarySpec):
+    for spec_type in (HomeSpec, ExposureSpec, FaultSpec, EpochSpec):
         assert _fidelity_field(spec_type).default == "packet", spec_type.__name__
 
 
@@ -41,14 +40,6 @@ def test_specs_construct_without_the_fidelity_kwarg():
             fault_names=("dns-blackout",),
         ),
         EpochSpec(home_id=0, epoch=0, sim_seed=1, config_name="dual-stack", device_names=DEVICES),
-        AdversarySpec(
-            home_id=0,
-            sim_seed=1,
-            config_name="dual-stack",
-            firewall="open",
-            fault_name="none",
-            device_names=DEVICES,
-        ),
     ]
     for spec in specs:
         assert spec.fidelity == "packet"

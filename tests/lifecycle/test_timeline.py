@@ -82,12 +82,12 @@ class TestChurn:
         for index in range(5):
             timeline = build_timeline(index, 31, params)
             for spec in timeline:
-                assert spec.size >= MIN_HOME_SIZE
+                assert len(spec.device_names) >= MIN_HOME_SIZE
 
     def test_joins_draw_from_inventory_pool(self):
-        params = LifecycleParams(epochs=8, leave_rate=0.0, join_rate=1.0, max_devices=4)
+        params = LifecycleParams(epochs=8, leave_rate=0.0, join_rate=1.0)
         timeline = build_timeline(0, 5, params)
-        sizes = [spec.size for spec in timeline]
+        sizes = [len(spec.device_names) for spec in timeline]
         assert sizes == sorted(sizes)  # nothing leaves, one joins per epoch
         assert sizes[-1] > sizes[0]
         for spec in timeline:

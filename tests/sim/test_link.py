@@ -67,15 +67,6 @@ class TestDelivery:
         sim.run(1.0)
         assert len(b.received) == 1 and len(c.received) == 1
 
-    def test_leave_multicast(self):
-        sim, link, a, b, c = build()
-        group = multicast_mac("ff02::2")
-        b.nic.join_multicast(group)
-        b.nic.leave_multicast(group)
-        a.nic.send(frame(group, a.nic.mac))
-        sim.run(1.0)
-        assert not b.received
-
 
 class TestTaps:
     def test_tap_sees_every_frame(self):

@@ -129,14 +129,3 @@ class TestClientServer:
         h.server.on_segment("10.0.0.9", "10.0.0.2", stray)
         h.sim.run(1.0)
         assert any(s.rst for _, s in h.wire)
-
-    def test_listener_close(self):
-        h = Harness()
-        h.server.listen(443, lambda req: b"")
-        h.server.close_listener(443)
-        box = {}
-        h.client.connect(
-            "10.0.0.2", "10.0.0.9", 443, [b"x"], lambda r: box.setdefault("ok", r), lambda r: box.setdefault("fail", r)
-        )
-        h.sim.run(5.0)
-        assert box.get("fail") == "refused"

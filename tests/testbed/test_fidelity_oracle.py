@@ -31,7 +31,7 @@ FLIP50 = get_scenario("flip50")
 
 def _home_study(spec, config, schedule, fidelity):
     config, profiles = resolve_home_inputs(config, spec.device_names, fidelity=fidelity)
-    return run_home_study(spec.sim_seed, config, profiles, checkins=spec.checkins, fault_schedule=schedule)
+    return run_home_study(spec.sim_seed, config, profiles, fault_schedule=schedule)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,23 +1,12 @@
-"""Port scanner: UDP probe semantics and the report diff helpers."""
+"""Port scanner: UDP probe semantics."""
 
 import dataclasses
 
 import pytest
 
 from repro.testbed.lab import Testbed
-from repro.testbed.portscan import PortScanner, ScanReport
+from repro.testbed.portscan import PortScanner
 from repro.testbed.study import profiles_by_name, resolve_config
-
-
-def test_udp_diff_helpers():
-    report = ScanReport(
-        udp_v4={"dev": {53, 161}},
-        udp_v6={"dev": {161, 5683}},
-    )
-    assert report.v4_only_udp("dev") == {53}
-    assert report.v6_only_udp("dev") == {5683}
-    assert report.v4_only_udp("missing") == set()
-    assert report.v6_only_udp("missing") == set()
 
 
 @pytest.fixture(scope="module")
