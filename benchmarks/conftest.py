@@ -91,14 +91,7 @@ def study():
     # otherwise re-scan pytest/hypothesis internals the pipeline never touches
     # (~12% of study wall-clock; the baseline was measured without a harness).
     gc.freeze()
-    # Suspend full collections while the study runs: the experiments retain
-    # every capture until the process exits, so a gen-2 pass mid-study scans
-    # millions of immortal objects and frees nothing — measured at 16 passes
-    # costing 6 of 28 study seconds, and the dominant run-to-run variance
-    # (a pass landing inside a short timed window can double it). The young
-    # generations keep collecting throughout; the full sweep runs once below.
-    thresholds = gc.get_threshold()
-    gc.set_threshold(thresholds[0], thresholds[1], 1_000_000_000)
+    # `run_full_study` defers full collections until it returns (DESIGN.md §10).
     # Calibration brackets the expensive stage so the samples see the same
     # machine conditions (CPU contention, frequency scaling) the study saw.
     calibration_before = calibration_seconds()
@@ -106,7 +99,6 @@ def study():
     result = run_full_study(seed=42)
     PIPELINE_TIMINGS["study_seconds"] = time.perf_counter() - started
     PIPELINE_TIMINGS["calibration_seconds"] = (calibration_before + calibration_seconds()) / 2
-    gc.set_threshold(*thresholds)
     gc.collect()  # the deferred full sweep: reclaim actual study garbage
     # The surviving captures and indexes live until the session ends; freeze
     # them so no later timed stage (index build, table render, per-table
@@ -130,14 +122,11 @@ def flow_study():
     fixture, so the two stage timings are directly comparable. The hybrid
     fidelity gate (``test_bench_flow_fidelity_speedup``) reads both."""
     gc.freeze()
-    thresholds = gc.get_threshold()
-    gc.set_threshold(thresholds[0], thresholds[1], 1_000_000_000)
     calibration_before = calibration_seconds()
     started = time.perf_counter()
     result = run_full_study(seed=42, fidelity="flow")
     PIPELINE_TIMINGS["flow_study_seconds"] = time.perf_counter() - started
     PIPELINE_TIMINGS["flow_calibration_seconds"] = (calibration_before + calibration_seconds()) / 2
-    gc.set_threshold(*thresholds)
     gc.collect()
     gc.freeze()
     PIPELINE_TIMINGS["flow_records_elided"] = sum(

@@ -13,15 +13,20 @@ With ``--cache DIR`` the profiled unit is the cached fleet worker
 (``repro.fleet.runner.simulate_home``) instead of a bare connectivity
 experiment: a first run profiles the cold miss path, a re-run against the
 same directory profiles the warm hit path (artifact load, no simulation).
-Every report ends with the run's study-cache counters.
+Every report's header ends with the run's full (generation-2) garbage
+collections and the run's study-cache counters. cProfile charges the
+collector to whichever function allocated, so only that line shows its cost.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import io
 import pstats
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.cache import process_counters
@@ -40,14 +45,40 @@ def _counters_line() -> str:
     )
 
 
+@contextmanager
+def full_collections():
+    """Count the generation-2 collections, and their seconds, while the block runs."""
+    tally = {"count": 0, "seconds": 0.0, "started": 0.0}
+
+    def hook(phase, info):
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            tally["started"] = time.perf_counter()
+        else:
+            tally["count"] += 1
+            tally["seconds"] += time.perf_counter() - tally["started"]
+
+    gc.callbacks.append(hook)
+    try:
+        yield tally
+    finally:
+        gc.callbacks.remove(hook)
+
+
+def _collections_line(tally: dict) -> str:
+    return f"full gc collections: {tally['count']} taking {tally['seconds']:.3f}s\n"
+
+
 def profile_once(config_name: str, seed: int, top: int, fidelity: str = "packet") -> str:
     config = next(c for c in ALL_CONFIGS if c.name == config_name)
     config = with_fidelity(config, fidelity)
     profiler = cProfile.Profile()
-    profiler.enable()
-    testbed = Testbed(seed=seed, profiles=build_inventory())
-    result = run_connectivity_experiment(testbed, config)
-    profiler.disable()
+    with full_collections() as collections:
+        profiler.enable()
+        testbed = Testbed(seed=seed, profiles=build_inventory())
+        result = run_connectivity_experiment(testbed, config)
+        profiler.disable()
 
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
@@ -60,6 +91,7 @@ def profile_once(config_name: str, seed: int, top: int, fidelity: str = "packet"
         f"decode_count={frames.decode_count} "
         f"prime_rate={frames.prime_rate:.3f} errors={frames.decode_errors}\n"
         f"flow records elided from the wire: {len(result.flow_records)}\n"
+        + _collections_line(collections)
         + _counters_line()
         + "\n"
     )
@@ -79,7 +111,7 @@ def profile_cached_home(
         home_id=0, sim_seed=seed, config_name=config_name, device_names=devices, fidelity=fidelity
     )
     profiler = cProfile.Profile()
-    with activated(CacheSettings(directory=cache_dir)):
+    with activated(CacheSettings(directory=cache_dir)), full_collections() as collections:
         profiler.enable()
         summary = simulate_home(spec)
         profiler.disable()
@@ -91,6 +123,7 @@ def profile_cached_home(
         f"cached home-study profile: config={config_name} seed={seed} "
         f"fidelity={fidelity} devices={len(devices)} cache={cache_dir}\n"
         f"functional devices: {len(summary.functional)}\n"
+        + _collections_line(collections)
         + _counters_line()
         + "\n"
     )

@@ -66,11 +66,6 @@ class AttackerKnowledge:
     low_iid_budget: int = DEFAULT_LOW_IID_BUDGET
 
     @property
-    def candidate_count(self) -> int:
-        """Size of the enumerable address space (per target /64)."""
-        return self.eui64_space + self.low_iid_space
-
-    @property
     def eui64_space(self) -> int:
         """Candidates per /64 in the OUI x NIC-suffix sweep."""
         return len(self.ouis) * self.suffix_budget
@@ -160,8 +155,6 @@ class WanScanResult:
     """One complete WAN scan of one home."""
 
     firewall: str
-    prefix: str
-    candidate_count: int
     devices: dict[str, ExposureReport] = field(default_factory=dict)
     probes_sent: int = 0
     decoys: tuple[ipaddress.IPv6Address, ...] = ()
@@ -224,11 +217,7 @@ class WanScanner:
         self.rng = testbed.sim.rng_for("wanscan")
         testbed.internet.attach_endpoint(self.address, _Vantage(self))
 
-        self.result = WanScanResult(
-            firewall=testbed.router.firewall.mode,
-            prefix=str(testbed.router.lan_v6_prefix),
-            candidate_count=self.knowledge.candidate_count,
-        )
+        self.result = WanScanResult(firewall=testbed.router.firewall.mode)
         self._addr_device: dict[ipaddress.IPv6Address, str] = {}
         self._tcp_probes: dict[int, tuple[str, int]] = {}   # sport -> (device, port)
         self._udp_probes: dict[int, tuple[str, int]] = {}

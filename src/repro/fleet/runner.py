@@ -25,8 +25,13 @@ from repro.fleet.summary import HomeSummary, summarize_home
 from repro.testbed.study import resolve_home_inputs, run_home_study
 
 
-class HomeTimeout(Exception):
-    """A home exceeded its per-home wall-clock budget."""
+class HomeTimeout(BaseException):
+    """A home exceeded its per-home wall-clock budget.
+
+    Not an :class:`Exception`: the alarm can land inside a worker's own
+    ``except Exception`` (a cloud service, a cache read), which would swallow
+    it and let a late home complete with changed traffic.
+    """
 
 
 @dataclass(frozen=True)
@@ -48,7 +53,9 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
 
     Uses SIGALRM, so it only arms on platforms that have it and only on the
     main thread of the (worker or in-process) shard; otherwise it is a no-op
-    and homes run without a budget.
+    and homes run without a budget. An alarm whose raise was dropped (inside
+    a ``gc.callbacks`` hook CPython prints it and carries on) raises again
+    when the block exits.
     """
     usable = (
         seconds is not None
@@ -60,8 +67,13 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
         yield
         return
 
+    message = f"home exceeded {seconds:.3f}s wall-clock budget"
+    fired = False
+
     def _expired(signum, frame):
-        raise HomeTimeout(f"home exceeded {seconds:.3f}s wall-clock budget")
+        nonlocal fired
+        fired = True
+        raise HomeTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _expired)
     signal.setitimer(signal.ITIMER_REAL, seconds)
@@ -70,6 +82,8 @@ def _deadline(seconds: Optional[float]) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        raise HomeTimeout(message)
 
 
 def simulate_home(spec: HomeSpec) -> HomeSummary:
@@ -100,5 +114,5 @@ def _execute_home(spec: HomeSpec, timeout: Optional[float] = None, worker: Worke
     try:
         with _deadline(timeout):
             return HomeResult(spec=spec, summary=worker(spec))
-    except Exception:
+    except (Exception, HomeTimeout):
         return HomeResult(spec=spec, error=traceback.format_exc(limit=8))

@@ -25,6 +25,10 @@ class Event:
         if self.cancelled:
             return
         self.cancelled = True
+        # A cancelled event is often kept by its owner (a finished TCP
+        # connection keeps its timeout), and a bound callback points back at
+        # that owner: dropping it leaves no cycle for the collector to find.
+        self.callback = self.args = None
         if self._sim is not None:
             sim = self._sim
             sim._live -= 1

@@ -48,6 +48,7 @@ from repro.net.icmpv6 import (
     ICMPv6,
     RDNSSOption,
     SourceLinkLayerOption,
+    TargetLinkLayerOption,
     TYPE_ECHO_REQUEST,
     TYPE_NEIGHBOR_ADVERT,
     TYPE_NEIGHBOR_SOLICIT,
@@ -576,8 +577,6 @@ class HostStack(Node):
             if record is not None and record.tentative:
                 self._dad_conflict(record)
                 return
-            from repro.net.icmpv6 import TargetLinkLayerOption
-
             target_ll = message.option(TargetLinkLayerOption)
             if target_ll is not None:
                 for queued in self.neighbors.learn(message.target, target_ll.mac):

@@ -8,6 +8,7 @@ regenerate the paper's tables and figures.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -20,6 +21,10 @@ from repro.testbed.activedns import AaaaProbe, active_dns_queries
 from repro.testbed.experiments import ExperimentResult, run_connectivity_experiment
 from repro.testbed.lab import Testbed
 from repro.testbed.portscan import PortScanner, ScanReport
+
+# The generation-2 threshold while a study runs: more generation-1
+# collections than any study makes, so no full collection starts.
+DEFERRED_FULL_COLLECTION = 1 << 30
 
 
 @dataclass
@@ -112,24 +117,37 @@ def run_full_study(
     ``fidelity``, when given, overrides every experiment's simulation
     fidelity (``packet`` or ``flow``, see DESIGN.md §13); the analysis
     output is byte-identical in both modes.
+
+    The study keeps every frame it captures until it returns and makes no
+    cyclic garbage, so a full (generation-2) collection while it runs would
+    walk all of them and free nothing. One full collection on entry frees
+    what earlier work left (a finished testbed is a cycle); then only the
+    young generations collect until the study returns, and the caller's
+    thresholds come back even when it raises (DESIGN.md §10).
     """
-    testbed = testbed or Testbed(seed=seed)
-    study = Study(testbed=testbed)
-    for config in configs or ALL_CONFIGS:
-        if fidelity is not None:
-            config = with_fidelity(config, fidelity)
-        study.experiments[config.name] = run_connectivity_experiment(testbed, config)
+    gc.collect()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(thresholds[0], thresholds[1], DEFERRED_FULL_COLLECTION)
+    try:
+        testbed = testbed or Testbed(seed=seed)
+        study = Study(testbed=testbed)
+        for config in configs or ALL_CONFIGS:
+            if fidelity is not None:
+                config = with_fidelity(config, fidelity)
+            study.experiments[config.name] = run_connectivity_experiment(testbed, config)
 
-    if with_port_scan:
-        # The scans ran against the dual-stack deployment (latest addresses
-        # gathered from the router's neighbor table).
-        testbed.configure(DUAL_STACK)
-        testbed.sim.run(60.0)
-        study.port_scan = PortScanner(testbed).run()
+        if with_port_scan:
+            # The scans ran against the dual-stack deployment (latest addresses
+            # gathered from the router's neighbor table).
+            testbed.configure(DUAL_STACK)
+            testbed.sim.run(60.0)
+            study.port_scan = PortScanner(testbed).run()
 
-    if with_active_dns:
-        study.active_dns = active_dns_queries(testbed.internet, observed_domains(study))
-    return study
+        if with_active_dns:
+            study.active_dns = active_dns_queries(testbed.internet, observed_domains(study))
+        return study
+    finally:
+        gc.set_threshold(*thresholds)
 
 
 # --------------------------------------------------------------- fleet entry

@@ -15,7 +15,7 @@ def lan_scan() -> ScanReport:
 
 
 def wan_scan() -> WanScanResult:
-    result = WanScanResult(firewall="open", prefix="2001:db8:100::/64", candidate_count=1024)
+    result = WanScanResult(firewall="open")
     result.devices["cam"] = ExposureReport(
         device="cam", gua_count=1, addr_kinds=("eui64",), discovered=(), responsive=True,
         open_tcp={8080}, open_udp={5683},

@@ -55,7 +55,8 @@ def test_rejects_random_iids_and_foreign_prefixes():
 
 def test_inventory_knowledge_covers_every_inventory_mac():
     knowledge = inventory_oui_knowledge()
-    assert knowledge.candidate_count == len(knowledge.ouis) * 1024 + 8192
+    assert knowledge.eui64_space == len(knowledge.ouis) * 1024
+    assert knowledge.low_iid_space == 8192
     for profile in build_inventory():
         assert knowledge.synthesizes(PREFIX, addr_for(profile.mac)), profile.name
 

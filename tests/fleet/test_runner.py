@@ -4,10 +4,15 @@ Hand-built small :class:`HomeSpec`\\ s keep each simulated home cheap; the
 sharded engine does not care whether a spec came from ``generate_fleet``.
 """
 
+import gc
+import sys
+import time
+
 import pytest
 
 from repro.cli import main
-from repro.fleet import FleetFold, HomeSpec, run_sharded, simulate_home
+from repro.fleet import FleetFold, HomeSpec, HomeTimeout, run_sharded, simulate_home
+from repro.fleet.runner import _execute_home
 from repro.reports import render_fleet_summary
 
 SMALL_HOMES = [
@@ -81,6 +86,47 @@ def test_timeout_reports_a_failed_home():
     aggregate = run_homes([SMALL_HOMES[0]], timeout=1e-4)
     ((_, line),) = aggregate.failed_homes
     assert "HomeTimeout" in line
+
+
+def sleeps_in_a_gc_callback(spec):
+    """Outlives a 1 ms budget inside a ``gc.callbacks`` hook, where CPython
+    prints any raise as "Exception ignored" and carries on."""
+
+    def hook(phase, info):
+        if phase == "start":
+            time.sleep(0.02)
+
+    gc.callbacks.append(hook)
+    try:
+        gc.collect()
+    finally:
+        gc.callbacks.remove(hook)
+    return "completed"
+
+
+def catches_exceptions_around_a_sleep(spec):
+    """Outlives a 1 ms budget inside ``except Exception``, like a cloud
+    service's decode or a cache read."""
+    try:
+        time.sleep(0.02)
+    except Exception:
+        pass
+    return "completed"
+
+
+def test_alarm_dropped_by_a_gc_callback_still_fails_the_home(monkeypatch):
+    dropped = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: dropped.append(unraisable.exc_type))
+    result = _execute_home(SMALL_HOMES[0], timeout=0.001, worker=sleeps_in_a_gc_callback)
+    assert not result.ok
+    assert "HomeTimeout" in result.error.splitlines()[-1]
+    assert set(dropped) <= {HomeTimeout}
+
+
+def test_alarm_inside_except_exception_still_fails_the_home():
+    result = _execute_home(SMALL_HOMES[0], timeout=0.001, worker=catches_exceptions_around_a_sleep)
+    assert not result.ok
+    assert "HomeTimeout" in result.error.splitlines()[-1]
 
 
 def test_dual_stack_home_reports_v6_share():

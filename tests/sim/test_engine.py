@@ -1,5 +1,7 @@
 """Unit + property tests for the discrete-event engine."""
 
+import weakref
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -66,6 +68,22 @@ class TestScheduling:
         sim.run(2.0)
         assert fired == []
         assert sim.pending == 0
+
+    def test_cancelled_event_drops_its_callback(self):
+        """An owner may keep its cancelled event (a finished TCP connection
+        keeps its timeout); the event must not keep the callback alive."""
+
+        class Callback:
+            def __call__(self):
+                pass
+
+        sim = Simulator()
+        callback = Callback()
+        alive = weakref.ref(callback)
+        event = sim.schedule(1.0, callback)
+        event.cancel()
+        del callback
+        assert alive() is None
 
     def test_pending_counts_live_events(self):
         sim = Simulator()

@@ -1,5 +1,7 @@
 """Testbed-level tests on a small device subset (fast enough for CI)."""
 
+import gc
+
 import pytest
 
 from repro.core.capture import CaptureIndex
@@ -8,7 +10,7 @@ from repro.net.packet import Raw
 from repro.net.pcap import PcapReader
 from repro.stack.config import ALL_CONFIGS, DUAL_STACK, with_fidelity
 from repro.testbed import Testbed, run_connectivity_experiment
-from repro.testbed.study import observed_domains, profiles_by_name, run_full_study
+from repro.testbed.study import DEFERRED_FULL_COLLECTION, observed_domains, profiles_by_name, run_full_study
 
 SUBSET = [
     "Samsung Fridge",
@@ -132,3 +134,50 @@ class TestSharedPayloads:
         lengths = {len(payload) for payload in payloads}
         assert len(payloads) > len(lengths) > 1
         assert len({id(payload) for payload in payloads}) == len(lengths)
+
+
+class TestCollection:
+    """A study makes no cyclic garbage and starts no full collection but its entry one."""
+
+    @pytest.mark.parametrize("fidelity", ["packet", "flow"])
+    def test_study_leaves_no_cyclic_garbage(self, fidelity):
+        testbed = Testbed(seed=5, profiles=profiles_by_name(SUBSET))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            study = run_full_study(seed=5, testbed=testbed, fidelity=fidelity)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert set(study.experiments) == {c.name for c in ALL_CONFIGS}
+
+    def test_one_full_collection_and_thresholds_restored(self, monkeypatch):
+        caller = gc.get_threshold()
+        custom = (600, 9, 8)
+        full_collections, seen = [], []
+
+        def count_full(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full_collections.append(gc.get_threshold())
+
+        def failing_experiment(testbed, config):
+            seen.append(gc.get_threshold())
+            raise RuntimeError("experiment failed")
+
+        testbed = Testbed(seed=5, profiles=profiles_by_name(SUBSET))
+        gc.set_threshold(*custom)
+        gc.callbacks.append(count_full)
+        try:
+            run_full_study(seed=5, testbed=testbed, fidelity="flow")
+            assert full_collections == [custom]  # the entry collection only
+            assert gc.get_threshold() == custom
+
+            monkeypatch.setattr("repro.testbed.study.run_connectivity_experiment", failing_experiment)
+            with pytest.raises(RuntimeError, match="experiment failed"):
+                run_full_study(seed=5, testbed=Testbed(seed=5, profiles=profiles_by_name(SUBSET[:1])))
+            assert seen == [(600, 9, DEFERRED_FULL_COLLECTION)]  # the young generations still collect
+            assert gc.get_threshold() == custom
+        finally:
+            gc.callbacks.remove(count_full)
+            gc.set_threshold(*caller)
