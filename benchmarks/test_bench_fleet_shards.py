@@ -7,8 +7,9 @@ Three gates, one artifact (``BENCH_fleet_shards.json``):
 - **core scaling** — 4 shards must finish a flow-fidelity fleet at least
   1.6x faster than 1 shard (skipped on machines with fewer than 4 cores);
 - **bounded RSS** — a sharded run folds each home into O(shards) streaming
-  aggregates instead of retaining O(homes) summaries, so peak RSS must stay
-  below a *fixed* ceiling no matter how many homes run. The nightly CI job
+  aggregates instead of retaining O(homes) summaries, and each shard frees
+  a finished home before it starts the next, so peak RSS must stay below a
+  *fixed* ceiling no matter how many homes run. The nightly CI job
   sets ``FLEET_SHARD_BENCH_HOMES=10000`` and ``FLEET_SHARD_RSS_CEILING_MB``
   to enforce this on a 10k-home run; locally the run is small and the
   ceiling check is report-only unless the variable is set.
@@ -21,8 +22,10 @@ run would take — the population scale the ROADMAP's sharding item aims at.
 import json
 import os
 import resource
+import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,9 +56,16 @@ def _run(homes: int, shards: int):
 
 
 def _rss_mb(who: int) -> float:
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    units = 1024.0 if os.uname().sysname == "Darwin" else 1.0
-    return resource.getrusage(who).ru_maxrss * units / 1024.0
+    # ru_maxrss is KiB on Linux and bytes on macOS.
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(who).ru_maxrss / scale
+
+
+@pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 1024), ("darwin", 3 * 1024 * 1024)])
+def test_rss_mb_reads_mib_on_each_platform(platform, maxrss, monkeypatch):
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss))
+    assert _rss_mb(resource.RUSAGE_SELF) == 3.0
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -105,10 +115,12 @@ def test_bench_shard_rss_stays_bounded():
     """Peak RSS of a sharded flow-fidelity run vs the fixed ceiling.
 
     The parent holds only merged accumulators and each long-lived shard
-    process holds one home at a time, so ``ru_maxrss`` (self + reaped shard
-    children) must not grow with FLEET_SHARD_BENCH_HOMES. The nightly job
-    runs this at 10k homes with the ceiling enforced; a retained-summaries
-    regression would blow straight past it.
+    process holds one home at a time: the worker closes each finished
+    home's testbed, which then frees by reference counting before the next
+    home starts, with no wait for a full collection. So ``ru_maxrss`` (self
+    + reaped shard children) must not grow with FLEET_SHARD_BENCH_HOMES.
+    The nightly job runs this at 10k homes with the ceiling enforced; a
+    retained-summaries regression would blow straight past it.
     """
     aggregate = _run(RSS_HOMES, SHARDS)
     assert aggregate.total_homes == RSS_HOMES

@@ -130,6 +130,15 @@ class Internet:
     def attach_router(self, router: "Router") -> None:
         self.router = router
 
+    def close(self) -> None:
+        """Drop every endpoint and the router, which refer back to this
+        Internet; it routes nothing afterwards."""
+        for endpoint in self._endpoints.values():
+            if isinstance(endpoint, Endpoint):
+                endpoint.tcp = None  # its ``send`` is the endpoint's bound ``_tcp_send``
+        self._endpoints = {}
+        self.router = None
+
     # ---------------------------------------------------------------- endpoints
 
     def endpoint(self, address) -> Endpoint:
@@ -163,16 +172,6 @@ class Internet:
         if isinstance(address, str):
             address = ipaddress.ip_address(address)
         self._endpoints[address] = endpoint
-
-    def detach_endpoint(self, address) -> None:
-        """Remove a caller-attached endpoint (scanner vantage teardown).
-
-        After detaching, packets routed to ``address`` count as ``dropped``
-        again — an adversary vantage that has moved on hears nothing.
-        """
-        if isinstance(address, str):
-            address = ipaddress.ip_address(address)
-        self._endpoints.pop(address, None)
 
     def materialize_registry(self) -> None:
         """Create an endpoint for every address in the DNS registry."""

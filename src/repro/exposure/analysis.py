@@ -27,6 +27,7 @@ summaries, so the epidemic layer never re-runs packets.
 from __future__ import annotations
 
 import ipaddress
+from contextlib import closing
 from dataclasses import dataclass
 
 from repro.cache import cached_artifact, study_fingerprint
@@ -213,53 +214,54 @@ def run_home_exposure(spec: ExposureSpec) -> HomeExposure:
 def _scan_home(spec: ExposureSpec, config, profiles, schedule) -> HomeExposure:
     """The uncached body: build (optionally faulted), settle, pinhole, scan."""
     testbed = Testbed(seed=spec.sim_seed, profiles=profiles, include_controls=False)
-    injector = FaultInjector.attach(testbed, schedule) if schedule is not None else None
+    with closing(testbed):
+        injector = FaultInjector.attach(testbed, schedule) if schedule is not None else None
 
-    # No capture runs here, so the fast path's records are never read (the
-    # scanner probes from the WAN).
-    testbed.configure(config)
-    if spec.leak:
-        for device in testbed.devices:
-            # One cloud check-in before the census, so the addresses devices
-            # actually use have leaked by the time the hitlist is compiled.
-            testbed.sim.schedule(CHECKIN_AT, device.checkin)
-    testbed.sim.run(SETTLE)
+        # No capture runs here, so the fast path's records are never read (the
+        # scanner probes from the WAN).
+        testbed.configure(config)
+        if spec.leak:
+            for device in testbed.devices:
+                # One cloud check-in before the census, so the addresses devices
+                # actually use have leaked by the time the hitlist is compiled.
+                testbed.sim.schedule(CHECKIN_AT, device.checkin)
+        testbed.sim.run(SETTLE)
 
-    if spec.firewall == "pinhole":
-        for device in testbed.devices:
-            for proto, port in effective_pinholes(device.profile):
-                testbed.router.add_pinhole(device.mac, proto, port)
+        if spec.firewall == "pinhole":
+            for device in testbed.devices:
+                for proto, port in effective_pinholes(device.profile):
+                    testbed.router.add_pinhole(device.mac, proto, port)
 
-    hitlist = leaked_addresses(testbed) if spec.leak else {}
-    scanner = WanScanner(testbed, extra_targets=hitlist)
-    scan = scanner.run()
-    knowledge = scanner.knowledge
-    devices = tuple(
-        DeviceExposure(
-            device=name,
-            addr_kind=headline_addr_kind(report.addr_kinds),
-            gua_count=report.gua_count,
-            discoverable=report.discoverable,
-            responsive=report.responsive,
-            reachable=report.reachable,
-            open_tcp=tuple(sorted(report.open_tcp)),
-            open_udp=tuple(sorted(report.open_udp)),
-            eui64_entries=sum(1 for a in report.discovered if knowledge.synthesizes_eui64(a)),
-            low_iid_entries=sum(1 for a in report.discovered if knowledge.synthesizes_low_iid(a)),
-            hitlist_entries=len(hitlist.get(name, ())),
+        hitlist = leaked_addresses(testbed) if spec.leak else {}
+        scanner = WanScanner(testbed, extra_targets=hitlist)
+        scan = scanner.run()
+        knowledge = scanner.knowledge
+        devices = tuple(
+            DeviceExposure(
+                device=name,
+                addr_kind=headline_addr_kind(report.addr_kinds),
+                gua_count=report.gua_count,
+                discoverable=report.discoverable,
+                responsive=report.responsive,
+                reachable=report.reachable,
+                open_tcp=tuple(sorted(report.open_tcp)),
+                open_udp=tuple(sorted(report.open_udp)),
+                eui64_entries=sum(1 for a in report.discovered if knowledge.synthesizes_eui64(a)),
+                low_iid_entries=sum(1 for a in report.discovered if knowledge.synthesizes_low_iid(a)),
+                hitlist_entries=len(hitlist.get(name, ())),
+            )
+            for name, report in sorted(scan.devices.items())
         )
-        for name, report in sorted(scan.devices.items())
-    )
-    return HomeExposure(
-        config_name=spec.config_name,
-        firewall=spec.firewall,
-        immune=False,
-        eui64_space=knowledge.eui64_space,
-        low_iid_space=knowledge.low_iid_space,
-        probes_sent=scan.probes_sent,
-        wan_dropped=scan.wan_dropped,
-        passed_pinhole=testbed.router.firewall.passed_pinhole,
-        fault_events=injector.counters.total if injector is not None else 0,
-        devices=devices,
-        decoy_hits=scan.decoy_hits,
-    )
+        return HomeExposure(
+            config_name=spec.config_name,
+            firewall=spec.firewall,
+            immune=False,
+            eui64_space=knowledge.eui64_space,
+            low_iid_space=knowledge.low_iid_space,
+            probes_sent=scan.probes_sent,
+            wan_dropped=scan.wan_dropped,
+            passed_pinhole=testbed.router.firewall.passed_pinhole,
+            fault_events=injector.counters.total if injector is not None else 0,
+            devices=devices,
+            decoy_hits=scan.decoy_hits,
+        )

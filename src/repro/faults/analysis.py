@@ -23,6 +23,7 @@ Each device x fault cell is classified as:
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -169,7 +170,8 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
     def compute_baseline() -> dict[str, DeviceObservation]:
         study = run_home_study(spec.sim_seed, config, profiles)
         # The captures are large; only the observations leave this frame.
-        return observe_study(study, config.name)
+        with closing(study.testbed):
+            return observe_study(study, config.name)
 
     clean_fp = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles)
     baseline = cached_artifact(clean_fp, "faults-baseline", compute_baseline)
@@ -183,8 +185,9 @@ def run_home_faults(spec: "FaultSpec", extra_schedules: tuple = ()) -> HomeFault
 
         def compute_arm(schedule=schedule):
             study = run_home_study(spec.sim_seed, config, profiles, fault_schedule=schedule)
-            observed = observe_study(study, config.name, after=schedule.last_end)
-            return observed, study.testbed.faults.counters.total
+            with closing(study.testbed):
+                observed = observe_study(study, config.name, after=schedule.last_end)
+                return observed, study.testbed.faults.counters.total
 
         arm_fp = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles, fault_schedule=schedule)
         observed, fault_events = cached_artifact(arm_fp, "faults-arm", compute_arm)

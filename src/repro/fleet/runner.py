@@ -15,7 +15,7 @@ from __future__ import annotations
 import signal
 import threading
 import traceback
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -100,7 +100,8 @@ def simulate_home(spec: HomeSpec) -> HomeSummary:
 
     def compute() -> HomeSummary:
         study = run_home_study(spec.sim_seed, config, profiles)
-        return summarize_home(study, spec)
+        with closing(study.testbed):
+            return summarize_home(study, spec)
 
     fingerprint = study_fingerprint(sim_seed=spec.sim_seed, config=config, profiles=profiles)
     return cached_artifact(fingerprint, "fleet-summary", compute)

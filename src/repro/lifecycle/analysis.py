@@ -14,6 +14,7 @@ picklable :class:`EpochSummary`.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,37 +126,38 @@ def run_home_epoch(spec: EpochSpec) -> EpochSummary:
 def _simulate_epoch(spec: EpochSpec, config, profiles, schedule) -> EpochSummary:
     """The uncached body: one epoch study plus its optional WAN scan."""
     study = run_home_study(spec.sim_seed, config, profiles, fault_schedule=schedule)
-    result = study.experiment(config.name)
+    with closing(study.testbed):
+        result = study.experiment(config.name)
 
-    functional = tuple(sorted(name for name, ok in result.functionality.items() if ok))
-    bricked = tuple(sorted(name for name, ok in result.functionality.items() if not ok))
-    ready = tuple(sorted(profile.name for profile in profiles if v6_ready(profile)))
+        functional = tuple(sorted(name for name, ok in result.functionality.items() if ok))
+        bricked = tuple(sorted(name for name, ok in result.functionality.items() if not ok))
+        ready = tuple(sorted(profile.name for profile in profiles if v6_ready(profile)))
 
-    eui64 = []
-    gua_addresses = 0
-    retired = 0
-    for device in study.testbed.devices:
-        records = device.stack.addrs.assigned(AddressScope.GUA)
-        gua_addresses += len(records)
-        retired += len(device.stack.addrs.retired)
-        if any(record.iid_kind == "eui64" for record in records):
-            eui64.append(device.name)
+        eui64 = []
+        gua_addresses = 0
+        retired = 0
+        for device in study.testbed.devices:
+            records = device.stack.addrs.assigned(AddressScope.GUA)
+            gua_addresses += len(records)
+            retired += len(device.stack.addrs.retired)
+            if any(record.iid_kind == "eui64" for record in records):
+                eui64.append(device.name)
 
-    exposure = None
-    if spec.exposure and config.ipv6:
-        exposure = _scan_epoch(study.testbed)
+        exposure = None
+        if spec.exposure and config.ipv6:
+            exposure = _scan_epoch(study.testbed)
 
-    return EpochSummary(
-        config_name=spec.config_name,
-        devices=spec.device_names,
-        functional=functional,
-        bricked=bricked,
-        ready=ready,
-        eui64_devices=tuple(sorted(eui64)),
-        gua_addresses=gua_addresses,
-        retired_addresses=retired,
-        exposure=exposure,
-    )
+        return EpochSummary(
+            config_name=spec.config_name,
+            devices=spec.device_names,
+            functional=functional,
+            bricked=bricked,
+            ready=ready,
+            eui64_devices=tuple(sorted(eui64)),
+            gua_addresses=gua_addresses,
+            retired_addresses=retired,
+            exposure=exposure,
+        )
 
 
 def _scan_epoch(testbed) -> EpochExposure:

@@ -90,7 +90,12 @@ class Simulator:
         self.compactions += 1
 
     def run_until(self, time: float) -> None:
-        """Process events up to and including virtual time ``time``."""
+        """Process events up to and including virtual time ``time``.
+
+        A fired event drops its callback and arguments before the callback
+        runs, as a cancelled one does: an owner that keeps it (a timed-out
+        TCP connection keeps its timeout) is then no cycle.
+        """
         while self._queue and self._queue[0][0] <= time:
             event = heapq.heappop(self._queue)[2]
             if event.cancelled:
@@ -99,27 +104,23 @@ class Simulator:
             self._live -= 1
             event._sim = None  # a later cancel() must not decrement again
             self.now = event.time
-            event.callback(*event.args)
+            callback, args = event.callback, event.args
+            event.callback = event.args = None
+            callback(*args)
         self.now = max(self.now, time)
 
     def run(self, duration: float) -> None:
         """Advance virtual time by ``duration`` seconds."""
         self.run_until(self.now + duration)
 
-    def run_all(self, limit: int = 10_000_000) -> None:
-        """Drain the queue completely (bounded by ``limit`` events)."""
-        for _ in range(limit):
-            if not self._queue:
-                return
-            event = heapq.heappop(self._queue)[2]
-            if event.cancelled:
-                self._dead -= 1
-                continue
-            self._live -= 1
-            event._sim = None
-            self.now = event.time
-            event.callback(*event.args)
-        raise RuntimeError(f"event limit exceeded ({limit}); runaway timer?")
+    def close(self) -> None:
+        """Cancel every queued event, dropping its callback: a queued event
+        kept by its owner then refers back to nothing."""
+        for _, _, event in self._queue:
+            event.cancelled = True
+            event.callback = event.args = event._sim = None
+        self._queue = []
+        self._live = self._dead = 0
 
     @property
     def pending(self) -> int:

@@ -1,9 +1,11 @@
 """A shared Ethernet broadcast domain with capture taps.
 
 The testbed LAN is one L2 segment. Delivery is switched: unicast frames go
-only to the owning NIC (plus promiscuous ones), multicast/broadcast frames go
-to every NIC — one simulator event per frame either way, so a 93-device LAN
-stays cheap. Capture taps see every frame (the simulation's tcpdump).
+only to the owning NIC (plus promiscuous ones), multicast frames only to
+the NICs that accept the group (members are memoized per destination), and
+broadcast frames to every NIC — one simulator event per frame either way,
+so a 93-device LAN stays cheap. Capture taps see every frame (the
+simulation's tcpdump).
 
 Frames travel as the sender's structured :class:`~repro.net.ethernet.Ethernet`
 object: every receiver and tap gets that one object, and nothing on the
@@ -89,6 +91,13 @@ class EthernetLink:
         if nic.promiscuous:
             self._promiscuous.append(nic)
         self._flood.clear()
+
+    def close(self) -> None:
+        """Unhook every NIC from its node and from this link: a node and its
+        NICs refer to each other, and so do the link and its NICs. The link
+        carries nothing afterwards."""
+        for nic in self._nics:
+            nic.node = nic.link = None
 
     def add_tap(self, tap: Tap) -> None:
         """Register a capture callback, called with ``(timestamp, frame)``

@@ -59,6 +59,22 @@ class Testbed:
             device.prepare(config)
         return self.flow_path.records
 
+    def close(self) -> None:
+        """Cut the back references that make a finished testbed a cycle.
+
+        Afterwards the testbed frees by reference counting, without waiting
+        for a full collection. It is unusable: nothing can run or be
+        measured on it, so read what a summary needs first.
+        """
+        self.sim.close()
+        self.link.close()
+        self.internet.close()
+        self.router.firewall = None  # its clock, ``lambda: self.sim.now``, holds the router
+        for device in self.everyone:
+            # Each engine's send and schedule are the stack's bound methods,
+            # and its ``flow_host`` is the stack.
+            device.stack.tcp4 = device.stack.tcp6 = None
+
     # -- capture taps ---------------------------------------------------------
 
     def start_capture(self) -> list[PcapRecord]:

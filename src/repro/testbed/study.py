@@ -121,9 +121,11 @@ def run_full_study(
     The study keeps every frame it captures until it returns and makes no
     cyclic garbage, so a full (generation-2) collection while it runs would
     walk all of them and free nothing. One full collection on entry frees
-    what earlier work left (a finished testbed is a cycle); then only the
-    young generations collect until the study returns, and the caller's
-    thresholds come back even when it raises (DESIGN.md §10).
+    what earlier work left (a finished testbed that was never closed, like
+    this study's own, is a cycle); then only the young generations collect
+    until the study returns, and the caller's thresholds come back even
+    when it raises (DESIGN.md §10). The study's testbed stays open, because
+    the caller keeps the study.
     """
     gc.collect()
     thresholds = gc.get_threshold()
@@ -215,6 +217,9 @@ def run_home_study(
     :class:`~repro.faults.schedule.FaultSchedule` injected into the home's
     link and router for the whole run (the injector's counters are exposed
     as ``study.testbed.faults``).
+
+    The caller closes ``study.testbed`` once it has read what it needs
+    (:meth:`Testbed.close`); a run that raises closes it here.
     """
     testbed = Testbed(seed=seed, profiles=profiles, include_controls=False)
 
@@ -226,5 +231,9 @@ def run_home_study(
         testbed.faults = FaultInjector.attach(testbed, fault_schedule)
 
     study = Study(testbed=testbed)
-    study.experiments[config.name] = run_connectivity_experiment(testbed, config)
+    try:
+        study.experiments[config.name] = run_connectivity_experiment(testbed, config)
+    except BaseException:  # an expired home budget too: no caller holds the testbed yet
+        testbed.close()
+        raise
     return study

@@ -85,6 +85,41 @@ class TestScheduling:
         del callback
         assert alive() is None
 
+    def test_fired_event_drops_its_callback(self):
+        """An owner may keep a fired event (a timed-out TCP connection keeps
+        its timeout); the event must not keep the callback alive."""
+
+        class Callback:
+            def __call__(self):
+                pass
+
+        sim = Simulator()
+        callback = Callback()
+        alive = weakref.ref(callback)
+        event = sim.schedule(1.0, callback)
+        sim.run(2.0)
+        del callback
+        assert alive() is None
+        assert event.cancelled is False
+
+    def test_close_cancels_queued_events_and_drops_their_callbacks(self):
+        class Callback:
+            def __call__(self):
+                raise AssertionError("a closed simulator fired an event")
+
+        sim = Simulator()
+        callback = Callback()
+        alive = weakref.ref(callback)
+        kept = sim.schedule(1.0, callback)
+        sim.schedule(2.0, callback).cancel()
+        sim.close()
+        del callback
+        assert alive() is None
+        assert sim.pending == 0
+        kept.cancel()  # already cancelled: no counter moves
+        assert sim.pending == 0
+        sim.run(3.0)
+
     def test_pending_counts_live_events(self):
         sim = Simulator()
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
@@ -93,7 +128,7 @@ class TestScheduling:
         assert sim.pending == 4
         sim.run(2.0)  # fires the (live) event at t=2
         assert sim.pending == 3
-        sim.run_all()
+        sim.run_until(5.0)
         assert sim.pending == 0
 
     def test_double_cancel_counts_once(self):
@@ -169,25 +204,6 @@ class TestHeapCompaction:
         event.cancel()
         assert sim._dead == 0
 
-    def test_run_all_drains_queue(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(100.0, fired.append, 1)
-        sim.schedule(200.0, fired.append, 2)
-        sim.run_all()
-        assert fired == [1, 2]
-        assert sim.now == 200.0
-
-    def test_run_all_detects_runaway(self):
-        sim = Simulator()
-
-        def rearm():
-            sim.schedule(1.0, rearm)
-
-        sim.schedule(1.0, rearm)
-        with pytest.raises(RuntimeError):
-            sim.run_all(limit=100)
-
 
 class TestDeterminism:
     def test_same_seed_same_rng_streams(self):
@@ -214,5 +230,6 @@ class TestDeterminism:
         fired = []
         for delay in delays:
             sim.schedule(delay, lambda d=delay: fired.append(d))
-        sim.run_all()
+        sim.run_until(100.0)
         assert fired == sorted(fired)
+        assert len(fired) == len(delays)
