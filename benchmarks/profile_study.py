@@ -6,8 +6,16 @@ table between two runs to see where the wall-clock moved.
 
 Usage:
     PYTHONPATH=src python benchmarks/profile_study.py [--top 30] [--seed 77]
-        [--config ipv6-only] [--fidelity flow] [--cache DIR]
+        [--config ipv6-only] [--fidelity flow] [--cache DIR | --memory]
         [--output benchmarks/profile_top30.txt]
+
+With ``--memory`` the report is the memory trail instead: the same study runs
+under ``tracemalloc``, and the report gives the process's peak RSS and the
+top allocation sites, grouped by source line, whose memory the study still
+holds when it returns (its captures, their frames and the capture index).
+Unlike a ``sys.getsizeof`` census, this counts every allocation, instance
+dicts included. Tracing slows the run several-fold and its bookkeeping is
+part of the peak RSS, so compare memory reports only with each other.
 
 With ``--cache DIR`` the profiled unit is the cached fleet worker
 (``repro.fleet.runner.simulate_home``) instead of a bare connectivity
@@ -25,7 +33,10 @@ import cProfile
 import gc
 import io
 import pstats
+import resource
+import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -98,6 +109,49 @@ def profile_once(config_name: str, seed: int, top: int, fidelity: str = "packet"
     return header + stream.getvalue()
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is KiB on Linux and bytes on macOS.
+    scale = 1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
+
+
+def _site(frame: tracemalloc.Frame) -> str:
+    """``file:line``, from the package root when the file is under ``src/``."""
+    path = Path(frame.filename).as_posix()
+    _, sep, inside = path.rpartition("/src/")
+    return f"{inside if sep else path}:{frame.lineno}"
+
+
+def profile_memory(config_name: str, seed: int, top: int, fidelity: str = "packet") -> str:
+    """What a one-config study still holds when it returns, by allocation site."""
+    config = with_fidelity(next(c for c in ALL_CONFIGS if c.name == config_name), fidelity)
+    tracemalloc.start()
+    try:
+        testbed = Testbed(seed=seed, profiles=build_inventory())
+        result = run_connectivity_experiment(testbed, config)
+        snapshot = tracemalloc.take_snapshot()
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    snapshot = snapshot.filter_traces((tracemalloc.Filter(False, tracemalloc.__file__),))
+    stats = snapshot.statistics("lineno")
+    held = sum(stat.size for stat in stats)
+    mib = 1024.0 * 1024.0
+    lines = [
+        f"one-config memory profile: config={config_name} seed={seed} "
+        f"fidelity={fidelity} devices={len(result.functionality)}\n",
+        f"captured frames: {len(result.records)}; flow records: {len(result.flow_records)}\n",
+        f"peak rss: {_peak_rss_mb():.1f} MiB (tracing included)\n",
+        f"traced: {held / mib:.1f} MiB held at return in {len(stats)} sites; "
+        f"peak {traced_peak / mib:.1f} MiB\n",
+        "\n",
+        f"{'MiB':>8} {'blocks':>9}  site\n",
+    ]
+    for stat in stats[:top]:
+        lines.append(f"{stat.size / mib:8.2f} {stat.count:9d}  {_site(stat.traceback[0])}\n")
+    return "".join(lines)
+
+
 def profile_cached_home(
     config_name: str, seed: int, top: int, fidelity: str, cache_dir: str
 ) -> str:
@@ -141,16 +195,24 @@ def main(argv: list[str] | None = None) -> int:
         choices=list(FIDELITY_MODES),
         help="simulation fidelity for the profiled run",
     )
-    parser.add_argument(
+    unit = parser.add_mutually_exclusive_group()
+    unit.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
         help="profile the cached fleet worker against this study-cache directory",
     )
+    unit.add_argument(
+        "--memory",
+        action="store_true",
+        help="report the allocation sites the study still holds when it returns (tracemalloc)",
+    )
     parser.add_argument("--output", type=Path, default=None, help="also write the report to this file")
     args = parser.parse_args(argv)
 
-    if args.cache is not None:
+    if args.memory:
+        report = profile_memory(args.config, args.seed, args.top, fidelity=args.fidelity)
+    elif args.cache is not None:
         report = profile_cached_home(
             args.config, args.seed, args.top, fidelity=args.fidelity, cache_dir=args.cache
         )

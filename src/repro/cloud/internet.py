@@ -230,18 +230,18 @@ class Internet:
         record = self.registry.lookup(question.name)
         if record is None:
             soa = ResourceRecord.soa(_zone_of(question.name), "ns1.gtld.example", "hostmaster.gtld.example")
-            return query.response(rcode=RCODE_NXDOMAIN, authorities=[soa])
+            return query.response(rcode=RCODE_NXDOMAIN, authorities=(soa,))
         if question.qtype == TYPE_A and record.has_a:
-            return query.response([ResourceRecord.a(question.name, a) for a in record.a_records])
+            return query.response(ResourceRecord.a(question.name, a) for a in record.a_records)
         if question.qtype == TYPE_AAAA and record.has_aaaa:
-            return query.response([ResourceRecord.aaaa(question.name, a) for a in record.aaaa_records])
+            return query.response(ResourceRecord.aaaa(question.name, a) for a in record.aaaa_records)
         if question.qtype in (TYPE_HTTPS, TYPE_SVCB):
             # No SVCB data: NOERROR/NODATA with an SOA, the common case.
             soa = ResourceRecord.soa(_zone_of(question.name), "ns1.gtld.example", "hostmaster.gtld.example")
-            return query.response(authorities=[soa])
+            return query.response(authorities=(soa,))
         # NOERROR, no data: the paper's "SOA record" negative responses.
         soa = ResourceRecord.soa(_zone_of(question.name), "ns1.gtld.example", "hostmaster.gtld.example")
-        return query.response(authorities=[soa])
+        return query.response(authorities=(soa,))
 
 
 @functools.lru_cache(maxsize=1 << 12)

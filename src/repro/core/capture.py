@@ -68,7 +68,7 @@ def _server_name(payload) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsQuery:
     device: str
     name: str
@@ -78,7 +78,7 @@ class DnsQuery:
     src_ip: object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsResponse:
     device: str
     name: str
@@ -93,7 +93,7 @@ class DnsResponse:
         return self.rcode == 0 and bool(self.answers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NdpEvent:
     device: str
     kind: str            # "rs" | "ra" | "ns" | "na" | "dad"
@@ -102,7 +102,7 @@ class NdpEvent:
     timestamp: float
 
 
-@dataclass
+@dataclass(slots=True)
 class AddressRecordObs:
     """One IPv6 address observed for a device."""
 
@@ -115,7 +115,7 @@ class AddressRecordObs:
     first_seen: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Flow:
     """One TCP or UDP conversation attributed to a device."""
 
@@ -145,7 +145,7 @@ class Flow:
         return self.bytes_out + self.bytes_in
 
 
-@dataclass
+@dataclass(slots=True)
 class DhcpEvent:
     device: str
     protocol: str        # "dhcpv6" | "dhcpv4"

@@ -22,6 +22,7 @@ class ARP(Layer):
         self.target_mac = MacAddress(target_mac)
         self.target_ip = as_ipv4(target_ip)
         self.payload = None
+        self.wire_len = None
 
     @classmethod
     def request(cls, sender_mac, sender_ip, target_ip) -> "ARP":

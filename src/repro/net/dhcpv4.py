@@ -80,6 +80,7 @@ class DHCPv4(Layer):
         self.dns_servers = [as_ipv4(s) for s in (dns_servers or [])]
         self.lease_time = lease_time
         self.payload = None
+        self.wire_len = None
 
     @classmethod
     def discover(cls, xid: int, client_mac: MacAddress) -> "DHCPv4":

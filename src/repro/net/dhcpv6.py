@@ -111,6 +111,7 @@ class DHCPv6(Layer):
         self.requested_options = requested_options or []
         self.dns_servers = [as_ipv6(s) for s in (dns_servers or [])]
         self.payload = None
+        self.wire_len = None
 
     # -- constructors --------------------------------------------------------
 

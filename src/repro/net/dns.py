@@ -10,7 +10,7 @@ HTTPS/SVCB queries some Apple/Android devices issue.
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.net.ip6 import as_ipv6, intern_ipv6
 from repro.net.ipv4 import as_ipv4, intern_ipv4
@@ -190,8 +190,21 @@ class ResourceRecord:
         return f"RR({self.name} {TYPE_NAMES.get(self.rtype, self.rtype)} {self.rdata})"
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _question_section(name: str, qtype: int) -> tuple[Question, ...]:
+    # Devices and the resolver ask a small, fixed set of (name, type) pairs
+    # all study long, and a capture keeps every query: they share sections.
+    return (Question(name, qtype),)
+
+
 class DNS(Layer):
-    """A DNS query or response message."""
+    """A DNS query or response message.
+
+    Its four sections are tuples, never changed after construction, so
+    messages share them: an absent section is the one empty tuple, every
+    ``query`` for one (name, type) shares one question section, a
+    ``response`` shares its query's, and ``with_txid`` copies share all four.
+    """
 
     __slots__ = (
         "txid",
@@ -216,10 +229,10 @@ class DNS(Layer):
         recursion_desired: bool = True,
         recursion_available: bool = False,
         authoritative: bool = False,
-        questions: Optional[list[Question]] = None,
-        answers: Optional[list[ResourceRecord]] = None,
-        authorities: Optional[list[ResourceRecord]] = None,
-        additionals: Optional[list[ResourceRecord]] = None,
+        questions: Iterable[Question] = (),
+        answers: Iterable[ResourceRecord] = (),
+        authorities: Iterable[ResourceRecord] = (),
+        additionals: Iterable[ResourceRecord] = (),
     ):
         self.txid = txid
         self.is_response = is_response
@@ -227,31 +240,33 @@ class DNS(Layer):
         self.recursion_desired = recursion_desired
         self.recursion_available = recursion_available
         self.authoritative = authoritative
-        self.questions = questions or []
-        self.answers = answers or []
-        self.authorities = authorities or []
-        self.additionals = additionals or []
+        # tuple() returns a tuple argument itself, and an empty one as ().
+        self.questions = tuple(questions)
+        self.answers = tuple(answers)
+        self.authorities = tuple(authorities)
+        self.additionals = tuple(additionals)
         self.payload = None
+        self.wire_len = None
 
     @classmethod
     def query(cls, txid: int, name: str, qtype: int) -> "DNS":
-        return cls(txid, questions=[Question(name, qtype)])
+        return cls(txid, questions=_question_section(name, qtype))
 
     def response(
         self,
-        answers: Optional[list[ResourceRecord]] = None,
+        answers: Iterable[ResourceRecord] = (),
         rcode: int = RCODE_NOERROR,
-        authorities: Optional[list[ResourceRecord]] = None,
+        authorities: Iterable[ResourceRecord] = (),
     ) -> "DNS":
-        """Build a response matching this query."""
+        """Build a response matching this query, sharing its question section."""
         return DNS(
             self.txid,
             is_response=True,
             rcode=rcode,
             recursion_available=True,
-            questions=list(self.questions),
-            answers=answers or [],
-            authorities=authorities or [],
+            questions=self.questions,
+            answers=answers,
+            authorities=authorities,
         )
 
     @property
@@ -264,8 +279,8 @@ class DNS(Layer):
     def with_txid(self, txid: int) -> "DNS":
         """A shallow copy carrying a different transaction ID.
 
-        The resolver answers the same question with the same section lists
-        for every client; copies share those lists.
+        The resolver answers the same question with the same sections for
+        every client; copies share them.
         """
         clone = DNS.__new__(DNS)
         clone.txid = txid
@@ -279,6 +294,7 @@ class DNS(Layer):
         clone.authorities = self.authorities
         clone.additionals = self.additionals
         clone.payload = None
+        clone.wire_len = self.wire_len
         return clone
 
     def encode(self) -> bytes:
@@ -304,12 +320,13 @@ class DNS(Layer):
         for q in self.questions:
             out += encode_name(q.name, compression, len(out))
             out += q.qtype.to_bytes(2, "big") + q.qclass.to_bytes(2, "big")
-        for rr in self.answers + self.authorities + self.additionals:
-            out += encode_name(rr.name, compression, len(out))
-            out += rr.rtype.to_bytes(2, "big") + rr.rclass.to_bytes(2, "big")
-            out += rr.ttl.to_bytes(4, "big")
-            rdata = rr._rdata_bytes(compression, len(out) + 2)
-            out += len(rdata).to_bytes(2, "big") + rdata
+        for section in (self.answers, self.authorities, self.additionals):
+            for rr in section:
+                out += encode_name(rr.name, compression, len(out))
+                out += rr.rtype.to_bytes(2, "big") + rr.rclass.to_bytes(2, "big")
+                out += rr.ttl.to_bytes(4, "big")
+                rdata = rr._rdata_bytes(compression, len(out) + 2)
+                out += len(rdata).to_bytes(2, "big") + rdata
         return bytes(out)
 
     @classmethod
@@ -319,14 +336,7 @@ class DNS(Layer):
         txid = int.from_bytes(data[0:2], "big")
         flags = int.from_bytes(data[2:4], "big")
         counts = [int.from_bytes(data[i : i + 2], "big") for i in (4, 6, 8, 10)]
-        message = cls(
-            txid,
-            is_response=bool(flags & 0x8000),
-            rcode=flags & 0x0F,
-            recursion_desired=bool(flags & 0x0100),
-            recursion_available=bool(flags & 0x0080),
-            authoritative=bool(flags & 0x0400),
-        )
+        questions = []
         offset = 12
         for _ in range(counts[0]):
             name, offset = decode_name(data, offset)
@@ -335,15 +345,27 @@ class DNS(Layer):
             qtype = int.from_bytes(data[offset : offset + 2], "big")
             qclass = int.from_bytes(data[offset + 2 : offset + 4], "big")
             offset += 4
-            message.questions.append(Question(name, qtype, qclass))
-        for section, count in (
-            (message.answers, counts[1]),
-            (message.authorities, counts[2]),
-            (message.additionals, counts[3]),
-        ):
+            questions.append(Question(name, qtype, qclass))
+        sections = []
+        for count in counts[1:]:
+            records = []
             for _ in range(count):
                 rr, offset = cls._decode_rr(data, offset)
-                section.append(rr)
+                records.append(rr)
+            sections.append(records)
+        answers, authorities, additionals = sections
+        message = cls(
+            txid,
+            is_response=bool(flags & 0x8000),
+            rcode=flags & 0x0F,
+            recursion_desired=bool(flags & 0x0100),
+            recursion_available=bool(flags & 0x0080),
+            authoritative=bool(flags & 0x0400),
+            questions=questions,
+            answers=answers,
+            authorities=authorities,
+            additionals=additionals,
+        )
         message.wire_len = len(data)
         return message
 

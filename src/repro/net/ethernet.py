@@ -20,6 +20,7 @@ class Ethernet(Layer):
         self.src = src if isinstance(src, MacAddress) else MacAddress(src)
         self.ethertype = ethertype
         self.payload = payload
+        self.wire_len = None
 
     def encode(self) -> bytes:
         body = self.payload.encode() if self.payload is not None else b""

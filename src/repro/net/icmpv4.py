@@ -29,6 +29,7 @@ class ICMPv4(Layer):
         self.data = data
         self.payload = None
         self.checksum_ok: bool | None = None
+        self.wire_len = None
 
     @classmethod
     def echo_request(cls, identifier: int, sequence: int, data: bytes = b"") -> "ICMPv4":

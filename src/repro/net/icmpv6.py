@@ -11,7 +11,6 @@ because UDP port scanning interprets Port Unreachable responses.
 from __future__ import annotations
 
 import ipaddress
-from functools import cached_property
 from typing import Optional
 
 from repro.net.checksum import segment_checksum
@@ -38,7 +37,12 @@ OPT_RDNSS = 25
 
 
 class NDOption:
-    """Base for RFC 4861 TLV options (length counted in units of 8 bytes)."""
+    """Base for RFC 4861 TLV options (length counted in units of 8 bytes).
+
+    Options are slot-only, like the layers that carry them.
+    """
+
+    __slots__ = ()
 
     option_type: int
 
@@ -54,6 +58,8 @@ class NDOption:
 
 
 class SourceLinkLayerOption(NDOption):
+    __slots__ = ("mac",)
+
     option_type = OPT_SOURCE_LLADDR
 
     def __init__(self, mac: MacAddress):
@@ -67,6 +73,8 @@ class SourceLinkLayerOption(NDOption):
 
 
 class TargetLinkLayerOption(NDOption):
+    __slots__ = ("mac",)
+
     option_type = OPT_TARGET_LLADDR
 
     def __init__(self, mac: MacAddress):
@@ -81,6 +89,23 @@ class TargetLinkLayerOption(NDOption):
 
 class PrefixInfoOption(NDOption):
     """Prefix Information (RFC 4861 §4.6.2) — drives SLAAC."""
+
+    # A dict ``__slots__`` gives ``network`` its docstring (``help``,
+    # ``inspect.getdoc``).
+    __slots__ = {
+        "prefix": None,
+        "prefix_length": None,
+        "on_link": None,
+        "autonomous": None,
+        "valid_lifetime": None,
+        "preferred_lifetime": None,
+        "network": (
+            "The advertised prefix as an ``IPv6Network``, computed once in the constructor. "
+            "The router sends the same RA object until it is reconfigured, so every host that "
+            "takes it reads this attribute instead of parsing the prefix. Bits past the prefix "
+            "length are ignored, as RFC 4861 §4.6.2 asks of a receiver."
+        ),
+    }
 
     option_type = OPT_PREFIX_INFO
 
@@ -99,12 +124,7 @@ class PrefixInfoOption(NDOption):
         self.autonomous = autonomous
         self.valid_lifetime = valid_lifetime
         self.preferred_lifetime = preferred_lifetime
-
-    @cached_property
-    def network(self) -> ipaddress.IPv6Network:
-        """The advertised prefix as a network, built once per option: the
-        router sends the same RA object until it is reconfigured."""
-        return ipaddress.IPv6Network((self.prefix, self.prefix_length))
+        self.network = ipaddress.IPv6Network((self.prefix, prefix_length), strict=False)
 
     def body(self) -> bytes:
         flags = (0x80 if self.on_link else 0) | (0x40 if self.autonomous else 0)
@@ -121,6 +141,8 @@ class PrefixInfoOption(NDOption):
 
 
 class MTUOption(NDOption):
+    __slots__ = ("mtu",)
+
     option_type = OPT_MTU
 
     def __init__(self, mtu: int = 1500):
@@ -135,6 +157,8 @@ class MTUOption(NDOption):
 
 class RDNSSOption(NDOption):
     """Recursive DNS Server option (RFC 8106) — RA-based DNS configuration."""
+
+    __slots__ = ("servers", "lifetime")
 
     option_type = OPT_RDNSS
 
@@ -164,7 +188,7 @@ def _decode_options(data: bytes) -> list[NDOption]:
             options.append(SourceLinkLayerOption(MacAddress(body[:6])))
         elif opt_type == OPT_TARGET_LLADDR and len(body) >= 6:
             options.append(TargetLinkLayerOption(MacAddress(body[:6])))
-        elif opt_type == OPT_PREFIX_INFO and len(body) >= 30:
+        elif opt_type == OPT_PREFIX_INFO and len(body) >= 30 and body[0] <= 128:
             options.append(
                 PrefixInfoOption(
                     ipaddress.IPv6Address(body[14:30]),
@@ -245,6 +269,7 @@ class ICMPv6(Layer):
         self.data = data
         self.payload = None
         self.checksum_ok: bool | None = None
+        self.wire_len = None
 
     # -- constructors for the common messages -------------------------------
 

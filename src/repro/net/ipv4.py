@@ -60,6 +60,7 @@ class IPv4(Layer):
         self.ttl = ttl
         self.identification = identification
         self.payload = payload
+        self.wire_len = None
 
     def _payload_bytes(self) -> bytes:
         if self.payload is None:

@@ -34,6 +34,7 @@ class IPv6(Layer):
         self.traffic_class = traffic_class
         self.flow_label = flow_label
         self.payload = payload
+        self.wire_len = None
 
     def _payload_bytes(self) -> bytes:
         if self.payload is None:

@@ -26,6 +26,7 @@ class NTP(Layer):
         self.stratum = stratum
         self.transmit_timestamp = transmit_timestamp
         self.payload = None
+        self.wire_len = None
 
     def encode(self) -> bytes:
         first = (0 << 6) | (self.version << 3) | self.mode

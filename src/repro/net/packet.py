@@ -39,13 +39,19 @@ class DecodeError(ValueError):
 
 
 class Layer:
-    """Base class for every protocol layer."""
+    """Base class for every protocol layer.
 
-    payload: "Optional[Layer]" = None
+    Every layer is slot-only, this base included: a study keeps each frame
+    it captured, one object per header, so a per-instance ``__dict__`` or
+    weakref pointer would cost every one of them (DESIGN.md §8).
+    """
 
     # Number of wire bytes this layer (with payload) occupied when it was
-    # decoded; None for layers built in memory rather than parsed.
-    wire_len: Optional[int] = None
+    # decoded; None for layers built in memory rather than parsed. Every
+    # constructor, and every ``__new__``-based copy, sets it.
+    __slots__ = ("wire_len",)
+
+    payload: "Optional[Layer]" = None
 
     def wire_length(self) -> int:
         """The layer's size in wire bytes, without re-encoding when known."""

@@ -29,6 +29,7 @@ class TLSClientHello(Layer):
         self.random = random
         self.cipher_suites = tuple(cipher_suites)
         self.payload = None
+        self.wire_len = None
 
     def encode(self) -> bytes:
         name = self.server_name.encode("ascii")

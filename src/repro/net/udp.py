@@ -24,6 +24,7 @@ class UDP(Layer):
         self._body: bytes | None = None
         self._cksum_ok: bool | None = None
         self._cksum_ctx: tuple | None = None
+        self.wire_len = None
 
     @property
     def payload(self) -> Layer | None:
@@ -90,8 +91,7 @@ class UDP(Layer):
         clone._body = self._body
         clone._cksum_ok = self._cksum_ok
         clone._cksum_ctx = None  # ports changed; the recorded inputs no longer apply
-        if self.wire_len is not None:
-            clone.wire_len = self.wire_len
+        clone.wire_len = self.wire_len
         return clone
 
     def _datagram(self, body: bytes) -> bytes:

@@ -146,3 +146,41 @@ class TestMessages:
         assert decoded.txid == txid
         assert decoded.question.name == name
         assert decoded.question.qtype == qtype
+
+
+EMPTY = tuple()
+SECTIONS = ("questions", "answers", "authorities", "additionals")
+
+
+class TestSharedSections:
+    """Sections are immutable tuples that messages share instead of copying."""
+
+    def test_a_query_shares_the_empty_section(self):
+        query = DNS.query(1, "api.example.com", TYPE_AAAA)
+        assert query.answers is EMPTY
+        assert query.authorities is EMPTY
+        assert query.additionals is EMPTY
+
+    def test_queries_for_one_name_and_type_share_their_question_section(self):
+        first = DNS.query(1, "api.example.com", TYPE_AAAA)
+        second = DNS.query(2, "api.example.com", TYPE_AAAA)
+        assert first.questions is second.questions
+        assert first.questions == (Question("api.example.com", TYPE_AAAA),)
+        assert DNS.query(3, "api.example.com", TYPE_A).questions is not first.questions
+
+    def test_a_response_shares_its_query_question_section(self):
+        query = DNS.query(7, "api.example.com", TYPE_A)
+        response = query.response([ResourceRecord.a("api.example.com", "192.0.2.1")])
+        assert response.questions is query.questions
+        assert type(response.answers) is tuple and len(response.answers) == 1
+        assert response.authorities is EMPTY and response.additionals is EMPTY
+
+    def test_decode_returns_tuples(self):
+        query = DNS.query(11, "nope.example.net", TYPE_AAAA)
+        soa = ResourceRecord.soa("example.net", "ns1.example.net", "admin.example.net")
+        for message in (query, query.response(rcode=RCODE_NXDOMAIN, authorities=[soa])):
+            decoded = DNS.decode(message.encode())
+            for section in SECTIONS:
+                assert type(getattr(decoded, section)) is tuple, section
+            assert decoded.questions == message.questions
+            assert decoded.answers is EMPTY and decoded.additionals is EMPTY

@@ -175,6 +175,17 @@ class TestICMPv6:
         assert rdnss.servers == [ipaddress.IPv6Address("2001:4860:4860::8888")]
         assert decoded.option(MTUOption).mtu == 1480
 
+    def test_prefix_info_from_the_wire_never_fails_to_decode(self):
+        # A receiver ignores the reserved bits past the prefix length
+        # (RFC 4861 §4.6.2) and skips an option whose length cannot be one.
+        ra = ICMPv6.router_advert(options=[PrefixInfoOption("2001:db8:1::1")])
+        wire = ra.encode()
+        assert ICMPv6.decode(wire).prefixes()[0].network == ipaddress.IPv6Network("2001:db8:1::/64")
+        prefix_length_at = 4 + 12 + 2  # ICMPv6 header, RA fields, option type and length
+        assert wire[prefix_length_at] == 64
+        too_long = wire[:prefix_length_at] + bytes([129]) + wire[prefix_length_at + 1 :]
+        assert ICMPv6.decode(too_long).prefixes() == []
+
     def test_ns_dad_style(self):
         # DAD: NS from the unspecified address with no SLLAO
         ns = self.v6(ICMPv6.neighbor_solicit("2001:db8::1:2"), src="::", dst="ff02::1:ff01:2")
