@@ -136,14 +136,16 @@ def profile_memory(config_name: str, seed: int, top: int, fidelity: str = "packe
     snapshot = snapshot.filter_traces((tracemalloc.Filter(False, tracemalloc.__file__),))
     stats = snapshot.statistics("lineno")
     held = sum(stat.size for stat in stats)
+    frames = len(result.records)
     mib = 1024.0 * 1024.0
     lines = [
         f"one-config memory profile: config={config_name} seed={seed} "
         f"fidelity={fidelity} devices={len(result.functionality)}\n",
-        f"captured frames: {len(result.records)}; flow records: {len(result.flow_records)}\n",
+        f"captured frames: {frames}; flow records: {len(result.flow_records)}\n",
         f"peak rss: {_peak_rss_mb():.1f} MiB (tracing included)\n",
         f"traced: {held / mib:.1f} MiB held at return in {len(stats)} sites; "
         f"peak {traced_peak / mib:.1f} MiB\n",
+        f"held per captured frame: {held / frames if frames else 0.0:.0f} bytes\n",
         "\n",
         f"{'MiB':>8} {'blocks':>9}  site\n",
     ]

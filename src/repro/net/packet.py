@@ -92,7 +92,12 @@ class Raw(Layer):
     def __init__(self, data: bytes = b""):
         self.data = data
         self.payload = None
-        self.wire_len = len(data)
+
+    @property
+    def wire_len(self) -> int:
+        """Always known: the payload's length, read off its bytes rather than
+        kept, which would cost an int object per payload over 256 bytes."""
+        return len(self.data)
 
     def encode(self) -> bytes:
         return self.data

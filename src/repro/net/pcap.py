@@ -9,7 +9,11 @@ read back through :class:`PcapReader`.
 from __future__ import annotations
 
 import io
+import operator
 import struct
+from array import array
+from collections.abc import Sequence
+from itertools import repeat
 from typing import BinaryIO, Iterable, Iterator, Optional
 
 MAGIC = 0xA1B2C3D4
@@ -25,12 +29,13 @@ _RECORD_HEADER = struct.Struct("<IIII")
 class PcapRecord:
     """One captured frame: a timestamp (seconds) and the frame.
 
-    A live capture holds the sender's structured ``frame`` and no bytes:
-    ``data`` encodes it on every read and never keeps the result, so a
-    study's captures hold no encoded frames, even after an export. Records
-    read from pcap files hold their bytes and no frame. Equality compares
-    timestamp and bytes, and a record pickles as ``(timestamp, data)``: the
-    frame is dropped, and the receiving side decodes on demand.
+    A record of a live capture (:class:`LiveCapture`) holds the sender's
+    structured ``frame`` and no bytes: ``data`` encodes it on every read and
+    never keeps the result, so a study's captures hold no encoded frames,
+    even after an export. Records read from pcap files hold their bytes and
+    no frame. Equality compares timestamp and bytes, and a record pickles as
+    ``(timestamp, data)``: the frame is dropped, and the receiving side
+    decodes on demand.
     """
 
     __slots__ = ("timestamp", "_data", "frame")
@@ -59,6 +64,50 @@ class PcapRecord:
 
     def __repr__(self) -> str:
         return f"PcapRecord(timestamp={self.timestamp!r}, data={self.data!r})"
+
+
+class LiveCapture(Sequence):
+    """A capture being taken, kept as two columns: timestamps and frames.
+
+    The link's tap (:meth:`tap`) appends each frame's timestamp to an
+    ``array('d')`` and the frame itself to a list, so a captured frame costs
+    one list slot and eight bytes, with no record object and no boxed float.
+    Reads build :class:`PcapRecord` views, ``PcapRecord(timestamp,
+    frame=frame)``, and keep none of them, so the capture reads as the list
+    of records it stands for: indexing, slicing (a list), iteration, ``len``
+    and equality with such a list. It pickles as that list, so each record
+    still pickles as ``(timestamp, data)``.
+    """
+
+    __slots__ = ("_times", "_frames")
+
+    def __init__(self):
+        self._times = array("d")
+        self._frames: list = []
+
+    def tap(self, timestamp: float, frame) -> None:
+        """The link tap: keep ``frame``, sent at ``timestamp``."""
+        self._times.append(timestamp)
+        self._frames.append(frame)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __iter__(self) -> Iterator[PcapRecord]:
+        return map(PcapRecord, self._times, repeat(None), self._frames)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(PcapRecord, self._times[index], repeat(None), self._frames[index]))
+        return PcapRecord(self._times[index], None, self._frames[index])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (LiveCapture, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __reduce__(self):
+        return (list, (list(self),))
 
 
 class PcapWriter:

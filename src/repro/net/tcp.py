@@ -19,9 +19,17 @@ FLAG_ACK = 0x10
 
 
 class TCP(Layer):
-    """A TCP segment (no options)."""
+    """A TCP segment (no options), as a sender builds it.
 
-    __slots__ = ("sport", "dport", "seq", "ack", "flags", "window", "_payload", "_body", "_cksum_ok", "_cksum_ctx")
+    :meth:`decode` returns a :class:`DecodedTCP`, which adds the state only
+    a parsed segment needs: the wire body behind its lazy payload parse and
+    the inputs of its lazy checksum verdict.
+    """
+
+    __slots__ = ("sport", "dport", "seq", "ack", "flags", "window", "_payload")
+
+    # A segment built in memory has no wire checksum to verify.
+    checksum_ok: bool | None = None
 
     def __init__(
         self,
@@ -40,19 +48,11 @@ class TCP(Layer):
         self.ack = ack
         self.window = window
         self._payload = payload
-        self._body: bytes | None = None
-        self._cksum_ok: bool | None = None
-        self._cksum_ctx: tuple | None = None
         self.wire_len = None
 
     @property
     def payload(self) -> Layer | None:
-        """The application layer, parsed from the wire body on first access."""
-        parsed = self._payload
-        if parsed is UNPARSED:
-            parsed = decode_tcp_payload(self.sport, self.dport, self._body)
-            self._payload = parsed
-        return parsed
+        return self._payload
 
     @payload.setter
     def payload(self, value: Layer | None) -> None:
@@ -61,39 +61,12 @@ class TCP(Layer):
     @property
     def payload_bytes(self) -> bytes:
         """The segment body's wire bytes without forcing an application parse."""
-        if self._payload is UNPARSED:
-            return self._body
         return self._payload.encode() if self._payload is not None else b""
 
     @property
     def payload_wire_len(self) -> int:
         """The body size in wire bytes, without parsing or re-encoding."""
-        if self._payload is UNPARSED:
-            return len(self._body)
-        if self._payload is None:
-            return 0
-        return self._payload.wire_length()
-
-    @property
-    def checksum_ok(self) -> bool | None:
-        """Wire-checksum verdict, verified lazily on first access.
-
-        The simulator itself never reads this (links are lossless), so the
-        decode hot path only records the raw segment and pseudo-header
-        inputs; the actual fold runs when a consumer asks.
-        """
-        ctx = self._cksum_ctx
-        if ctx is not None:
-            src, dst, data = ctx
-            self._cksum_ctx = None
-            recomputed = segment_checksum(src, dst, 6, data[:16] + b"\x00\x00" + data[18:])
-            self._cksum_ok = recomputed == int.from_bytes(data[16:18], "big")
-        return self._cksum_ok
-
-    @checksum_ok.setter
-    def checksum_ok(self, value: bool | None) -> None:
-        self._cksum_ctx = None
-        self._cksum_ok = value
+        return self._payload.wire_length() if self._payload is not None else 0
 
     @property
     def syn(self) -> bool:
@@ -118,7 +91,8 @@ class TCP(Layer):
         shares one object between every consumer, including retained
         capture records.
         """
-        clone = TCP.__new__(TCP)
+        cls = type(self)
+        clone = cls.__new__(cls)
         clone.sport = self.sport if sport is None else sport
         clone.dport = self.dport if dport is None else dport
         clone.flags = self.flags
@@ -126,9 +100,6 @@ class TCP(Layer):
         clone.ack = self.ack
         clone.window = self.window
         clone._payload = self._payload
-        clone._body = self._body
-        clone._cksum_ok = self._cksum_ok
-        clone._cksum_ctx = None  # ports changed; the recorded inputs no longer apply
         clone.wire_len = self.wire_len
         return clone
 
@@ -152,28 +123,25 @@ class TCP(Layer):
         )
 
     @classmethod
-    def decode(cls, data: bytes, src=None, dst=None) -> "TCP":
+    def decode(cls, data: bytes, src=None, dst=None) -> "DecodedTCP":
         if len(data) < 20:
             raise DecodeError("TCP header too short")
         data_offset = (data[12] >> 4) * 4
         if data_offset < 20 or data_offset > len(data):
             raise DecodeError("TCP data offset inconsistent")
-        sport = int.from_bytes(data[0:2], "big")
-        dport = int.from_bytes(data[2:4], "big")
-        body = data[data_offset:]
-        segment = cls(
-            sport,
-            dport,
+        segment = DecodedTCP(
+            int.from_bytes(data[0:2], "big"),
+            int.from_bytes(data[2:4], "big"),
             flags=data[13] & 0x3F,
             seq=int.from_bytes(data[4:8], "big"),
             ack=int.from_bytes(data[8:12], "big"),
             window=int.from_bytes(data[14:16], "big"),
         )
         segment._payload = UNPARSED
-        segment._body = body
+        segment._body = data[data_offset:]
+        segment._cksum_ok = None
+        segment._cksum_ctx = (src, dst, data) if src is not None and dst is not None else None
         segment.wire_len = len(data)
-        if src is not None and dst is not None:
-            segment._cksum_ctx = (src, dst, data)
         return segment
 
     def __repr__(self) -> str:
@@ -183,6 +151,57 @@ class TCP(Layer):
             if self.flags & bit:
                 names.append(name)
         return f"TCP({self.sport} > {self.dport}, [{'|'.join(names)}])"
+
+
+class DecodedTCP(TCP):
+    """A segment parsed from wire bytes.
+
+    The headers decode eagerly. The application payload parses from the
+    kept body on first ``.payload`` access, and the checksum verifies on
+    first ``checksum_ok`` access.
+    """
+
+    __slots__ = ("_body", "_cksum_ok", "_cksum_ctx")
+
+    @TCP.payload.getter
+    def payload(self) -> Layer | None:
+        """The application layer, parsed from the wire body on first access."""
+        parsed = self._payload
+        if parsed is UNPARSED:
+            parsed = decode_tcp_payload(self.sport, self.dport, self._body)
+            self._payload = parsed
+        return parsed
+
+    @property
+    def payload_bytes(self) -> bytes:
+        return self._body if self._payload is UNPARSED else super().payload_bytes
+
+    @property
+    def payload_wire_len(self) -> int:
+        return len(self._body) if self._payload is UNPARSED else super().payload_wire_len
+
+    @property
+    def checksum_ok(self) -> bool | None:
+        """Wire-checksum verdict, verified lazily on first access.
+
+        The simulator itself never reads this (links are lossless), so the
+        decode hot path only records the raw segment and pseudo-header
+        inputs; the actual fold runs when a consumer asks.
+        """
+        ctx = self._cksum_ctx
+        if ctx is not None:
+            src, dst, data = ctx
+            self._cksum_ctx = None
+            recomputed = segment_checksum(src, dst, 6, data[:16] + b"\x00\x00" + data[18:])
+            self._cksum_ok = recomputed == int.from_bytes(data[16:18], "big")
+        return self._cksum_ok
+
+    def with_ports(self, sport: int | None = None, dport: int | None = None) -> "DecodedTCP":
+        clone = super().with_ports(sport, dport)
+        clone._body = self._body
+        clone._cksum_ok = self._cksum_ok
+        clone._cksum_ctx = None  # ports changed; the recorded inputs no longer apply
+        return clone
 
 
 register_ip_proto(6, TCP.decode)

@@ -13,27 +13,27 @@ from repro.net.packet import UNPARSED, DecodeError, Layer, decode_udp_payload, r
 
 
 class UDP(Layer):
-    """A UDP datagram."""
+    """A UDP datagram, as a sender builds it.
 
-    __slots__ = ("sport", "dport", "_payload", "_body", "_cksum_ok", "_cksum_ctx")
+    :meth:`decode` returns a :class:`DecodedUDP`, which adds the state only
+    a parsed datagram needs: the wire body behind its lazy payload parse and
+    the inputs of its lazy checksum verdict.
+    """
+
+    __slots__ = ("sport", "dport", "_payload")
+
+    # A datagram built in memory has no wire checksum to verify.
+    checksum_ok: bool | None = None
 
     def __init__(self, sport: int, dport: int, payload: Layer | None = None):
         self.sport = sport
         self.dport = dport
         self._payload = payload
-        self._body: bytes | None = None
-        self._cksum_ok: bool | None = None
-        self._cksum_ctx: tuple | None = None
         self.wire_len = None
 
     @property
     def payload(self) -> Layer | None:
-        """The application layer, parsed from the wire body on first access."""
-        parsed = self._payload
-        if parsed is UNPARSED:
-            parsed = decode_udp_payload(self.sport, self.dport, self._body)
-            self._payload = parsed
-        return parsed
+        return self._payload
 
     @payload.setter
     def payload(self, value: Layer | None) -> None:
@@ -42,40 +42,12 @@ class UDP(Layer):
     @property
     def payload_bytes(self) -> bytes:
         """The payload's wire bytes without forcing an application parse."""
-        if self._payload is UNPARSED:
-            return self._body
         return self._payload.encode() if self._payload is not None else b""
 
     @property
     def payload_wire_len(self) -> int:
         """The payload size in wire bytes, without parsing or re-encoding."""
-        if self._payload is UNPARSED:
-            return len(self._body)
-        if self._payload is None:
-            return 0
-        return self._payload.wire_length()
-
-    @property
-    def checksum_ok(self) -> bool | None:
-        """Wire-checksum verdict, verified lazily on first access.
-
-        The simulator itself never reads this (links are lossless), so the
-        decode hot path only records the pseudo-header inputs; the actual
-        fold runs when a consumer asks.
-        """
-        ctx = self._cksum_ctx
-        if ctx is not None:
-            src, dst, wire_checksum = ctx
-            self._cksum_ctx = None
-            # The header fields and body were all parsed from the received
-            # bytes, so this rebuilds them with the checksum field zeroed.
-            self._cksum_ok = segment_checksum(src, dst, 17, self._datagram(self._body)) == wire_checksum
-        return self._cksum_ok
-
-    @checksum_ok.setter
-    def checksum_ok(self, value: bool | None) -> None:
-        self._cksum_ctx = None
-        self._cksum_ok = value
+        return self._payload.wire_length() if self._payload is not None else 0
 
     def with_ports(self, sport: int | None = None, dport: int | None = None) -> "UDP":
         """A copy with rewritten ports, sharing the (lazy) payload state.
@@ -84,13 +56,11 @@ class UDP(Layer):
         shares one object between every consumer, including retained
         capture records.
         """
-        clone = UDP.__new__(UDP)
+        cls = type(self)
+        clone = cls.__new__(cls)
         clone.sport = self.sport if sport is None else sport
         clone.dport = self.dport if dport is None else dport
         clone._payload = self._payload
-        clone._body = self._body
-        clone._cksum_ok = self._cksum_ok
-        clone._cksum_ctx = None  # ports changed; the recorded inputs no longer apply
         clone.wire_len = self.wire_len
         return clone
 
@@ -114,26 +84,75 @@ class UDP(Layer):
         return self._datagram(self.payload_bytes)
 
     @classmethod
-    def decode(cls, data: bytes, src=None, dst=None) -> "UDP":
+    def decode(cls, data: bytes, src=None, dst=None) -> "DecodedUDP":
         if len(data) < 8:
             raise DecodeError("UDP header too short")
-        sport = int.from_bytes(data[0:2], "big")
-        dport = int.from_bytes(data[2:4], "big")
         length = int.from_bytes(data[4:6], "big")
         if length < 8 or length > len(data):
             raise DecodeError("UDP length inconsistent")
         wire_checksum = int.from_bytes(data[6:8], "big")
-        body = data[8:length]
-        udp = cls(sport, dport)
+        udp = DecodedUDP(int.from_bytes(data[0:2], "big"), int.from_bytes(data[2:4], "big"))
         udp._payload = UNPARSED
-        udp._body = body
+        udp._body = data[8:length]
+        udp._cksum_ok = None
+        udp._cksum_ctx = (src, dst, wire_checksum) if src is not None and dst is not None and wire_checksum else None
         udp.wire_len = length
-        if src is not None and dst is not None and wire_checksum != 0:
-            udp._cksum_ctx = (src, dst, wire_checksum)
         return udp
 
     def __repr__(self) -> str:
         return f"UDP({self.sport} > {self.dport})"
+
+
+class DecodedUDP(UDP):
+    """A datagram parsed from wire bytes.
+
+    The header decodes eagerly. The application payload (DNS, DHCPv6, NTP,
+    ...) parses from the kept body on first ``.payload`` access, and the
+    checksum verifies on first ``checksum_ok`` access.
+    """
+
+    __slots__ = ("_body", "_cksum_ok", "_cksum_ctx")
+
+    @UDP.payload.getter
+    def payload(self) -> Layer | None:
+        """The application layer, parsed from the wire body on first access."""
+        parsed = self._payload
+        if parsed is UNPARSED:
+            parsed = decode_udp_payload(self.sport, self.dport, self._body)
+            self._payload = parsed
+        return parsed
+
+    @property
+    def payload_bytes(self) -> bytes:
+        return self._body if self._payload is UNPARSED else super().payload_bytes
+
+    @property
+    def payload_wire_len(self) -> int:
+        return len(self._body) if self._payload is UNPARSED else super().payload_wire_len
+
+    @property
+    def checksum_ok(self) -> bool | None:
+        """Wire-checksum verdict, verified lazily on first access.
+
+        The simulator itself never reads this (links are lossless), so the
+        decode hot path only records the pseudo-header inputs; the actual
+        fold runs when a consumer asks.
+        """
+        ctx = self._cksum_ctx
+        if ctx is not None:
+            src, dst, wire_checksum = ctx
+            self._cksum_ctx = None
+            # The header fields and body were all parsed from the received
+            # bytes, so this rebuilds them with the checksum field zeroed.
+            self._cksum_ok = segment_checksum(src, dst, 17, self._datagram(self._body)) == wire_checksum
+        return self._cksum_ok
+
+    def with_ports(self, sport: int | None = None, dport: int | None = None) -> "DecodedUDP":
+        clone = super().with_ports(sport, dport)
+        clone._body = self._body
+        clone._cksum_ok = self._cksum_ok
+        clone._cksum_ctx = None  # ports changed; the recorded inputs no longer apply
+        return clone
 
 
 register_ip_proto(17, UDP.decode)

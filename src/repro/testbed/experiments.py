@@ -8,6 +8,7 @@ functionality test on every device.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.net.pcap import PcapRecord
@@ -27,7 +28,7 @@ class ExperimentResult:
     """Everything observed during one connectivity experiment."""
 
     config: NetworkConfig
-    records: list[PcapRecord]
+    records: Sequence[PcapRecord]  # a LiveCapture, or a list read from a pcap file
     functionality: dict[str, bool] = field(default_factory=dict)
     started_at: float = 0.0
     finished_at: float = 0.0

@@ -9,7 +9,7 @@ from repro.devices import IoTDevice, build_inventory
 from repro.devices.inventory import control_phones
 from repro.devices.profile import DeviceProfile
 from repro.net.mac import MacAddress
-from repro.net.pcap import PcapRecord
+from repro.net.pcap import LiveCapture
 from repro.sim import EthernetLink, Simulator
 from repro.stack import NetworkConfig, Router
 from repro.stack.flowpath import FlowFastPath
@@ -77,20 +77,16 @@ class Testbed:
 
     # -- capture taps ---------------------------------------------------------
 
-    def start_capture(self) -> list[PcapRecord]:
-        """Attach a tcpdump-style tap; returns the (live) record list.
+    def start_capture(self) -> LiveCapture:
+        """Attach a tcpdump-style tap; returns the (live) capture.
 
-        Records hold the sender's structured frame, so the analysis pipeline
-        never parses the capture; bytes are encoded only at pcap export.
+        The capture keeps the sender's structured frames, so the analysis
+        pipeline never parses them; bytes are encoded only at pcap export.
         """
-        records: list[PcapRecord] = []
-
-        def tap(timestamp: float, frame) -> None:
-            records.append(PcapRecord(timestamp, frame=frame))
-
-        self.link.add_tap(tap)
-        self._active_tap = tap
-        return records
+        capture = LiveCapture()
+        self.link.add_tap(capture.tap)
+        self._active_tap = capture.tap
+        return capture
 
     def stop_capture(self) -> None:
         tap = getattr(self, "_active_tap", None)

@@ -14,6 +14,8 @@ from repro.devices import build_inventory
 from repro.net.checksum import internet_checksum
 from repro.net.ethernet import Ethernet
 from repro.net.ipv4 import IPv4
+from repro.net.tcp import TCP
+from repro.net.udp import UDP
 from repro.testbed import Testbed
 from repro.testbed.study import run_full_study
 
@@ -50,6 +52,14 @@ def test_pcap_round_trip_preserves_analysis(mini_study, tmp_path):
         assert render(offline) == render(live), f"{name} differs offline"
 
 
+def _protocol(layer) -> str:
+    """The protocol a layer speaks; decoded TCP and UDP are subclasses of the sender's classes."""
+    for protocol in (TCP, UDP):
+        if isinstance(layer, protocol):
+            return protocol.__name__
+    return type(layer).__name__
+
+
 def test_exported_checksums_verify(mini_study, tmp_path):
     """Every checksum the encoders wrote into an export verifies on decode."""
     mini_study.export_pcaps(tmp_path)
@@ -64,7 +74,7 @@ def test_exported_checksums_verify(mini_study, tmp_path):
                     verified["IPv4 header"] += 1
                 if hasattr(layer, "checksum_ok"):
                     assert layer.checksum_ok is True, f"{layer!r} at t={record.timestamp}"
-                    verified[type(layer).__name__] += 1
+                    verified[_protocol(layer)] += 1
     assert all(verified[kind] for kind in ("IPv4 header", "TCP", "UDP", "ICMPv6")), verified
 
 

@@ -18,11 +18,17 @@ from repro.net.dns import Question, ResourceRecord
 from repro.net.icmpv6 import NDOption
 from repro.net.mac import MacAddress
 from repro.net.packet import Layer
-from repro.net.pcap import PcapRecord
+from repro.net.pcap import LiveCapture, PcapRecord
+from repro.net.tcp import FLAG_SYN, TCP
+from repro.net.udp import UDP
 
 INDEX_RECORDS = (DnsQuery, DnsResponse, NdpEvent, AddressRecordObs, Flow, DhcpEvent)
-# What the layers hold, and the record a live capture keeps per frame.
-FRAME_PARTS = (PcapRecord, MacAddress, Question, ResourceRecord, IAAddress)
+# What the layers hold, the capture that keeps the frames, and the record it
+# builds on every read.
+FRAME_PARTS = (PcapRecord, LiveCapture, MacAddress, Question, ResourceRecord, IAAddress)
+# State only a segment parsed from wire bytes needs: its body, behind the lazy
+# payload parse, and the inputs of its lazy checksum verdict.
+DECODE_ONLY_SLOTS = {"_body", "_cksum_ok", "_cksum_ctx"}
 
 
 def _with_subclasses(base: type) -> list[type]:
@@ -46,3 +52,20 @@ def test_the_walk_finds_every_codec():
 def test_instances_carry_no_dict_and_no_weakref_slot(cls):
     assert cls.__dictoffset__ == 0, f"{cls.__name__} instances carry a __dict__"
     assert cls.__weakrefoffset__ == 0, f"{cls.__name__} instances carry a __weakref__ slot"
+
+
+def _slots(instance) -> set[str]:
+    return {name for cls in type(instance).__mro__ for name in cls.__dict__.get("__slots__", ())}
+
+
+def test_sender_built_segments_carry_no_decode_only_slots():
+    for segment in (TCP(40000, 443, FLAG_SYN), UDP(40000, 53)):
+        assert not _slots(segment) & DECODE_ONLY_SLOTS, type(segment).__name__
+        assert segment.checksum_ok is None
+
+
+def test_decoded_segments_keep_their_decode_only_slots():
+    for sent in (TCP(40000, 443, FLAG_SYN), UDP(40000, 53)):
+        decoded = type(sent).decode(sent.encode())
+        assert isinstance(decoded, type(sent)) and type(decoded) is not type(sent)
+        assert _slots(decoded) >= DECODE_ONLY_SLOTS
